@@ -82,17 +82,26 @@ def _tolerances(args) -> ToleranceConfig:
         updates["quad_nodes"] = args.quad_nodes
     if args.fd_step is not None:
         updates["fd_step"] = args.fd_step
-    return cfg.with_(**updates) if updates else cfg
+    try:
+        return cfg.with_(**updates) if updates else cfg
+    except ValueError as exc:
+        raise InvalidModelSpec(str(exc)) from None
 
 
 def _load_model(spec: str) -> ManifoldModel:
     if spec.strip().startswith("{"):
-        return parse_model_spec(json.loads(spec))
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise InvalidModelSpec(f"malformed JSON model spec: {exc}") from None
     return parse_model_spec(spec)
 
 
 def _parse_point(model: ManifoldModel, text: str, coords: str) -> np.ndarray:
-    vals = np.array([float(tok) for tok in text.split(",")])
+    try:
+        vals = np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise InvalidModelSpec(f"point {text!r} has a malformed number") from None
     vals = model.convert_coords(vals, coords)
     if vals.shape[0] != model.dim:
         raise InvalidModelSpec(
@@ -203,6 +212,8 @@ def cmd_div(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _tolerances(args)
+    if args.samples < 1:
+        raise InvalidModelSpec("verify needs at least 1 sample")
     models = [_load_model(args.model)] if args.model else default_models()
     report = run_suites(models, args.suite, samples=args.samples, seed=args.seed, cfg=cfg)
     doc = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -220,7 +231,10 @@ def _parse_grid(model: ManifoldModel, spec: str) -> List[np.ndarray]:
         toks = part.split(":")
         if len(toks) != 3:
             raise InvalidModelSpec(f"grid axis {part!r} must be min:max:count")
-        lo, hi, cnt = float(toks[0]), float(toks[1]), int(toks[2])
+        try:
+            lo, hi, cnt = float(toks[0]), float(toks[1]), int(toks[2])
+        except ValueError:
+            raise InvalidModelSpec(f"grid axis {part!r} has a malformed number") from None
         if cnt < 1:
             raise InvalidModelSpec("grid count must be >= 1")
         axes.append(np.linspace(lo, hi, cnt))

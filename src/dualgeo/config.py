@@ -29,7 +29,7 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("ode_rel_tol", "ode_abs_tol", "shoot_tol", "fd_step"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         if self.shoot_max_iter < 1:
             raise ValueError("shoot_max_iter must be >= 1")

@@ -22,12 +22,20 @@ All quadratures are fixed-order Gauss-Legendre on [0, 1]; each node requires
 its own two-point solve, so nodes are batched and solved as stacked systems.
 The weighted sum over the nodes is taken row by row, so a pair's value depends
 only on that pair and never on the rest of the batch or on the BLAS kernel.
-Pairs closer than the near-diagonal guard are answered by the second-order
-quadratic form directly, since shooting Jacobians degenerate at the diagonal.
-On a doubly flat model (both connections flat in the chart) the metric is
-constant, both geodesics are the chord at constant speed and transport is the
-identity, so every geodesic-integral kind equals the quadratic form exactly
-and is answered by it for every pair; force_ode skips this path.
+
+`_divergence_many` decides in one place which pairs of a geodesic-integral
+kind are answered by the quadratic form d.g(p).d (halved for every kind but
+the pseudo-norm) instead of by an evaluator:
+
+  - pairs closer than NEAR_DIAGONAL, where shooting Jacobians degenerate and
+    the second-order form is exact enough;
+  - every pair of a doubly flat model (both connections flat in the chart),
+    where the metric is constant, both geodesics are the chord at constant
+    speed and transport is the identity, so the form is exact.
+
+A copy of the model with no flat kinds, `dataclasses.replace(model,
+flat_kinds=frozenset())`, sends every pair off the diagonal down the
+quadrature and shooting route. The closed-form oracle kind is never guarded.
 """
 
 from __future__ import annotations
@@ -75,10 +83,6 @@ class DivergenceKind(enum.Enum):
     ORACLE_KL = "oracle"
 
 
-# the kinds built from geodesics, as opposed to the closed-form reference
-_GEODESIC_KINDS = frozenset(DivergenceKind) - {DivergenceKind.ORACLE_KL}
-
-
 @dataclass(frozen=True)
 class PathFunctionalResult:
     """Line integrals of the two transported-difference fields along one path."""
@@ -109,9 +113,7 @@ def _gauss_legendre(nodes: int):
 
 
 def _check_inside(model: ManifoldModel, X: np.ndarray, label: str):
-    # a domain test may pass NaN (euclidean accepts everything), and the exact
-    # doubly flat path would then return NaN as if it were a value
-    ok = model.contains_batch(X) & np.isfinite(X).all(axis=1)
+    ok = model.contains_batch(X)
     if not ok.all():
         raise PointOutOfDomain(
             f"{label} outside the domain of {model.spec_string} "
@@ -143,7 +145,6 @@ def _pi_many(
     cfg: ToleranceConfig,
     want_primal: bool = True,
     want_dual: bool = True,
-    force_ode: bool = False,
     node_times: Optional[np.ndarray] = None,
     v_init_primal: Optional[np.ndarray] = None,
     v_init_dual: Optional[np.ndarray] = None,
@@ -156,8 +157,8 @@ def _pi_many(
     """
     Pi = PiStar = None
     Vp = Vd = None
-    primal_flat = model.is_flat(ConnectionKind.PRIMAL) and not force_ode
-    dual_flat = model.is_flat(ConnectionKind.DUAL) and not force_ode
+    primal_flat = model.is_flat(ConnectionKind.PRIMAL)
+    dual_flat = model.is_flat(ConnectionKind.DUAL)
     # the primal log is needed for the primal field itself and, unless the dual
     # connection is flat, as the transport track for the dual field (and dually)
     need_vp = want_primal or (want_dual and not dual_flat)
@@ -171,7 +172,6 @@ def _pi_many(
             targets,
             cfg,
             v_init=v_init_primal,
-            force_ode=force_ode,
             node_times=node_times,
         )
     if need_vd:
@@ -182,29 +182,20 @@ def _pi_many(
             targets,
             cfg,
             v_init=v_init_dual,
-            force_ode=force_ode,
             node_times=node_times,
         )
     if want_primal:
         if primal_flat:
             Pi = Vp.copy()
         else:
-            dual_curves = _curves_from_initial(
-                model, ConnectionKind.DUAL, bases, Vd, cfg, force_ode=force_ode
-            )
-            Pi = _transport_many(
-                model, ConnectionKind.PRIMAL, dual_curves, Vp, cfg, force_ode=force_ode
-            )
+            dual_curves = _curves_from_initial(model, ConnectionKind.DUAL, bases, Vd, cfg)
+            Pi = _transport_many(model, ConnectionKind.PRIMAL, dual_curves, Vp, cfg)
     if want_dual:
         if dual_flat:
             PiStar = Vd.copy()
         else:
-            primal_curves = _curves_from_initial(
-                model, ConnectionKind.PRIMAL, bases, Vp, cfg, force_ode=force_ode
-            )
-            PiStar = _transport_many(
-                model, ConnectionKind.DUAL, primal_curves, Vd, cfg, force_ode=force_ode
-            )
+            primal_curves = _curves_from_initial(model, ConnectionKind.PRIMAL, bases, Vp, cfg)
+            PiStar = _transport_many(model, ConnectionKind.DUAL, primal_curves, Vd, cfg)
     return Pi, PiStar, Vp, Vd
 
 
@@ -248,9 +239,9 @@ def pi_field(
 # ---------------------------------------------------------------------------
 
 
-def _main_curves(model, kind, P, Q, cfg, force_ode=False) -> BatchedCurves:
-    V, _ = _shoot_many(model, kind, P, Q, cfg, force_ode=force_ode)
-    return _curves_from_initial(model, kind, P, V, cfg, force_ode=force_ode)
+def _main_curves(model, kind, P, Q, cfg) -> BatchedCurves:
+    V, _ = _shoot_many(model, kind, P, Q, cfg)
+    return _curves_from_initial(model, kind, P, V, cfg)
 
 
 def _nodes_of(curves: BatchedCurves, t_nodes: np.ndarray):
@@ -260,70 +251,41 @@ def _nodes_of(curves: BatchedCurves, t_nodes: np.ndarray):
     return xs, vs
 
 
-def _ay_many(model, P, Q, cfg, force_ode=False) -> np.ndarray:
-    m, n = P.shape
-    out = np.empty(m)
-    guard = np.linalg.norm(Q - P, axis=1) < NEAR_DIAGONAL
-    out[guard] = _quadratic_form(model, P[guard], Q[guard], half=True)
-    act = ~guard
-    if act.any():
-        t_nodes, w = _gauss_legendre(cfg.quad_nodes)
-        curves = _main_curves(model, ConnectionKind.PRIMAL, P[act], Q[act], cfg, force_ode)
-        xs, vs = _nodes_of(curves, t_nodes)
-        flat_x = xs.reshape(-1, n)
-        speed2 = _metric_pairing(model, flat_x, vs.reshape(-1, n), vs.reshape(-1, n))
-        speed2 = speed2.reshape(-1, t_nodes.shape[0])
-        if not np.all(np.isfinite(speed2)):
-            raise QuadratureFailure("non-finite integrand at a quadrature node")
-        out[act] = (speed2 * (w * t_nodes)).sum(axis=1)
-    return out
+def _ay_many(model, P, Q, cfg) -> np.ndarray:
+    n = P.shape[1]
+    t_nodes, w = _gauss_legendre(cfg.quad_nodes)
+    curves = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg)
+    xs, vs = _nodes_of(curves, t_nodes)
+    flat_x = xs.reshape(-1, n)
+    speed2 = _metric_pairing(model, flat_x, vs.reshape(-1, n), vs.reshape(-1, n))
+    speed2 = speed2.reshape(-1, t_nodes.shape[0])
+    if not np.all(np.isfinite(speed2)):
+        raise QuadratureFailure("non-finite integrand at a quadrature node")
+    return (speed2 * (w * t_nodes)).sum(axis=1)
 
 
-def _canonical_many(model, P, Q, cfg, force_ode=False) -> np.ndarray:
-    m, n = P.shape
-    out = np.empty(m)
-    guard = np.linalg.norm(Q - P, axis=1) < NEAR_DIAGONAL
-    out[guard] = _quadratic_form(model, P[guard], Q[guard], half=True)
-    act = ~guard
-    if act.any():
-        t_nodes, w = _gauss_legendre(cfg.quad_nodes)
-        k = t_nodes.shape[0]
-        Pa, Qa = P[act], Q[act]
-        curves = _main_curves(model, ConnectionKind.PRIMAL, Pa, Qa, cfg, force_ode)
-        xs, vs = _nodes_of(curves, t_nodes)
-        bases = np.repeat(Pa, k, axis=0)
-        targets = xs.reshape(-1, n)
-        times = np.tile(t_nodes, Pa.shape[0])
-        Pi, _, _, _ = _pi_many(
-            model,
-            bases,
-            targets,
-            cfg,
-            want_primal=True,
-            want_dual=False,
-            force_ode=force_ode,
-            node_times=times,
-        )
-        integrand = _metric_pairing(model, targets, Pi, vs.reshape(-1, n)).reshape(-1, k)
-        if not np.all(np.isfinite(integrand)):
-            raise QuadratureFailure("non-finite integrand at a quadrature node")
-        out[act] = (integrand * w).sum(axis=1)
-    return out
+def _canonical_many(model, P, Q, cfg) -> np.ndarray:
+    n = P.shape[1]
+    t_nodes, w = _gauss_legendre(cfg.quad_nodes)
+    k = t_nodes.shape[0]
+    curves = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg)
+    xs, vs = _nodes_of(curves, t_nodes)
+    bases = np.repeat(P, k, axis=0)
+    targets = xs.reshape(-1, n)
+    times = np.tile(t_nodes, P.shape[0])
+    Pi, _, _, _ = _pi_many(
+        model, bases, targets, cfg, want_primal=True, want_dual=False, node_times=times
+    )
+    integrand = _metric_pairing(model, targets, Pi, vs.reshape(-1, n)).reshape(-1, k)
+    if not np.all(np.isfinite(integrand)):
+        raise QuadratureFailure("non-finite integrand at a quadrature node")
+    return (integrand * w).sum(axis=1)
 
 
-def _pseudo_norm_many(model, P, Q, cfg, force_ode=False) -> np.ndarray:
-    m, _ = P.shape
-    out = np.empty(m)
-    guard = np.linalg.norm(Q - P, axis=1) < NEAR_DIAGONAL
-    # the second-order limit of the log pairing carries no 1/2
-    out[guard] = _quadratic_form(model, P[guard], Q[guard], half=False)
-    act = ~guard
-    if act.any():
-        Pa, Qa = P[act], Q[act]
-        Vp, _ = _shoot_many(model, ConnectionKind.PRIMAL, Pa, Qa, cfg, force_ode=force_ode)
-        Vd, _ = _shoot_many(model, ConnectionKind.DUAL, Pa, Qa, cfg, force_ode=force_ode)
-        out[act] = _metric_pairing(model, Pa, Vp, Vd)
-    return out
+def _pseudo_norm_many(model, P, Q, cfg) -> np.ndarray:
+    Vp, _ = _shoot_many(model, ConnectionKind.PRIMAL, P, Q, cfg)
+    Vd, _ = _shoot_many(model, ConnectionKind.DUAL, P, Q, cfg)
+    return _metric_pairing(model, P, Vp, Vd)
 
 
 def _oracle_many(model, P, Q) -> np.ndarray:
@@ -338,30 +300,34 @@ def _divergence_many(
     P: np.ndarray,
     Q: np.ndarray,
     cfg: ToleranceConfig,
-    force_ode: bool = False,
 ) -> np.ndarray:
-    """Vectorized dispatch over pairs; P and Q are (m, n) chart arrays."""
+    """Vectorized dispatch over pairs; P and Q are (m, n) chart arrays.
+
+    Pairs near the diagonal, and every pair of a doubly flat model, get the
+    quadratic form (see the module docstring); the evaluator sees the rest.
+    """
     _check_inside(model, P, "first argument")
     _check_inside(model, Q, "second argument")
-    if (
-        kind in _GEODESIC_KINDS
-        and not force_ode
-        and model.is_flat(ConnectionKind.PRIMAL)
-        and model.is_flat(ConnectionKind.DUAL)
-    ):
-        # constant metric, straight geodesics, identity transport: exact
-        return _quadratic_form(model, P, Q, half=kind is not DivergenceKind.PSEUDO_NORM)
-    if kind is DivergenceKind.AY:
-        return _ay_many(model, P, Q, cfg, force_ode)
-    if kind is DivergenceKind.CANONICAL:
-        return _canonical_many(model, P, Q, cfg, force_ode)
-    if kind is DivergenceKind.CANONICAL_DUAL:
-        return _canonical_many(model.dualized(), P, Q, cfg, force_ode)
-    if kind is DivergenceKind.PSEUDO_NORM:
-        return _pseudo_norm_many(model, P, Q, cfg, force_ode)
     if kind is DivergenceKind.ORACLE_KL:
         return _oracle_many(model, P, Q)
-    raise ValueError(f"unknown divergence kind {kind!r}")
+    if kind is DivergenceKind.CANONICAL_DUAL:
+        model, kind = model.dualized(), DivergenceKind.CANONICAL
+    evaluate = {
+        DivergenceKind.AY: _ay_many,
+        DivergenceKind.CANONICAL: _canonical_many,
+        DivergenceKind.PSEUDO_NORM: _pseudo_norm_many,
+    }.get(kind)
+    if evaluate is None:
+        raise ValueError(f"unknown divergence kind {kind!r}")
+    doubly_flat = model.is_flat(ConnectionKind.PRIMAL) and model.is_flat(ConnectionKind.DUAL)
+    exact = doubly_flat | (np.linalg.norm(Q - P, axis=1) < NEAR_DIAGONAL)
+    out = np.empty(P.shape[0])
+    # the second-order limit of the log pairing carries no 1/2
+    half = kind is not DivergenceKind.PSEUDO_NORM
+    out[exact] = _quadratic_form(model, P[exact], Q[exact], half)
+    if not exact.all():
+        out[~exact] = evaluate(model, P[~exact], Q[~exact], cfg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +349,10 @@ def canonical_divergence(
     p: Point,
     q: Point,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    force_ode: bool = False,
 ) -> float:
     """Line integral of the transported-difference field along the primal geodesic."""
     return float(
-        _divergence_many(
-            model, DivergenceKind.CANONICAL, p.coords[None], q.coords[None], cfg, force_ode
-        )[0]
+        _divergence_many(model, DivergenceKind.CANONICAL, p.coords[None], q.coords[None], cfg)[0]
     )
 
 
@@ -398,12 +361,11 @@ def dual_canonical_divergence(
     p: Point,
     q: Point,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    force_ode: bool = False,
 ) -> float:
     """The canonical construction applied to the manifold with connections swapped."""
     return float(
         _divergence_many(
-            model, DivergenceKind.CANONICAL_DUAL, p.coords[None], q.coords[None], cfg, force_ode
+            model, DivergenceKind.CANONICAL_DUAL, p.coords[None], q.coords[None], cfg
         )[0]
     )
 
@@ -445,7 +407,6 @@ def path_functional(
     p: Point,
     gamma: Curve,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    force_ode: bool = False,
 ) -> PathFunctionalResult:
     """Both line integrals of the transported-difference fields along gamma.
 
@@ -459,9 +420,7 @@ def path_functional(
     vs = np.atleast_2d(gamma.velocity(t_nodes))
     _check_inside(model, xs, "path node")
     bases = np.repeat(p.coords[None, :], t_nodes.shape[0], axis=0)
-    Pi, PiStar, _, _ = _pi_many(
-        model, bases, xs, cfg, force_ode=force_ode, node_times=t_nodes
-    )
+    Pi, PiStar, _, _ = _pi_many(model, bases, xs, cfg, node_times=t_nodes)
     primal = float((_metric_pairing(model, xs, Pi, vs) * w).sum())
     dual = float((_metric_pairing(model, xs, PiStar, vs) * w).sum())
     return PathFunctionalResult(primal_integral=primal, dual_integral=dual)

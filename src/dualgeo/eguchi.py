@@ -112,12 +112,11 @@ class _StencilEvaluator:
     """Collects divergence evaluations at offsets of (p, p), computes them in
     one batch, then serves them to the finite-difference assembly."""
 
-    def __init__(self, model, which, p, cfg, force_ode=False):
+    def __init__(self, model, which, p, cfg):
         self.model = model
         self.which = which
         self.p = np.asarray(p, dtype=float)
         self.cfg = cfg
-        self.force_ode = force_ode
         self._requests = {}
         self._values = None
 
@@ -139,7 +138,7 @@ class _StencilEvaluator:
                 f"finite-difference stencil around {self.p!r} leaves the domain "
                 f"of {self.model.spec_string}"
             )
-        vals = _divergence_many(self.model, self.which, A, B, self.cfg, self.force_ode)
+        vals = _divergence_many(self.model, self.which, A, B, self.cfg)
         self._values = {k: v for k, v in zip(keys, vals)}
 
     def value(self, da, db) -> float:
@@ -169,7 +168,6 @@ def recover_structure(
     which: DivergenceKind,
     p: Point,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    force_ode: bool = False,
 ) -> RecoveredStructure:
     """Metric and both connection symbol fields from diagonal derivatives of a divergence.
 
@@ -181,7 +179,7 @@ def recover_structure(
     n = model.dim
     h1, h2, h3 = _derivative_steps(cfg)
     stencil_cfg = cfg.with_(quad_nodes=min(cfg.quad_nodes, 8))
-    ev = _StencilEvaluator(model, which, p.coords, stencil_cfg, force_ode)
+    ev = _StencilEvaluator(model, which, p.coords, stencil_cfg)
     z = np.zeros(n)
 
     def second_terms(h, i, j, slot):

@@ -11,9 +11,11 @@ of thousands of tiny ones:
 
 Curves are stored as dense samples on a shared uniform grid taken from the
 adaptive integrator's output, with cubic Hermite interpolation in between.
-Connections whose symbols vanish identically in the working chart are handled
-in closed form (straight chart lines, component-preserving transport); the ODE
-route stays available through `force_ode` for cross-checking.
+Connections whose symbols vanish identically in the working chart (the
+model's `flat_kinds`) are handled in closed form: straight chart lines and
+component-preserving transport. A copy of the model with no flat kinds,
+`dataclasses.replace(model, flat_kinds=frozenset())`, takes the ODE route
+everywhere, which is how the closed forms are cross-checked.
 """
 
 from __future__ import annotations
@@ -297,11 +299,10 @@ def _integrate_states(
     V0: np.ndarray,
     cfg: ToleranceConfig,
     t_eval: np.ndarray,
-    force_ode: bool = False,
 ) -> np.ndarray:
     """Integrate m geodesic initial value problems; returns (len(t_eval), m, 2n)."""
     m, n = X0.shape
-    if model.is_flat(kind) and not force_ode:
+    if model.is_flat(kind):
         T = np.asarray(t_eval, dtype=float)
         out = np.empty((T.shape[0], m, 2 * n))
         out[:, :, :n] = X0[None, :, :] + T[:, None, None] * V0[None, :, :]
@@ -339,26 +340,23 @@ def _grid(cfg: ToleranceConfig) -> np.ndarray:
     return np.linspace(0.0, 1.0, cfg.curve_grid)
 
 
-def _curves_from_initial(
-    model, kind, X0, V0, cfg, force_ode=False, check_domain=True
-) -> BatchedCurves:
+def _curves_from_initial(model, kind, X0, V0, cfg) -> BatchedCurves:
     """Dense integration of m geodesics into batched curves."""
     m, n = X0.shape
     ts = _grid(cfg)
-    states = _integrate_states(model, kind, X0, V0, cfg, ts, force_ode=force_ode)
+    states = _integrate_states(model, kind, X0, V0, cfg, ts)
     xs = np.swapaxes(states[:, :, :n], 0, 1).copy()
     vs = np.swapaxes(states[:, :, n:], 0, 1).copy()
     flat_x = xs.reshape(-1, n)
     flat_v = vs.reshape(-1, n)
     accs = _geodesic_accel(model, kind, flat_x, flat_v).reshape(m, ts.shape[0], n)
-    if check_domain:
-        inside = model.contains_batch(flat_x)
-        if not inside.all():
-            bad = np.where(~inside.reshape(m, -1).all(axis=1))[0]
-            raise DomainExit(
-                f"geodesic left the domain of {model.spec_string} "
-                f"(members {bad[:8].tolist()})"
-            )
+    inside = model.contains_batch(flat_x)
+    if not inside.all():
+        bad = np.where(~inside.reshape(m, -1).all(axis=1))[0]
+        raise DomainExit(
+            f"geodesic left the domain of {model.spec_string} "
+            f"(members {bad[:8].tolist()})"
+        )
     return BatchedCurves(ts=ts, xs=xs, vs=vs, accs=accs)
 
 
@@ -368,15 +366,12 @@ def integrate_geodesic(
     p: Point,
     v: Tangent,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    force_ode: bool = False,
 ) -> Curve:
     """Geodesic of the chosen connection with initial point p and velocity v."""
     model.require_inside(p)
     if not np.array_equal(v.base.coords, p.coords):
         raise BaseMismatch("initial velocity must be based at the initial point")
-    batch = _curves_from_initial(
-        model, kind, p.coords[None, :], v.components[None, :], cfg, force_ode=force_ode
-    )
+    batch = _curves_from_initial(model, kind, p.coords[None, :], v.components[None, :], cfg)
     return batch.member(0)
 
 
@@ -396,11 +391,7 @@ def exp_map(
 # ---------------------------------------------------------------------------
 
 
-def _endpoints_only(model, kind, X0, V0, cfg, force_ode=False) -> np.ndarray:
-    return _integrate_states(model, kind, X0, V0, cfg, np.array([1.0]), force_ode)[0]
-
-
-def _endpoints_resilient(model, kind, X0, V0, cfg, force_ode=False):
+def _endpoints_resilient(model, kind, X0, V0, cfg):
     """Endpoint integration that isolates exploding members by bisection.
 
     Trial shots far outside the domain can blow up in finite time (step-size
@@ -409,13 +400,14 @@ def _endpoints_resilient(model, kind, X0, V0, cfg, force_ode=False):
     """
     m, n = X0.shape
     try:
-        return _endpoints_only(model, kind, X0, V0, cfg, force_ode), np.ones(m, dtype=bool)
+        E = _integrate_states(model, kind, X0, V0, cfg, np.array([1.0]))[0]
+        return E, np.ones(m, dtype=bool)
     except IntegrationFailure:
         if m == 1:
             return np.full((1, 2 * n), np.nan), np.zeros(1, dtype=bool)
         half = m // 2
-        E1, ok1 = _endpoints_resilient(model, kind, X0[:half], V0[:half], cfg, force_ode)
-        E2, ok2 = _endpoints_resilient(model, kind, X0[half:], V0[half:], cfg, force_ode)
+        E1, ok1 = _endpoints_resilient(model, kind, X0[:half], V0[:half], cfg)
+        E2, ok2 = _endpoints_resilient(model, kind, X0[half:], V0[half:], cfg)
         return np.vstack([E1, E2]), np.concatenate([ok1, ok2])
 
 
@@ -450,8 +442,6 @@ def _shoot_many(
     Q: np.ndarray,
     cfg: ToleranceConfig,
     v_init: Optional[np.ndarray] = None,
-    force_ode: bool = False,
-    raise_on_fail: bool = True,
     node_times: Optional[np.ndarray] = None,
 ):
     """Solve m two-point problems exp_{P_i}(v_i) = Q_i by Newton iteration.
@@ -467,7 +457,7 @@ def _shoot_many(
     Returns (V, converged_mask).
     """
     m, n = P.shape
-    if model.is_flat(kind) and not force_ode:
+    if model.is_flat(kind):
         return Q - P, np.ones(m, dtype=bool)
 
     h = cfg.fd_step
@@ -499,7 +489,7 @@ def _shoot_many(
     v = clamp(v)
     for _ in range(cfg.shoot_max_iter):
         Xs, Vs = stencil_states(v)
-        E, okE = _endpoints_resilient(model, kind, Xs, Vs, cfg, force_ode)
+        E, okE = _endpoints_resilient(model, kind, Xs, Vs, cfg)
         E = E[:, :n].reshape(m, cols, n)
         ok = okE.reshape(m, cols).all(axis=1) & np.isfinite(E).all(axis=(1, 2))
         F = E[:, 0, :] - Q
@@ -537,7 +527,7 @@ def _shoot_many(
         v = clamp(v_new)
 
     failed = np.where(~converged)[0]
-    if raise_on_fail and failed.size:
+    if failed.size:
         times = None
         if node_times is not None:
             times = np.asarray(node_times, dtype=float)[failed].tolist()
@@ -585,11 +575,10 @@ def _transport_many(
     curves: BatchedCurves,
     V0: np.ndarray,
     cfg: ToleranceConfig,
-    force_ode: bool = False,
 ) -> np.ndarray:
     """Transport V0[i] along curves[i] under the chosen connection; returns (m, n)."""
     m, n = V0.shape
-    if model.is_flat(kind) and not force_ode:
+    if model.is_flat(kind):
         return V0.copy()
 
     def rhs(t, y):
@@ -625,7 +614,6 @@ def parallel_transport(
     curve: Curve,
     v: Tangent,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    force_ode: bool = False,
 ) -> Tangent:
     """Solution at t = 1 of the transport equation for v along the curve."""
     if not np.allclose(v.base.coords, curve.xs[0], rtol=0.0, atol=1e-12):
@@ -636,5 +624,5 @@ def parallel_transport(
         vs=curve.vs[None, :, :],
         accs=None if curve.accs is None else curve.accs[None, :, :],
     )
-    out = _transport_many(model, kind, batch, v.components[None, :], cfg, force_ode)
+    out = _transport_many(model, kind, batch, v.components[None, :], cfg)
     return Tangent(curve.end_point(), out[0])

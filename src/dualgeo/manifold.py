@@ -154,10 +154,11 @@ class ManifoldModel:
         x = np.asarray(point.coords if isinstance(point, Point) else point, dtype=float)
         if x.shape != (self.dim,):
             return False
-        return bool(self.domain_fn(x[None, :])[0])
+        return bool(self.contains_batch(x[None, :])[0])
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.domain_fn(_as_batch(X))
+        X = _as_batch(X)
+        return self.domain_fn(X) & np.isfinite(X).all(axis=1)
 
     def require_inside(self, point):
         if not self.contains(point):
@@ -194,6 +195,12 @@ class ManifoldModel:
     def is_flat(self, kind: ConnectionKind) -> bool:
         return kind in self.flat_kinds
 
+    @property
+    def is_self_dual(self) -> bool:
+        """True when one symbol function serves both connections."""
+        fns = self.christoffel_fns
+        return fns[ConnectionKind.PRIMAL] is fns[ConnectionKind.DUAL]
+
     def oracle(self, p: Point, q: Point) -> float:
         from .errors import OracleUnavailable
 
@@ -220,8 +227,12 @@ class ManifoldModel:
 
         The reference divergence, when present, is reversed accordingly: on a
         dually flat model the canonical divergence of the swapped structure is
-        the original one with its arguments exchanged.
+        the original one with its arguments exchanged. A self-dual model is
+        returned as it is, since swapping two identical connections changes
+        nothing.
         """
+        if self.is_self_dual:
+            return self
         swapped = {
             ConnectionKind.PRIMAL: self.christoffel_fns[ConnectionKind.DUAL],
             ConnectionKind.DUAL: self.christoffel_fns[ConnectionKind.PRIMAL],
@@ -551,6 +562,10 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
 
         return gamma
 
+    primal = gamma_factory(+1.0)
+    # a = 0 is the Levi-Civita connection, which is its own dual
+    dual = primal if alpha == 0.0 else gamma_factory(-1.0)
+
     def domain(X):
         full = np.concatenate([X, 1.0 - X.sum(axis=1, keepdims=True)], axis=1)
         return full.min(axis=1) >= _MIN_PROB
@@ -562,10 +577,7 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
         spec_string=f"alpha_categorical:{n}:{alpha:g}",
         chart="mixture coordinates (head probabilities)",
         metric_fn=metric,
-        christoffel_fns={
-            ConnectionKind.PRIMAL: gamma_factory(+1.0),
-            ConnectionKind.DUAL: gamma_factory(-1.0),
-        },
+        christoffel_fns={ConnectionKind.PRIMAL: primal, ConnectionKind.DUAL: dual},
         domain_fn=domain,
         safe_box=np.array([[0.3 / n, 0.9 / n]] * n),
         oracle_fn=None,
@@ -633,7 +645,7 @@ def make_builtin(name: str, params: Sequence[float]) -> ManifoldModel:
                 raise InvalidModelSpec(f"{name} requires a dimension parameter")
             return default
         d = params[0]
-        if d != int(d) or int(d) < 1:
+        if not float(d).is_integer() or d < 1:
             raise InvalidModelSpec(f"dimension must be a positive integer, got {d!r}")
         return int(d)
 
@@ -648,8 +660,8 @@ def make_builtin(name: str, params: Sequence[float]) -> ManifoldModel:
         if n != 2:
             raise InvalidModelSpec("only the 2-sphere is supported")
         radius = float(params[1]) if len(params) > 1 else 1.0
-        if radius <= 0:
-            raise InvalidModelSpec("sphere radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise InvalidModelSpec("sphere radius must be positive and finite")
         if len(params) > 2:
             raise InvalidModelSpec("sphere takes (dim, radius)")
         return _make_sphere(radius)
@@ -683,16 +695,15 @@ def make_builtin(name: str, params: Sequence[float]) -> ManifoldModel:
 def parse_model_spec(spec) -> ManifoldModel:
     """Parse 'name:dim[:param...]' strings or {'name':..., 'params': [...]} dicts."""
     if isinstance(spec, dict):
-        try:
-            return make_builtin(spec["name"], spec.get("params", []))
-        except KeyError:
-            raise InvalidModelSpec("model object requires a 'name' field") from None
-    if not isinstance(spec, str) or not spec:
+        if "name" not in spec:
+            raise InvalidModelSpec("model object requires a 'name' field")
+        name, raw = spec["name"], spec.get("params", [])
+    elif isinstance(spec, str) and spec:
+        name, *raw = spec.split(":")
+    else:
         raise InvalidModelSpec(f"bad model spec: {spec!r}")
-    parts = spec.split(":")
-    name, raw = parts[0], parts[1:]
     try:
         params = [float(tok) for tok in raw]
-    except ValueError:
+    except (TypeError, ValueError):
         raise InvalidModelSpec(f"non-numeric parameter in model spec {spec!r}") from None
     return make_builtin(name, params)

@@ -33,14 +33,6 @@ from .sampling import great_circle_angle, sample_pairs, sample_points
 
 __all__ = ["CheckRecord", "VerificationReport", "run_suites", "default_models", "SUITES"]
 
-EXPECTED_VERDICTS = {
-    "euclidean": "SelfDual",
-    "sphere": "SelfDual",
-    "categorical": "DuallyFlat",
-    "gaussian1d": "DuallyFlat",
-}
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     check_id: str
@@ -87,10 +79,6 @@ class VerificationReport:
 def _rec(check_id: str, max_error: float, tol: float, samples: int) -> CheckRecord:
     err = float(max_error)
     return CheckRecord(check_id, err, float(tol), bool(err <= tol), int(samples))
-
-
-def _is_self_dual(model: ManifoldModel) -> bool:
-    return model.name in ("euclidean", "sphere")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +218,7 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
     )
     diag = _divergence_many(model, DivergenceKind.CANONICAL, P, P, cfg)
     out.append(_rec("zero_on_diagonal", float(np.abs(diag).max()), 1e-10, samples))
-    if _is_self_dual(model):
+    if model.is_self_dual:
         out.append(
             _rec(
                 "self_dual_collapse_rel",
@@ -285,16 +273,20 @@ def suite_symmetry(model, samples, rng, cfg) -> List[CheckRecord]:
 
 
 def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
-    """Verdicts against the catalog expectations plus curvature spot checks."""
+    """Verdicts expected from the model's structure plus curvature spot checks.
+
+    A self-dual model must classify as SelfDual; otherwise a model with a flat
+    connection is dually flat (the dual of a flat connection is flat too).
+    """
     pts = [Point(x) for x in sample_points(model, min(samples, 5), rng, shrink=0.7)]
     report = classify_manifold(model, pts, cfg)
     out = []
-    expected = EXPECTED_VERDICTS.get(model.name)
+    expected = "SelfDual" if model.is_self_dual else "DuallyFlat" if model.flat_kinds else None
     if expected is not None:
         out.append(
             _rec(f"verdict_is_{expected}", 0.0 if report.verdict == expected else 1.0, 0.0, len(pts))
         )
-    if model.name in ("euclidean", "categorical", "gaussian1d"):
+    if model.flat_kinds:
         out.append(_rec("flatness_residual", report.flatness_residual, 1e-5, len(pts)))
     if model.name == "sphere":
         r = model.params[1]

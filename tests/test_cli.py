@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dualgeo.cli import main
 
 KL_FORWARD = 0.5108256237659907
@@ -140,6 +142,37 @@ def test_div_batch_pairs_and_threads(capsys):
 
 def test_div_invalid_model_exit_2(capsys):
     assert main(["div", "--model", "nosuch:1", "--kind", "ay", "-p", "0", "-q", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["div", "--model", "euclidean:2", "-p", "0,x", "-q", "3,4"],
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", "0"],
+        ["div", "--model", "{bad", "-p", "0,0", "-q", "3,4"],
+        ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0", "--grid", "0:1:x,0:1:2"],
+        ["verify", "--quad-nodes", "0"],
+        ["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "0"],
+        ["div", "--model", "sphere:nan", "-p", "1,0", "-q", "1,1"],
+        ["div", "--model", '{"name": "euclidean", "params": 2}', "-p", "0,0", "-q", "3,4"],
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--tol-ode", "nan"],
+    ],
+    ids=[
+        "div-number",
+        "div-quad-nodes",
+        "div-json",
+        "sweep-grid",
+        "verify-quad-nodes",
+        "verify-samples",
+        "nan-dimension",
+        "json-params",
+        "nan-tolerance",
+    ],
+)
+def test_malformed_input_exits_2_with_message(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and err[-1].startswith("error: ")
 
 
 def test_div_failed_pair_flagged_exit_3(capsys):

@@ -1,5 +1,7 @@
 """The divergence family against closed-form oracles and structural identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def test_canonical_matches_oracle_gaussian(models, cfg):
 def test_flat_route_matches_forced_ode(cfg):
     model, p, q = bernoulli_points()
     fast = canonical_divergence(model, p, q, cfg)
-    slow = canonical_divergence(model, p, q, cfg, force_ode=True)
+    slow = canonical_divergence(dataclasses.replace(model, flat_kinds=frozenset()), p, q, cfg)
     assert abs(fast - slow) < 1e-9
 
 
@@ -306,7 +308,7 @@ def test_doubly_flat_kinds_are_the_exact_quadratic_form(models, cfg, rng):
         fast = _divergence_many(eu, kind, P, Q, cfg)
         assert np.array_equal(fast, exact), kind
         # the quadrature and shooting route stays reachable and agrees
-        slow = _divergence_many(eu, kind, P, Q, cfg, force_ode=True)
+        slow = _divergence_many(dataclasses.replace(eu, flat_kinds=frozenset()), kind, P, Q, cfg)
         assert np.abs(slow - exact).max() < 1e-12, kind
 
 
@@ -315,3 +317,13 @@ def test_non_finite_point_is_out_of_domain(models, cfg):
     P = np.array([[np.nan, 0.0, 0.0]])
     with pytest.raises(PointOutOfDomain):
         _divergence_many(eu, DivergenceKind.AY, P, np.ones((1, 3)), cfg)
+    # the domain test itself rejects non-finite coordinates, so every entry
+    # point that checks the domain does too
+    sp = models["sphere"]
+    for bad in (np.nan, np.inf):
+        assert not sp.contains([1.5, bad])
+    assert not eu.contains(P[0])
+    with pytest.raises(PointOutOfDomain):
+        log_map(eu, ConnectionKind.PRIMAL, Point(P[0]), Point(np.ones(3)), cfg)
+    with pytest.raises(PointOutOfDomain):
+        log_map(sp, ConnectionKind.PRIMAL, Point([1.5, np.nan]), Point([1.5, 0.2]), cfg)

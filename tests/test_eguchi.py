@@ -15,6 +15,7 @@ from dualgeo import (
     sample_points,
     symmetry_probe,
 )
+from dualgeo.verify import run_suites
 
 P_KIND, D_KIND = ConnectionKind.PRIMAL, ConnectionKind.DUAL
 
@@ -111,6 +112,17 @@ def test_classification_verdicts(models, cfg, rng):
         "sectional_probe_residual",
         "verdict",
     }
+
+
+@pytest.mark.parametrize("name", ["euclidean", "sphere", "categorical", "gaussian1d"])
+def test_dualized_model_keeps_its_classification_checks(models, name):
+    # the expected verdict and the flatness check follow the structure, which
+    # swapping the connections preserves; they must not hang on the model name
+    model = models[name]
+    plain = run_suites([model], "classification", seed=5)
+    dual = run_suites([model.dualized()], "classification", seed=5)
+    assert [c.check_id for c in dual.checks] == [c.check_id for c in plain.checks]
+    assert dual.passed, dual.to_dict()
 
 
 def test_classification_requires_points(models, cfg):

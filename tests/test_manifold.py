@@ -13,9 +13,12 @@ from dualgeo import (
     make_builtin,
     mixture_to_natural,
     natural_to_mixture,
+    great_circle_angle,
     parse_model_spec,
+    sample_pairs,
     sample_points,
 )
+from dualgeo.sampling import SPHERE_MAX_ANGLE
 
 ALL = ["euclidean", "sphere", "categorical", "gaussian1d", "alpha_categorical"]
 
@@ -192,3 +195,27 @@ def test_dually_flat_builtins_carry_oracles(models):
         assert models[name].oracle_fn is not None
     for name in ("sphere", "alpha_categorical"):
         assert models[name].oracle_fn is None
+
+
+@pytest.mark.parametrize(
+    "spec", [*ALL, "alpha_categorical:2:0"], ids=[*ALL, "alpha_categorical-0"]
+)
+@pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])
+def test_self_duality_matches_equal_symbols(models, rng, spec, dual):
+    model = models.get(spec) or parse_model_spec(spec)
+    model = model.dualized() if dual else model
+    X = sample_points(model, 10, rng)
+    equal = np.array_equal(
+        model.christoffel_batch(X, ConnectionKind.PRIMAL),
+        model.christoffel_batch(X, ConnectionKind.DUAL),
+    )
+    assert model.is_self_dual == equal
+    if model.is_self_dual:
+        # swapping two identical connections changes nothing
+        assert model.dualized() is model
+
+
+def test_dualized_sphere_pairs_keep_the_angle_filter(models):
+    sp = models["sphere"].dualized()
+    P, Q = sample_pairs(sp, 200, np.random.default_rng(0))
+    assert great_circle_angle(P, Q).max() <= SPHERE_MAX_ANGLE
