@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -110,15 +108,33 @@ def _parse_point(model: ManifoldModel, text: str, coords: str) -> np.ndarray:
     return vals
 
 
-def _pool_map(fn, items, threads):
-    """Worker-pool map preserving input order; default size is the host's
-    available parallelism. Results are ordered by input index, so output is
-    byte-identical regardless of completion order."""
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _fixed_point(model: ManifoldModel, text: str, coords: str) -> np.ndarray:
+    """The -p that every row of `sweep` and `probe-f` shares: outside the
+    domain it is bad input, not a failed row."""
+    p = _parse_point(model, text, coords)
+    if not model.contains(p):
+        raise InvalidModelSpec(f"point {text!r} is outside the domain of {model.spec_string}")
+    return p
+
+
+def _pool_map(model: ManifoldModel, kinds, P: np.ndarray, Q: np.ndarray, cfg: ToleranceConfig):
+    """Every kind on every pair (P[i], Q[i]), each pair evaluated alone, in order.
+
+    Returns values of shape (m, len(kinds)) and one ok flag per row; a failed
+    (row, kind) reads NaN and clears its row's flag. The rows run inline: for
+    the few pairs a command carries, a thread pool costs more than it saves.
+    The name is kept because perfbench's tracer patches `cli._pool_map` as its
+    `cli.pool` layer, the parent of each row's divergence spans.
+    """
+    values = np.full((P.shape[0], len(kinds)), np.nan)
+    ok = np.ones(P.shape[0], dtype=bool)
+    for i in range(P.shape[0]):
+        for j, kind in enumerate(kinds):
+            try:
+                values[i, j] = _divergence_many(model, kind, P[i : i + 1], Q[i : i + 1], cfg)[0]
+            except DualGeoError:
+                ok[i] = False
+    return values, ok
 
 
 def _add_common(parser):
@@ -129,7 +145,9 @@ def _add_common(parser):
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
     parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-    parser.add_argument("--threads", type=int, default=None, help="worker pool size")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,23 +180,12 @@ def cmd_div(args) -> int:
     if len(ps) != len(qs):
         raise InvalidModelSpec("-p and -q must be given equally often (or one -p for many -q)")
 
-    def one(pair):
-        p, q = pair
-        try:
-            val = _divergence_many(model, kind, p[None, :], q[None, :], cfg)[0]
-            return float(val), True
-        except DualGeoError:
-            return float("nan"), False
-
-    pairs = list(zip(ps, qs))
-    results = _pool_map(one, pairs, args.threads)
+    values, oks = _pool_map(model, [kind], np.array(ps), np.array(qs), cfg)
 
     out = _Output(args.output)
-    any_failed = False
     if args.format == "csv":
         out.write(_csv_line(["kind", "p", "q", "value", "quad_nodes", "converged"]))
-    for (p, q), (val, ok) in zip(pairs, results):
-        any_failed = any_failed or not ok
+    for p, q, (val,), ok in zip(ps, qs, values.tolist(), oks.tolist()):
         if args.format == "csv":
             out.write(
                 _csv_line(
@@ -207,7 +214,7 @@ def cmd_div(args) -> int:
                 + "\n"
             )
     out.close()
-    return 3 if any_failed else 0
+    return 0 if oks.all() else 3
 
 
 def cmd_verify(args) -> int:
@@ -247,24 +254,13 @@ def cmd_sweep(args) -> int:
     model = _load_model(args.model)
     cfg = _tolerances(args)
     kinds = [KIND_NAMES[k] for k in args.kind]
-    p = _parse_point(model, args.p, args.coords)
+    p = _fixed_point(model, args.p, args.coords)
     axes = _parse_grid(model, args.grid)
     mesh = np.meshgrid(*axes, indexing="ij")
     Q = np.stack([m.ravel() for m in mesh], axis=1)
 
-    def one(q):
-        vals = []
-        ok_all = True
-        for kind in kinds:
-            try:
-                v = _divergence_many(model, kind, p[None, :], q[None, :], cfg)[0]
-                vals.append(float(v))
-            except DualGeoError:
-                vals.append(float("nan"))
-                ok_all = False
-        return q, vals, ok_all
-
-    rows = _pool_map(one, list(Q), args.threads)
+    values, oks = _pool_map(model, kinds, np.repeat(p[None, :], Q.shape[0], axis=0), Q, cfg)
+    rows = list(zip(Q, values.tolist(), oks.tolist()))
 
     out = _Output(args.output)
     if args.format == "csv":
@@ -290,7 +286,7 @@ def cmd_probe_f(args) -> int:
         raise InvalidModelSpec("probe-f needs at least 10 samples")
     rng = np.random.default_rng(args.seed)
     if args.p is not None:
-        p = Point(_parse_point(model, args.p, args.coords))
+        p = Point(_fixed_point(model, args.p, args.coords))
     else:
         p = Point(sample_points(model, 1, rng, shrink=0.6)[0])
     qs = [Point(x) for x in sample_points(model, args.samples, rng, shrink=0.85)]

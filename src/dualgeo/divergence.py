@@ -244,18 +244,11 @@ def _main_curves(model, kind, P, Q, cfg) -> BatchedCurves:
     return _curves_from_initial(model, kind, P, V, cfg)
 
 
-def _nodes_of(curves: BatchedCurves, t_nodes: np.ndarray):
-    """Positions and velocities of every curve at every quadrature node."""
-    xs = np.stack([curves.position_all(t) for t in t_nodes], axis=1)  # (m, k, n)
-    vs = np.stack([curves.velocity_all(t) for t in t_nodes], axis=1)
-    return xs, vs
-
-
 def _ay_many(model, P, Q, cfg) -> np.ndarray:
     n = P.shape[1]
     t_nodes, w = _gauss_legendre(cfg.quad_nodes)
     curves = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg)
-    xs, vs = _nodes_of(curves, t_nodes)
+    xs, vs = curves.position_all(t_nodes), curves.velocity_all(t_nodes)  # (m, k, n)
     flat_x = xs.reshape(-1, n)
     speed2 = _metric_pairing(model, flat_x, vs.reshape(-1, n), vs.reshape(-1, n))
     speed2 = speed2.reshape(-1, t_nodes.shape[0])
@@ -269,7 +262,7 @@ def _canonical_many(model, P, Q, cfg) -> np.ndarray:
     t_nodes, w = _gauss_legendre(cfg.quad_nodes)
     k = t_nodes.shape[0]
     curves = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg)
-    xs, vs = _nodes_of(curves, t_nodes)
+    xs, vs = curves.position_all(t_nodes), curves.velocity_all(t_nodes)  # (m, k, n)
     bases = np.repeat(P, k, axis=0)
     targets = xs.reshape(-1, n)
     times = np.tile(t_nodes, P.shape[0])
@@ -474,7 +467,7 @@ def divergence_value(
     q: Point,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Uniform scalar entry point used by the command line front end."""
+    """Scalar divergence of any kind for one pair."""
     return float(
         _divergence_many(model, kind, p.coords[None], q.coords[None], cfg)[0]
     )

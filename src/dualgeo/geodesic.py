@@ -9,8 +9,14 @@ of thousands of tiny ones:
     _shoot_many         vectorized Newton iteration for the log map
     _transport_many     stacked transport equations along batched curves
 
-Curves are stored as dense samples on a shared uniform grid taken from the
-adaptive integrator's output, with cubic Hermite interpolation in between.
+Each numerical piece has one copy. Both ODEs take their right-hand side from
+`_contract`, the raised symbol contraction -g^{-1} Gamma(u, w): at (v, v) for
+a geodesic, at (x', V) for a transported vector. Both are solved by `_rk45`.
+Curves, single (`Curve`) or batched (`BatchedCurves`), are dense samples on
+the uniform grid linspace(0, 1, grid), taken from the integrator's output and
+read between samples by one cubic Hermite interpolant (`_hermite_value`,
+`_hermite_slope`), at one time or a vector of times.
+
 Connections whose symbols vanish identically in the working chart (the
 model's `flat_kinds`) are handled in closed form: straight chart lines and
 component-preserving transport. A copy of the model with no flat kinds,
@@ -68,68 +74,43 @@ def _hermite_dweights(s: np.ndarray):
     return d00, d10, d01, d11
 
 
-def _locate(ts: np.ndarray, t):
+def _hermite_value(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
+    """Cubic Hermite interpolant of `values` with slopes `derivs` at t.
+
+    Both are sampled on the uniform grid `ts`, shape (..., grid, n). A scalar
+    t gives (..., n); a vector of k times gives (..., k, n).
+    """
     t = np.asarray(t, dtype=float)
-    grid = ts.shape[0]
-    cell = np.clip((t * (grid - 1)).astype(int), 0, grid - 2)
-    s = t * (grid - 1) - cell
-    return cell, s
+    steps = ts.shape[0] - 1
+    cell = np.clip((t * steps).astype(int), 0, steps - 1)
+    h00, h10, h01, h11 = (h[..., None] for h in _hermite_weights(t * steps - cell))
+    dt = ts[1] - ts[0]
+    return (
+        h00 * values[..., cell, :]
+        + h10 * dt * derivs[..., cell, :]
+        + h01 * values[..., cell + 1, :]
+        + h11 * dt * derivs[..., cell + 1, :]
+    )
 
 
-class _HermiteData:
-    """Value/derivative pairs on a uniform grid; works for (grid, n) and (m, grid, n)."""
-
-    def __init__(self, ts, values, derivs):
-        self.ts = ts
-        self.values = values
-        self.derivs = derivs
-        self.dt = ts[1] - ts[0]
-
-    def value(self, t):
-        cell, s = _locate(self.ts, t)
-        h00, h10, h01, h11 = _hermite_weights(s)
-        v = self.values
-        d = self.derivs
-        if v.ndim == 2:  # (grid, n), t may be scalar or (k,)
-            w = lambda a: a[..., None]  # noqa: E731
-            return (
-                w(h00) * v[cell]
-                + w(h10) * self.dt * d[cell]
-                + w(h01) * v[cell + 1]
-                + w(h11) * self.dt * d[cell + 1]
-            )
-        # batched (m, grid, n) at a shared scalar time
-        return (
-            h00 * v[:, cell, :]
-            + h10 * self.dt * d[:, cell, :]
-            + h01 * v[:, cell + 1, :]
-            + h11 * self.dt * d[:, cell + 1, :]
-        )
-
-    def derivative(self, t):
-        cell, s = _locate(self.ts, t)
-        d00, d10, d01, d11 = _hermite_dweights(s)
-        v = self.values
-        d = self.derivs
-        if v.ndim == 2:
-            w = lambda a: a[..., None]  # noqa: E731
-            return (
-                w(d00) * v[cell] / self.dt
-                + w(d10) * d[cell]
-                + w(d01) * v[cell + 1] / self.dt
-                + w(d11) * d[cell + 1]
-            )
-        return (
-            d00 / self.dt * v[:, cell, :]
-            + d10 * d[:, cell, :]
-            + d01 / self.dt * v[:, cell + 1, :]
-            + d11 * d[:, cell + 1, :]
-        )
+def _hermite_slope(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
+    """Exact t-derivative of `_hermite_value`, with the same shapes."""
+    t = np.asarray(t, dtype=float)
+    steps = ts.shape[0] - 1
+    cell = np.clip((t * steps).astype(int), 0, steps - 1)
+    d00, d10, d01, d11 = (d[..., None] for d in _hermite_dweights(t * steps - cell))
+    dt = ts[1] - ts[0]
+    return (
+        d00 * values[..., cell, :] / dt
+        + d10 * derivs[..., cell, :]
+        + d01 * values[..., cell + 1, :] / dt
+        + d11 * derivs[..., cell + 1, :]
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """A path t in [0, 1] -> M sampled on a uniform grid.
+    """A path t in [0, 1] -> M sampled on the uniform grid linspace(0, 1, len(ts)).
 
     `velocity` is the exact derivative of the position interpolant when no
     acceleration samples are stored (interpolated paths), and the Hermite
@@ -147,27 +128,29 @@ class Curve:
     breaks: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (self.ts[0] == 0.0 and self.ts[-1] == 1.0):
-            raise ValueError("curve parameter must span [0, 1]")
-        if not np.all(np.diff(self.ts) > 0):
-            raise ValueError("curve parameter samples must be strictly increasing")
+        # the interpolant finds a time's cell as t * (grid - 1)
+        ts = np.asarray(self.ts, dtype=float)
+        if ts.ndim != 1 or ts.shape[0] < 2 or not np.allclose(
+            ts, np.linspace(0.0, 1.0, ts.shape[0]), rtol=0.0, atol=1e-12
+        ):
+            raise ValueError("curve parameter samples must be linspace(0, 1, len(ts))")
 
     @property
     def dim(self) -> int:
         return self.xs.shape[1]
 
     def position(self, t):
-        return _HermiteData(self.ts, self.xs, self.vs).value(t)
+        return _hermite_value(self.ts, self.xs, self.vs, t)
 
     def velocity(self, t):
         if self.accs is None:
-            return _HermiteData(self.ts, self.xs, self.vs).derivative(t)
-        return _HermiteData(self.ts, self.vs, self.accs).value(t)
+            return _hermite_slope(self.ts, self.xs, self.vs, t)
+        return _hermite_value(self.ts, self.vs, self.accs, t)
 
     def velocity_derivative(self, t):
         if self.accs is None:
             raise ValueError("curve carries no acceleration samples")
-        return _HermiteData(self.ts, self.vs, self.accs).derivative(t)
+        return _hermite_slope(self.ts, self.vs, self.accs, t)
 
     def start_point(self) -> Point:
         return Point(self.xs[0].copy())
@@ -223,7 +206,8 @@ class Curve:
 
 
 class BatchedCurves:
-    """m curves sharing one uniform grid; vectorized evaluation at shared times."""
+    """m curves sharing one uniform grid; a time, or a vector of k times, is
+    shared by every member and gives (m, n) or (m, k, n)."""
 
     def __init__(self, ts, xs, vs, accs=None):
         self.ts = ts
@@ -236,12 +220,12 @@ class BatchedCurves:
         return self.xs.shape[0]
 
     def position_all(self, t):
-        return _HermiteData(self.ts, self.xs, self.vs).value(t)
+        return _hermite_value(self.ts, self.xs, self.vs, t)
 
     def velocity_all(self, t):
         if self.accs is None:
-            return _HermiteData(self.ts, self.xs, self.vs).derivative(t)
-        return _HermiteData(self.ts, self.vs, self.accs).value(t)
+            return _hermite_slope(self.ts, self.xs, self.vs, t)
+        return _hermite_value(self.ts, self.vs, self.accs, t)
 
     def member(self, i: int) -> Curve:
         acc = None if self.accs is None else self.accs[i].copy()
@@ -265,15 +249,23 @@ _SPEED_CAP = 1e5
 _ACCEL_CAP = 1e10
 
 
-def _geodesic_accel(model: ManifoldModel, kind: ConnectionKind, X, V) -> np.ndarray:
-    """Batched acceleration -Gamma^k_ij v^i v^j via the lower-index symbols."""
+def _contract(model: ManifoldModel, kind: ConnectionKind, X, U, W) -> np.ndarray:
+    """Batched raised contraction -g^{-1} Gamma(U, W) of the lower-index symbols.
+
+    At (V, V) it is the geodesic acceleration; at (x', V) it is the rate of a
+    vector V transported along a curve with velocity x'.
+    """
     G = model.christoffel_batch(X, kind)
     g = model.metric_batch(X)
+    return -_solve_spd(g, np.einsum("mijk,mi,mj->mk", G, U, W))
+
+
+def _geodesic_accel(model: ManifoldModel, kind: ConnectionKind, X, V) -> np.ndarray:
+    """Batched acceleration -Gamma^k_ij v^i v^j, inside the speed and acceleration caps."""
     vn = np.linalg.norm(V, axis=1)
     scale = np.where(vn > _SPEED_CAP, _SPEED_CAP / np.maximum(vn, 1.0), 1.0)
     Veff = V * scale[:, None]
-    lower = np.einsum("mijk,mi,mj->mk", G, Veff, Veff)
-    a = -_solve_spd(g, lower)
+    a = _contract(model, kind, X, Veff, Veff)
     an = np.linalg.norm(a, axis=1)
     a *= np.where(an > _ACCEL_CAP, _ACCEL_CAP / np.maximum(an, 1.0), 1.0)[:, None]
     return a
@@ -292,6 +284,26 @@ def _solve_spd(g, rhs):
         )[..., 0]
 
 
+def _rk45(rhs, y0: np.ndarray, t_eval: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
+    """Solve y' = rhs(t, y) on [0, 1] by RK45; returns the states at t_eval,
+    shape (len(t_eval), len(y0)). A failed solve or a non-finite state raises
+    IntegrationFailure."""
+    sol = solve_ivp(
+        rhs,
+        (0.0, 1.0),
+        y0,
+        method="RK45",
+        rtol=cfg.ode_rel_tol,
+        atol=cfg.ode_abs_tol,
+        t_eval=t_eval,
+    )
+    if not sol.success:
+        raise IntegrationFailure(f"{what} failed: {sol.message}")
+    if not np.all(np.isfinite(sol.y)):
+        raise IntegrationFailure(f"{what} produced non-finite values")
+    return sol.y.T
+
+
 def _integrate_states(
     model: ManifoldModel,
     kind: ConnectionKind,
@@ -302,14 +314,12 @@ def _integrate_states(
 ) -> np.ndarray:
     """Integrate m geodesic initial value problems; returns (len(t_eval), m, 2n)."""
     m, n = X0.shape
+    T = np.asarray(t_eval, dtype=float)
     if model.is_flat(kind):
-        T = np.asarray(t_eval, dtype=float)
         out = np.empty((T.shape[0], m, 2 * n))
         out[:, :, :n] = X0[None, :, :] + T[:, None, None] * V0[None, :, :]
         out[:, :, n:] = V0[None, :, :]
         return out
-
-    y0 = np.concatenate([X0, V0], axis=1).ravel()
 
     def rhs(t, y):
         Y = y.reshape(m, 2 * n)
@@ -318,22 +328,8 @@ def _integrate_states(
         out[:, n:] = _geodesic_accel(model, kind, Y[:, :n], Y[:, n:])
         return out.ravel()
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        y0,
-        method="RK45",
-        rtol=cfg.ode_rel_tol,
-        atol=cfg.ode_abs_tol,
-        t_eval=np.asarray(t_eval, dtype=float),
-        dense_output=False,
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"geodesic integration failed: {sol.message}")
-    states = sol.y.T.reshape(len(t_eval), m, 2 * n)
-    if not np.all(np.isfinite(states)):
-        raise IntegrationFailure("geodesic integration produced non-finite state")
-    return states
+    y0 = np.concatenate([X0, V0], axis=1).ravel()
+    return _rk45(rhs, y0, T, cfg, "geodesic integration").reshape(T.shape[0], m, 2 * n)
 
 
 def _grid(cfg: ToleranceConfig) -> np.ndarray:
@@ -582,30 +578,11 @@ def _transport_many(
         return V0.copy()
 
     def rhs(t, y):
-        V = y.reshape(m, n)
         x = curves.position_all(float(t))
         xd = curves.velocity_all(float(t))
-        G = model.christoffel_batch(x, kind)
-        g = model.metric_batch(x)
-        lower = np.einsum("mijk,mi,mj->mk", G, xd, V)
-        return -_solve_spd(g, lower).ravel()
+        return _contract(model, kind, x, xd, y.reshape(m, n)).ravel()
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        V0.ravel(),
-        method="RK45",
-        rtol=cfg.ode_rel_tol,
-        atol=cfg.ode_abs_tol,
-        t_eval=np.array([1.0]),
-        dense_output=False,
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"parallel transport failed: {sol.message}")
-    out = sol.y[:, -1].reshape(m, n)
-    if not np.all(np.isfinite(out)):
-        raise IntegrationFailure("parallel transport produced non-finite components")
-    return out
+    return _rk45(rhs, V0.ravel(), np.array([1.0]), cfg, "parallel transport").reshape(m, n)
 
 
 def parallel_transport(

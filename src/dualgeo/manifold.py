@@ -698,6 +698,8 @@ def parse_model_spec(spec) -> ManifoldModel:
         if "name" not in spec:
             raise InvalidModelSpec("model object requires a 'name' field")
         name, raw = spec["name"], spec.get("params", [])
+        if not isinstance(raw, list):
+            raise InvalidModelSpec(f"model object 'params' must be a list, got {raw!r}")
     elif isinstance(spec, str) and spec:
         name, *raw = spec.split(":")
     else:

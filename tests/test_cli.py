@@ -156,6 +156,9 @@ def test_div_invalid_model_exit_2(capsys):
         ["div", "--model", "sphere:nan", "-p", "1,0", "-q", "1,1"],
         ["div", "--model", '{"name": "euclidean", "params": 2}', "-p", "0,0", "-q", "3,4"],
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--tol-ode", "nan"],
+        ["div", "--model", '{"name": "euclidean", "params": "2"}', "-p", "0,0", "-q", "3,4"],
+        ["probe-f", "--model", "euclidean:2", "--samples", "10", "-p=nan,0"],
+        ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p=nan,0", "--grid", "0:1:2,0:1:2"],
     ],
     ids=[
         "div-number",
@@ -167,6 +170,9 @@ def test_div_invalid_model_exit_2(capsys):
         "nan-dimension",
         "json-params",
         "nan-tolerance",
+        "json-params-string",
+        "probe-f-point-outside",
+        "sweep-point-outside",
     ],
 )
 def test_malformed_input_exits_2_with_message(capsys, argv):

@@ -21,7 +21,7 @@ from dualgeo import (
     parallel_transport,
     sample_pairs,
 )
-from dualgeo.geodesic import _curves_from_initial, _shoot_many, _transport_many
+from dualgeo.geodesic import BatchedCurves, _curves_from_initial, _shoot_many, _transport_many
 
 P_KIND, D_KIND = ConnectionKind.PRIMAL, ConnectionKind.DUAL
 KINDS = [P_KIND, D_KIND]
@@ -297,3 +297,23 @@ def test_batched_curves_member_round_trip(models, cfg, rng):
     single = batch.member(2)
     ts = np.linspace(0, 1, 5)
     assert np.abs(single.position(ts) - np.stack([batch.position_all(t)[2] for t in ts])).max() < 1e-14
+
+
+def test_curve_rejects_a_non_uniform_grid():
+    # the interpolant reads the grid as uniform; on x = t this grid gave
+    # position(0.5) = [0.1, 0.1]
+    ts = np.array([0.0, 0.1, 1.0])
+    with pytest.raises(ValueError):
+        Curve(ts=ts, xs=np.stack([ts, ts], axis=1), vs=np.ones((3, 2)))
+
+
+def test_batched_curves_at_a_vector_of_times_stack_the_single_times(models, cfg, rng):
+    model = models["sphere"]
+    P, Q = sample_pairs(model, 3, rng)
+    V, _ = _shoot_many(model, P_KIND, P, Q, cfg)
+    integrated = _curves_from_initial(model, P_KIND, P, V, cfg)
+    interpolated = BatchedCurves(ts=integrated.ts, xs=integrated.xs, vs=integrated.vs)
+    ts = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+    for batch in (integrated, interpolated):
+        for at in (batch.position_all, batch.velocity_all):
+            assert np.array_equal(at(ts), np.stack([at(t) for t in ts], axis=1))

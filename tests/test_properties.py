@@ -5,12 +5,13 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualgeo import ConnectionKind, DivergenceKind
-from dualgeo.cli import main
+from dualgeo.cli import _load_model, main
 from dualgeo.divergence import _divergence_many
+from dualgeo.errors import InvalidModelSpec
 
 ALL = ["euclidean", "sphere", "categorical", "gaussian1d", "alpha_categorical"]
 DUALLY_FLAT = ["categorical", "gaussian1d"]
@@ -104,3 +105,64 @@ def test_div_on_fuzzed_text_exits_with_a_documented_code(model, kind, p, q, quad
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
+
+
+def assert_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+
+
+def mostly(good, bad):
+    """`good` four times in five, else `bad`."""
+    return st.sampled_from([good] * 4 + [bad]).flatmap(lambda strategy: strategy)
+
+
+# sweep and probe-f evaluate nothing until model, point and grid are all
+# valid, so each part is mostly well formed: small coordinates, two axes with
+# a count of 1-3, and now and then a non-finite number or any text at all
+SMALL = mostly(st.floats(-2.0, 2.0).map(repr), st.sampled_from(["nan", "inf", "-inf"]) | NUMBER)
+POINT2 = mostly(st.lists(SMALL, min_size=2, max_size=2).map(",".join), POINT)
+COUNT = mostly(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "x", ""]))
+AXIS = st.tuples(SMALL, SMALL, COUNT).map(":".join)
+GRID = mostly(st.lists(AXIS, min_size=2, max_size=2), st.lists(AXIS, max_size=3)).map(",".join)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(
+    model=mostly(st.sampled_from(["euclidean:2", "categorical:2"]), MODEL),
+    kind=st.sampled_from(["ay", "canonical", "dual", "pseudonorm", "oracle"]),
+    p=POINT2,
+    grid=GRID,
+)
+def test_sweep_on_fuzzed_text_exits_with_a_documented_code(model, kind, p, grid):
+    # cheap kinds only: every kind on euclidean, the flat primal ay on
+    # categorical, the closed-form oracle on anything else
+    if model == "categorical:2":
+        kind = "ay"
+    elif model != "euclidean:2":
+        kind = "oracle"
+    argv = ["sweep", f"--model={model}", f"--kind={kind}", f"-p={p}", f"--grid={grid}"]
+    assert_documented_exit(argv)
+
+
+def cheap_or_invalid(model):
+    try:
+        return _load_model(model).name == "euclidean"
+    except InvalidModelSpec:
+        return True
+
+
+@settings(SETTINGS, max_examples=150)
+@given(model=mostly(st.just("euclidean:2"), MODEL), p=st.none() | POINT2)
+def test_probe_f_on_fuzzed_text_exits_with_a_documented_code(model, p):
+    # probe-f evaluates the dual and canonical divergences, exact only on euclidean
+    assume(cheap_or_invalid(model))
+    argv = ["probe-f", f"--model={model}", "--samples=10"]
+    if p is not None:
+        argv.append(f"-p={p}")
+    assert_documented_exit(argv)
