@@ -244,6 +244,8 @@ def _parse_grid(model: ManifoldModel, spec: str) -> List[np.ndarray]:
             raise InvalidModelSpec(f"grid axis {part!r} has a malformed number") from None
         if cnt < 1:
             raise InvalidModelSpec("grid count must be >= 1")
+        if not np.isfinite(hi - lo):
+            raise InvalidModelSpec(f"grid axis {part!r} needs finite bounds with a finite span")
         axes.append(np.linspace(lo, hi, cnt))
     if len(axes) != model.dim:
         raise InvalidModelSpec(f"grid needs {model.dim} axes, got {len(axes)}")

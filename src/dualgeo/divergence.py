@@ -33,9 +33,19 @@ the pseudo-norm) instead of by an evaluator:
     where the metric is constant, both geodesics are the chord at constant
     speed and transport is the identity, so the form is exact.
 
-A copy of the model with no flat kinds, `dataclasses.replace(model,
-flat_kinds=frozenset())`, sends every pair off the diagonal down the
-quadrature and shooting route. The closed-form oracle kind is never guarded.
+The quadrature itself is never replaced by the oracle: on the dually flat
+builtins every kind still integrates, but over closed-form pieces, since each
+connection has an affine chart (see `geodesic`). Geodesics and log vectors
+then come without ODE or Newton iteration, and a transported difference
+vector is J(target)^{-1} J(base) V, which needs no track geodesic, so
+`_pi_many` builds neither the other log nor its dense curves. A copy of the
+model with no charts, `dataclasses.replace(model, affine_charts={})`, sends
+every pair off the diagonal down the integration and shooting route. The
+closed-form oracle kind is never guarded.
+
+Every value `_divergence_many` returns is finite; a non-finite one, from any
+route (an overflowing quadratic form on huge coordinates, say), raises
+QuadratureFailure, and the CLI flags its row.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from .geodesic import (
     BatchedCurves,
     Curve,
     _curves_from_initial,
+    _flat_transport,
     _shoot_many,
     _transport_many,
 )
@@ -153,16 +164,19 @@ def _pi_many(
 
     The primal field is the primal-transport, along the dual geodesic from
     base to target, of the primal log vector; the dual field swaps the roles.
-    Returns (Pi, PiStar, Vp, Vd); unrequested fields come back as None.
+    A connection with an affine chart transports as J(target)^{-1} J(base) V,
+    which needs no track geodesic. Returns (Pi, PiStar, Vp, Vd); unrequested
+    fields come back as None.
     """
     Pi = PiStar = None
     Vp = Vd = None
-    primal_flat = model.is_flat(ConnectionKind.PRIMAL)
-    dual_flat = model.is_flat(ConnectionKind.DUAL)
+    primal_chart = model.affine_charts.get(ConnectionKind.PRIMAL)
+    dual_chart = model.affine_charts.get(ConnectionKind.DUAL)
     # the primal log is needed for the primal field itself and, unless the dual
-    # connection is flat, as the transport track for the dual field (and dually)
-    need_vp = want_primal or (want_dual and not dual_flat)
-    need_vd = want_dual or (want_primal and not primal_flat)
+    # connection has an affine chart (flat transport needs no track), as the
+    # transport track for the dual field (and dually)
+    need_vp = want_primal or (want_dual and dual_chart is None)
+    need_vd = want_dual or (want_primal and primal_chart is None)
 
     if need_vp:
         Vp, _ = _shoot_many(
@@ -185,14 +199,14 @@ def _pi_many(
             node_times=node_times,
         )
     if want_primal:
-        if primal_flat:
-            Pi = Vp.copy()
+        if primal_chart is not None:
+            Pi = _flat_transport(primal_chart, bases, targets, Vp)
         else:
             dual_curves = _curves_from_initial(model, ConnectionKind.DUAL, bases, Vd, cfg)
             Pi = _transport_many(model, ConnectionKind.PRIMAL, dual_curves, Vp, cfg)
     if want_dual:
-        if dual_flat:
-            PiStar = Vd.copy()
+        if dual_chart is not None:
+            PiStar = _flat_transport(dual_chart, bases, targets, Vd)
         else:
             primal_curves = _curves_from_initial(model, ConnectionKind.PRIMAL, bases, Vp, cfg)
             PiStar = _transport_many(model, ConnectionKind.DUAL, primal_curves, Vd, cfg)
@@ -298,9 +312,23 @@ def _divergence_many(
 
     Pairs near the diagonal, and every pair of a doubly flat model, get the
     quadratic form (see the module docstring); the evaluator sees the rest.
+    Every value is finite: a route that overflows raises QuadratureFailure
+    instead of returning it, and numpy's floating-point warnings are off
+    inside, since the check reports what they would.
     """
     _check_inside(model, P, "first argument")
     _check_inside(model, Q, "second argument")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = _evaluate_many(model, kind, P, Q, cfg)
+    if not np.all(np.isfinite(out)):
+        raise QuadratureFailure(
+            f"{kind.value} divergence on {model.spec_string} is not finite "
+            f"(first offender: pair {int(np.argmin(np.isfinite(out)))})"
+        )
+    return out
+
+
+def _evaluate_many(model, kind, P, Q, cfg) -> np.ndarray:
     if kind is DivergenceKind.ORACLE_KL:
         return _oracle_many(model, P, Q)
     if kind is DivergenceKind.CANONICAL_DUAL:

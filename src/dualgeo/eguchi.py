@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .divergence import DivergenceKind, _divergence_many
-from .errors import ShootingNoConvergence, StencilOutOfDomain
+from .errors import QuadratureFailure, ShootingNoConvergence, StencilOutOfDomain
 from .manifold import ConnectionKind, ManifoldModel, Point
 
 __all__ = [
@@ -436,6 +436,10 @@ def classify_manifold(
 # ---------------------------------------------------------------------------
 
 
+# a target the probe skips: no converged solve, or a value that is not finite
+_SKIPPED = (ShootingNoConvergence, QuadratureFailure)
+
+
 def symmetry_probe(
     model: ManifoldModel,
     p: Point,
@@ -446,8 +450,8 @@ def symmetry_probe(
 
     A strictly monotone relation between the two implies identical rankings of
     the sampled targets; rank agreement is the fraction of concordant target
-    pairs. Non-converged targets are skipped and reported; more than 20%
-    skipped raises.
+    pairs. Targets whose solve does not converge or whose value is not finite
+    are skipped and reported; more than 20% skipped raises.
     """
     model.require_inside(p)
     qs = np.array([q.coords for q in sample_qs])
@@ -460,7 +464,7 @@ def symmetry_probe(
     try:
         dual_vals = _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, qs, cfg)
         rev_vals = _divergence_many(model, DivergenceKind.CANONICAL, qs, P, cfg)
-    except ShootingNoConvergence:
+    except _SKIPPED:
         for i in range(m):
             try:
                 dual_vals[i] = _divergence_many(
@@ -469,7 +473,7 @@ def symmetry_probe(
                 rev_vals[i] = _divergence_many(
                     model, DivergenceKind.CANONICAL, qs[i : i + 1], P[i : i + 1], cfg
                 )[0]
-            except ShootingNoConvergence:
+            except _SKIPPED:
                 skipped.append(i)
     if len(skipped) > 0.2 * m:
         raise ShootingNoConvergence(

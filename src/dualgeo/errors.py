@@ -47,7 +47,7 @@ class ShootingNoConvergence(DualGeoError):
 
 
 class QuadratureFailure(DualGeoError):
-    """A quadrature node evaluation left the domain or returned non-finite."""
+    """A divergence, or a quadrature node of one, came out non-finite."""
 
 
 class OracleUnavailable(DualGeoError):

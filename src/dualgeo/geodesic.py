@@ -17,10 +17,22 @@ the uniform grid linspace(0, 1, grid), taken from the integrator's output and
 read between samples by one cubic Hermite interpolant (`_hermite_value`,
 `_hermite_slope`), at one time or a vector of times.
 
-Connections whose symbols vanish identically in the working chart (the
-model's `flat_kinds`) are handled in closed form: straight chart lines and
-component-preserving transport. A copy of the model with no flat kinds,
-`dataclasses.replace(model, flat_kinds=frozenset())`, takes the ODE route
+A connection for which the model supplies an affine chart (the chart where
+it is flat: the working chart for the model's `flat_kinds`, the Legendre chart
+eta = grad psi for the other connection of a dually flat builtin) is handled
+in closed form by one code path, with J = d eta / dx the chart's Jacobian:
+
+    geodesic     the straight eta-line eta(x0) + t J(x0) v0, mapped back, with
+                 velocity J(x)^{-1} J(x0) v0
+    log map      J(p)^{-1} (eta(q) - eta(p)), no Newton iteration
+    transport    J(x1)^{-1} J(x0) V0 along any curve, since flat transport
+                 does not depend on the path
+
+In the working chart J is the identity and these are straight chart lines
+and component-preserving transport. Dense curves are still checked against
+the domain on every grid sample, so an eta-line that leaves the domain raises
+DomainExit as the integrated geodesic does. A copy of the model with no
+charts, `dataclasses.replace(model, affine_charts={})`, takes the ODE route
 everywhere, which is how the closed forms are cross-checked.
 """
 
@@ -39,7 +51,7 @@ from .errors import (
     IntegrationFailure,
     ShootingNoConvergence,
 )
-from .manifold import ConnectionKind, ManifoldModel, Point, Tangent
+from .manifold import AffineChart, ConnectionKind, ManifoldModel, Point, Tangent
 
 __all__ = [
     "Curve",
@@ -284,6 +296,26 @@ def _solve_spd(g, rhs):
         )[..., 0]
 
 
+def _to_affine_components(chart: AffineChart, X, V) -> np.ndarray:
+    """Components J(X) V, in the affine chart, of tangents V at X."""
+    if chart.jacobian is None:
+        return V
+    return np.einsum("mij,mj->mi", chart.jacobian(X), V)
+
+
+def _from_affine_components(chart: AffineChart, X, W) -> np.ndarray:
+    """Working-chart components J(X)^{-1} W of affine-chart tangents W at X."""
+    if chart.jacobian is None:
+        return W
+    return np.linalg.solve(chart.jacobian(X), W[..., None])[..., 0]
+
+
+def _flat_transport(chart: AffineChart, X0, X1, V0) -> np.ndarray:
+    """Transport of V0 from X0 to X1 by the connection flat in `chart`: its
+    affine components stay fixed along any curve."""
+    return _from_affine_components(chart, X1, _to_affine_components(chart, X0, V0)).copy()
+
+
 def _rk45(rhs, y0: np.ndarray, t_eval: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
     """Solve y' = rhs(t, y) on [0, 1] by RK45; returns the states at t_eval,
     shape (len(t_eval), len(y0)). A failed solve or a non-finite state raises
@@ -315,10 +347,16 @@ def _integrate_states(
     """Integrate m geodesic initial value problems; returns (len(t_eval), m, 2n)."""
     m, n = X0.shape
     T = np.asarray(t_eval, dtype=float)
-    if model.is_flat(kind):
+    chart = model.affine_charts.get(kind)
+    if chart is not None:
+        E0 = chart.to_affine(X0)
+        dE = _to_affine_components(chart, X0, V0)
+        E = E0[None, :, :] + T[:, None, None] * dE[None, :, :]
+        X = chart.from_affine(E.reshape(-1, n))
+        dEs = np.broadcast_to(dE[None, :, :], E.shape).reshape(-1, n)
         out = np.empty((T.shape[0], m, 2 * n))
-        out[:, :, :n] = X0[None, :, :] + T[:, None, None] * V0[None, :, :]
-        out[:, :, n:] = V0[None, :, :]
+        out[:, :, :n] = X.reshape(T.shape[0], m, n)
+        out[:, :, n:] = _from_affine_components(chart, X, dEs).reshape(T.shape[0], m, n)
         return out
 
     def rhs(t, y):
@@ -337,15 +375,14 @@ def _grid(cfg: ToleranceConfig) -> np.ndarray:
 
 
 def _curves_from_initial(model, kind, X0, V0, cfg) -> BatchedCurves:
-    """Dense integration of m geodesics into batched curves."""
+    """Dense integration of m geodesics into batched curves; DomainExit when a
+    grid sample lies outside the domain."""
     m, n = X0.shape
     ts = _grid(cfg)
     states = _integrate_states(model, kind, X0, V0, cfg, ts)
     xs = np.swapaxes(states[:, :, :n], 0, 1).copy()
     vs = np.swapaxes(states[:, :, n:], 0, 1).copy()
     flat_x = xs.reshape(-1, n)
-    flat_v = vs.reshape(-1, n)
-    accs = _geodesic_accel(model, kind, flat_x, flat_v).reshape(m, ts.shape[0], n)
     inside = model.contains_batch(flat_x)
     if not inside.all():
         bad = np.where(~inside.reshape(m, -1).all(axis=1))[0]
@@ -353,6 +390,7 @@ def _curves_from_initial(model, kind, X0, V0, cfg) -> BatchedCurves:
             f"geodesic left the domain of {model.spec_string} "
             f"(members {bad[:8].tolist()})"
         )
+    accs = _geodesic_accel(model, kind, flat_x, vs.reshape(-1, n)).reshape(m, ts.shape[0], n)
     return BatchedCurves(ts=ts, xs=xs, vs=vs, accs=accs)
 
 
@@ -407,28 +445,15 @@ def _endpoints_resilient(model, kind, X0, V0, cfg):
         return np.vstack([E1, E2]), np.concatenate([ok1, ok2])
 
 
-def _chart_log_guess(model, kind, P, Q) -> np.ndarray:
+def _chart_log_guess(model, P, Q) -> np.ndarray:
     """Initial shooting guess: chart difference pulled back through the metric.
 
-    When the opposite connection is flat in this chart, geodesics of `kind`
-    run straight in the conjugate coordinates, whose difference is the chord
-    integral of the metric; an 8-node quadrature of it makes the guess
-    accurate to quadrature precision. Otherwise the midpoint metric is used,
-    which reduces to the plain chart difference on flat charts and stays a
-    bounded correction elsewhere.
+    The midpoint metric is used, which reduces to the plain chart difference
+    on flat charts and stays a bounded correction elsewhere.
     """
-    m, n = P.shape
-    d = Q - P
     g0 = model.metric_batch(P)
-    if model.is_flat(kind.dual):
-        x, w = np.polynomial.legendre.leggauss(8)
-        s = (x + 1.0) / 2.0
-        pts = (P[:, None, :] + s[None, :, None] * d[:, None, :]).reshape(-1, n)
-        g_chord = model.metric_batch(pts).reshape(m, 8, n, n)
-        g_avg = np.einsum("k,mkij->mij", w / 2.0, g_chord)
-    else:
-        g_avg = model.metric_batch(0.5 * (P + Q))
-    return np.linalg.solve(g0, np.einsum("mij,mj->mi", g_avg, d)[..., None])[..., 0]
+    g_mid = model.metric_batch(0.5 * (P + Q))
+    return np.linalg.solve(g0, np.einsum("mij,mj->mi", g_mid, Q - P)[..., None])[..., 0]
 
 
 def _shoot_many(
@@ -440,7 +465,8 @@ def _shoot_many(
     v_init: Optional[np.ndarray] = None,
     node_times: Optional[np.ndarray] = None,
 ):
-    """Solve m two-point problems exp_{P_i}(v_i) = Q_i by Newton iteration.
+    """Solve m two-point problems exp_{P_i}(v_i) = Q_i by Newton iteration,
+    or in closed form when the connection has an affine chart.
 
     The Jacobian of the endpoint map is taken by central finite differences of
     step cfg.fd_step; each sweep integrates the center shot and all stencil
@@ -453,11 +479,13 @@ def _shoot_many(
     Returns (V, converged_mask).
     """
     m, n = P.shape
-    if model.is_flat(kind):
-        return Q - P, np.ones(m, dtype=bool)
+    chart = model.affine_charts.get(kind)
+    if chart is not None:
+        dE = chart.to_affine(Q) - chart.to_affine(P)
+        return _from_affine_components(chart, P, dE), np.ones(m, dtype=bool)
 
     h = cfg.fd_step
-    v = _chart_log_guess(model, kind, P, Q) if v_init is None else v_init.copy()
+    v = _chart_log_guess(model, P, Q) if v_init is None else v_init.copy()
     lam = np.ones(m)
     prev_err = np.full(m, np.inf)
     converged = np.zeros(m, dtype=bool)
@@ -574,8 +602,9 @@ def _transport_many(
 ) -> np.ndarray:
     """Transport V0[i] along curves[i] under the chosen connection; returns (m, n)."""
     m, n = V0.shape
-    if model.is_flat(kind):
-        return V0.copy()
+    chart = model.affine_charts.get(kind)
+    if chart is not None:
+        return _flat_transport(chart, curves.xs[:, 0, :], curves.xs[:, -1, :], V0)
 
     def rhs(t, y):
         x = curves.position_all(float(t))

@@ -24,6 +24,23 @@ All field evaluators are vectorized: they take an (m, dim) array of chart
 points and return stacked tensors. The scalar accessors `metric_at` and
 `christoffel_at` wrap the batch forms.
 
+A model may carry, per connection, an `AffineChart`: coordinates in which that
+connection is flat, so that its geodesics are straight lines there and its
+parallel transport keeps the components fixed. `WORKING_CHART` says the
+connection is flat in the working chart itself (its symbols vanish); the
+connections with that chart are the model's `flat_kinds`. The dually flat
+builtins also carry the Legendre chart of the other connection, the
+expectation parameters eta = grad psi(theta) (Amari & Nagaoka 2000, ch. 3):
+
+    categorical(n)   eta = head probabilities; inverse theta_i =
+                     log eta_i - log(1 - sum eta)
+    gaussian1d       eta = (mu, mu^2 + sigma^2); inverse theta =
+                     (mu / sigma^2, -1 / (2 sigma^2)), sigma^2 = eta2 - eta1^2
+
+Their Jacobian d eta / d theta is the metric. A copy with no charts,
+`dataclasses.replace(model, affine_charts={})`, takes the ODE route for every
+connection.
+
 For the dually flat builtins (euclidean, categorical, gaussian1d) the model
 carries a closed-form reference divergence. Its orientation is fixed so that
 `oracle(p, q)` equals the primal canonical divergence from p to q under this
@@ -47,6 +64,7 @@ import numpy as np
 from .errors import BaseMismatch, InvalidModelSpec, PointOutOfDomain
 
 __all__ = [
+    "AffineChart",
     "ConnectionKind",
     "Point",
     "Tangent",
@@ -57,6 +75,7 @@ __all__ = [
     "builtin_schemas",
     "mixture_to_natural",
     "natural_to_mixture",
+    "WORKING_CHART",
 ]
 
 
@@ -113,6 +132,25 @@ class Tangent:
         )
 
 
+@dataclass(frozen=True)
+class AffineChart:
+    """Coordinates in which one connection is flat.
+
+    to_affine(X)     (m, n) working-chart points -> (m, n) affine coordinates
+    from_affine(E)   the inverse; off the chart's image it returns coordinates
+                     that no domain contains (non-finite or outside)
+    jacobian(X)      (m, n) -> (m, n, n) d(affine)/d(working); None for the
+                     working chart itself, where it is the identity
+    """
+
+    to_affine: Callable[[np.ndarray], np.ndarray]
+    from_affine: Callable[[np.ndarray], np.ndarray]
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+
+WORKING_CHART = AffineChart(to_affine=lambda X: X, from_affine=lambda E: E)
+
+
 def _as_batch(points) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
@@ -129,8 +167,9 @@ class ManifoldModel:
                                          symmetric in the first two slots
     domain_fn(X)            (m, n)    -> (m,) bool
     oracle_fn(p, q)         closed-form reference divergence or None
-    flat_kinds              connections whose symbols vanish identically in
-                            this chart (geodesics are straight lines there)
+    affine_charts[kind]     the chart where that connection is flat, if the
+                            model knows one; WORKING_CHART when its symbols
+                            vanish in the working chart
     safe_box                (n, 2) per-coordinate sampling box comfortably
                             inside the domain, used for seeded sampling
     """
@@ -145,7 +184,7 @@ class ManifoldModel:
     domain_fn: Callable[[np.ndarray], np.ndarray]
     safe_box: np.ndarray
     oracle_fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    flat_kinds: frozenset = frozenset()
+    affine_charts: dict = field(default_factory=dict)
     coord_converters: dict = field(default_factory=dict)
 
     # -- domain ---------------------------------------------------------
@@ -158,7 +197,10 @@ class ManifoldModel:
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
         X = _as_batch(X)
-        return self.domain_fn(X) & np.isfinite(X).all(axis=1)
+        inside = np.isfinite(X).all(axis=1)
+        # the domain predicates are only asked about finite points
+        inside[inside] = self.domain_fn(X[inside])
+        return inside
 
     def require_inside(self, point):
         if not self.contains(point):
@@ -192,8 +234,13 @@ class ManifoldModel:
         g = self.metric_at(p)
         return float(u.components @ g @ v.components)
 
+    @property
+    def flat_kinds(self) -> frozenset:
+        """Connections whose symbols vanish identically in the working chart."""
+        return frozenset(k for k, c in self.affine_charts.items() if c is WORKING_CHART)
+
     def is_flat(self, kind: ConnectionKind) -> bool:
-        return kind in self.flat_kinds
+        return self.affine_charts.get(kind) is WORKING_CHART
 
     @property
     def is_self_dual(self) -> bool:
@@ -225,11 +272,11 @@ class ManifoldModel:
     def dualized(self) -> "ManifoldModel":
         """The same manifold with the two connections swapped.
 
-        The reference divergence, when present, is reversed accordingly: on a
-        dually flat model the canonical divergence of the swapped structure is
-        the original one with its arguments exchanged. A self-dual model is
-        returned as it is, since swapping two identical connections changes
-        nothing.
+        Each connection keeps its affine chart. The reference divergence,
+        when present, is reversed accordingly: on a dually flat model the
+        canonical divergence of the swapped structure is the original one
+        with its arguments exchanged. A self-dual model is returned as it is,
+        since swapping two identical connections changes nothing.
         """
         if self.is_self_dual:
             return self
@@ -237,7 +284,6 @@ class ManifoldModel:
             ConnectionKind.PRIMAL: self.christoffel_fns[ConnectionKind.DUAL],
             ConnectionKind.DUAL: self.christoffel_fns[ConnectionKind.PRIMAL],
         }
-        flat = frozenset(k.dual for k in self.flat_kinds)
         oracle = None
         if self.oracle_fn is not None:
             orig = self.oracle_fn
@@ -253,7 +299,7 @@ class ManifoldModel:
             domain_fn=self.domain_fn,
             safe_box=self.safe_box,
             oracle_fn=oracle,
-            flat_kinds=flat,
+            affine_charts={k.dual: c for k, c in self.affine_charts.items()},
             coord_converters=self.coord_converters,
         )
 
@@ -344,7 +390,7 @@ def _make_euclidean(n: int) -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[-1.0, 1.0]] * n),
         oracle_fn=oracle,
-        flat_kinds=frozenset({ConnectionKind.PRIMAL, ConnectionKind.DUAL}),
+        affine_charts={ConnectionKind.PRIMAL: WORKING_CHART, ConnectionKind.DUAL: WORKING_CHART},
     )
 
 
@@ -400,7 +446,6 @@ def _make_sphere(radius: float) -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[math.pi / 2 - 0.55, math.pi / 2 + 0.55], [-0.55, 0.55]]),
         oracle_fn=None,
-        flat_kinds=frozenset(),
     )
 
 
@@ -434,6 +479,14 @@ def _make_categorical(n: int) -> ManifoldModel:
     def domain(X):
         return _full_probs_batch(X).min(axis=1) >= _MIN_PROB
 
+    def expectation(X):
+        return _full_probs_batch(X)[:, :n]
+
+    def natural(E):
+        # off the open simplex a logarithm is NaN or infinite: outside the domain
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(E) - np.log(1.0 - E.sum(axis=1, keepdims=True))
+
     def oracle(theta_p, theta_q):
         # reference divergence oriented to match the primal canonical
         # divergence from p to q in this chart (see module docstring)
@@ -452,7 +505,10 @@ def _make_categorical(n: int) -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[-1.5, 1.5]] * n),
         oracle_fn=oracle,
-        flat_kinds=frozenset({ConnectionKind.PRIMAL}),
+        affine_charts={
+            ConnectionKind.PRIMAL: WORKING_CHART,
+            ConnectionKind.DUAL: AffineChart(expectation, natural, metric),
+        },
         coord_converters={
             "mixture": lambda c: mixture_to_natural(c),
             "natural": lambda c: np.asarray(c, dtype=float),
@@ -499,6 +555,18 @@ def _make_gaussian1d() -> ManifoldModel:
     def domain(X):
         return (X[:, 1] < _GAUSS_T2_MAX) & (np.abs(X[:, 0]) < _GAUSS_T1_MAX)
 
+    def expectation(X):
+        mu = -X[:, 0] / (2.0 * X[:, 1])
+        var = -1.0 / (2.0 * X[:, 1])
+        return np.stack([mu, mu * mu + var], axis=1)
+
+    def natural(E):
+        # a variance that is not positive maps to theta2 >= 0 or to a
+        # non-finite point: outside the domain
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            var = E[:, 1] - E[:, 0] * E[:, 0]
+            return np.stack([E[:, 0] / var, -0.5 / var], axis=1)
+
     def moments(theta):
         mu = -theta[0] / (2.0 * theta[1])
         var = -1.0 / (2.0 * theta[1])
@@ -524,7 +592,10 @@ def _make_gaussian1d() -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[-1.0, 1.0], [-1.0, -0.4]]),
         oracle_fn=oracle,
-        flat_kinds=frozenset({ConnectionKind.PRIMAL}),
+        affine_charts={
+            ConnectionKind.PRIMAL: WORKING_CHART,
+            ConnectionKind.DUAL: AffineChart(expectation, natural, metric),
+        },
     )
 
 
@@ -581,7 +652,6 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[0.3 / n, 0.9 / n]] * n),
         oracle_fn=None,
-        flat_kinds=frozenset(),
         coord_converters={
             "mixture": lambda c: np.asarray(c, dtype=float),
             "natural": lambda c: natural_to_mixture(c),

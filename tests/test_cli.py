@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -159,6 +160,7 @@ def test_div_invalid_model_exit_2(capsys):
         ["div", "--model", '{"name": "euclidean", "params": "2"}', "-p", "0,0", "-q", "3,4"],
         ["probe-f", "--model", "euclidean:2", "--samples", "10", "-p=nan,0"],
         ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p=nan,0", "--grid", "0:1:2,0:1:2"],
+        ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0", "--grid", "0:inf:2,0:1:2"],
     ],
     ids=[
         "div-number",
@@ -173,12 +175,34 @@ def test_div_invalid_model_exit_2(capsys):
         "json-params-string",
         "probe-f-point-outside",
         "sweep-point-outside",
+        "sweep-grid-infinite",
     ],
 )
 def test_malformed_input_exits_2_with_message(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err and err[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["div", "--model", "euclidean:2", "--kind", "ay", "-p=1e308,0", "-q=-1e308,0"],
+        ["probe-f", "--model", "euclidean:2", "--samples", "10", "-p=1e200,0"],
+    ],
+    ids=["div-overflow", "probe-f-overflow"],
+)
+def test_non_finite_value_is_a_failure_exit_3(capsys, argv):
+    # a value that overflows is never reported as converged, and numpy stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 3
+    out, err = capsys.readouterr()
+    if argv[0] == "div":
+        assert out.splitlines()[1].endswith(",nan,32,False")
+        assert err == ""
+    else:
+        assert err.splitlines() == ["error: symmetry probe skipped 10/10 targets (> 20%)"]
 
 
 def test_div_failed_pair_flagged_exit_3(capsys):

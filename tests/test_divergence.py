@@ -9,6 +9,7 @@ from dualgeo import (
     ConnectionKind,
     Curve,
     DivergenceKind,
+    DomainExit,
     OracleUnavailable,
     PiFieldCache,
     Point,
@@ -22,6 +23,7 @@ from dualgeo import (
     make_builtin,
     mixture_to_natural,
     oracle_divergence,
+    parse_model_spec,
     path_functional,
     pi_field,
     pseudo_norm,
@@ -99,7 +101,7 @@ def test_canonical_matches_oracle_gaussian(models, cfg):
 def test_flat_route_matches_forced_ode(cfg):
     model, p, q = bernoulli_points()
     fast = canonical_divergence(model, p, q, cfg)
-    slow = canonical_divergence(dataclasses.replace(model, flat_kinds=frozenset()), p, q, cfg)
+    slow = canonical_divergence(dataclasses.replace(model, affine_charts={}), p, q, cfg)
     assert abs(fast - slow) < 1e-9
 
 
@@ -308,7 +310,7 @@ def test_doubly_flat_kinds_are_the_exact_quadratic_form(models, cfg, rng):
         fast = _divergence_many(eu, kind, P, Q, cfg)
         assert np.array_equal(fast, exact), kind
         # the quadrature and shooting route stays reachable and agrees
-        slow = _divergence_many(dataclasses.replace(eu, flat_kinds=frozenset()), kind, P, Q, cfg)
+        slow = _divergence_many(dataclasses.replace(eu, affine_charts={}), kind, P, Q, cfg)
         assert np.abs(slow - exact).max() < 1e-12, kind
 
 
@@ -327,3 +329,26 @@ def test_non_finite_point_is_out_of_domain(models, cfg):
         log_map(eu, ConnectionKind.PRIMAL, Point(P[0]), Point(np.ones(3)), cfg)
     with pytest.raises(PointOutOfDomain):
         log_map(sp, ConnectionKind.PRIMAL, Point([1.5, np.nan]), Point([1.5, 0.2]), cfg)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])
+@pytest.mark.parametrize("spec", ["categorical:2", "categorical:3", "gaussian1d"])
+def test_legendre_chart_values_match_ode_route(cfg, spec, dual):
+    model = parse_model_spec(spec)
+    model = model.dualized() if dual else model
+    ode = dataclasses.replace(model, affine_charts={})
+    P, Q = sample_pairs(model, 2, np.random.default_rng(5), shrink=0.8)
+    for kind in (DivergenceKind.CANONICAL_DUAL, DivergenceKind.PSEUDO_NORM):
+        chart = _divergence_many(model, kind, P, Q, cfg)
+        assert np.abs(chart - _divergence_many(ode, kind, P, Q, cfg)).max() <= 1e-9, kind
+
+
+def test_dual_pair_whose_legendre_line_leaves_the_domain(models, cfg):
+    # theta at mu = -2 and 2, sigma^2 = 19: the dual geodesic's midpoint has
+    # sigma^2 = 23 (theta2 = -1/46 > -0.025), on either route
+    ga = models["gaussian1d"]
+    P = np.array([[-2.0 / 19.0, -1.0 / 38.0]])
+    Q = np.array([[2.0 / 19.0, -1.0 / 38.0]])
+    for model in (ga, dataclasses.replace(ga, affine_charts={})):
+        with pytest.raises(DomainExit):
+            _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)

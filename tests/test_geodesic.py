@@ -19,6 +19,7 @@ from dualgeo import (
     log_map,
     make_builtin,
     parallel_transport,
+    parse_model_spec,
     sample_pairs,
 )
 from dualgeo.geodesic import BatchedCurves, _curves_from_initial, _shoot_many, _transport_many
@@ -43,12 +44,12 @@ def test_flat_route_matches_ode_route(models, cfg):
     p = cat.point([0.2, -0.3])
     v = cat.tangent(p, [0.5, 0.4])
     flat = integrate_geodesic(cat, P_KIND, p, v, cfg)
-    ode = integrate_geodesic(dataclasses.replace(cat, flat_kinds=frozenset()), P_KIND, p, v, cfg)
+    ode = integrate_geodesic(dataclasses.replace(cat, affine_charts={}), P_KIND, p, v, cfg)
     ts = np.linspace(0, 1, 7)
     assert np.abs(flat.position(ts) - ode.position(ts)).max() < 1e-9
     q = cat.point([0.7, 0.2])
     v_flat = log_map(cat, P_KIND, p, q, cfg)
-    cat_ode = dataclasses.replace(cat, flat_kinds=frozenset())
+    cat_ode = dataclasses.replace(cat, affine_charts={})
     V_ode, ok = _shoot_many(cat_ode, P_KIND, p.coords[None], q.coords[None], cfg)
     assert ok.all()
     assert np.abs(v_flat.components - V_ode[0]).max() < 1e-8
@@ -317,3 +318,55 @@ def test_batched_curves_at_a_vector_of_times_stack_the_single_times(models, cfg,
     for batch in (integrated, interpolated):
         for at in (batch.position_all, batch.velocity_all):
             assert np.array_equal(at(ts), np.stack([at(t) for t in ts], axis=1))
+
+
+LEGENDRE_SPECS = ["categorical:2", "categorical:3", "gaussian1d"]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])
+@pytest.mark.parametrize("spec", LEGENDRE_SPECS)
+def test_legendre_chart_route_matches_ode_route(cfg, spec, dual):
+    # the connection that is not flat in the working chart runs straight in
+    # the expectation chart; the ODE route of a chart-free copy must agree
+    model = parse_model_spec(spec)
+    model = model.dualized() if dual else model
+    ode = dataclasses.replace(model, affine_charts={})
+    kind = D_KIND if not dual else P_KIND
+    assert not model.is_flat(kind) and model.affine_charts.get(kind) is not None
+    P, Q = sample_pairs(model, 3, np.random.default_rng(11), shrink=0.8)
+    p, q = Point(P[0]), Point(Q[0])
+
+    v_chart = log_map(model, kind, p, q, cfg)
+    v_ode = log_map(ode, kind, p, q, cfg)
+    assert np.abs(v_chart.components - v_ode.components).max() <= 1e-9
+    V_chart, ok = _shoot_many(model, kind, P, Q, cfg)
+    assert ok.all()
+    assert np.abs(V_chart - _shoot_many(ode, kind, P, Q, cfg)[0]).max() <= 1e-9
+
+    ts = np.linspace(0.0, 1.0, 9)
+    chart_curve = integrate_geodesic(model, kind, p, v_ode, cfg)
+    ode_curve = integrate_geodesic(ode, kind, p, v_ode, cfg)
+    assert np.abs(chart_curve.position(ts) - ode_curve.position(ts)).max() <= 1e-9
+    assert np.abs(chart_curve.velocity(ts) - ode_curve.velocity(ts)).max() <= 1e-9
+    assert np.abs(chart_curve.end_point().coords - q.coords).max() <= 1e-9
+
+    # flat transport does not depend on the path: a waypoint path, not a
+    # geodesic. The chart gives the exact value; at the default tolerances the
+    # transport ODE is 1.6e-9 off on categorical:3, so it is solved tighter here
+    mid = 0.5 * (P[0] + Q[0]) + 0.05 * (P[1] - P[2])
+    path = Curve.from_waypoints([P[0], mid, Q[0]], grid=cfg.curve_grid)
+    u = model.tangent(p, [1.0, -0.5, 0.25][: model.dim])
+    moved_chart = parallel_transport(model, kind, path, u, cfg)
+    tight = cfg.with_(ode_rel_tol=1e-12, ode_abs_tol=1e-14)
+    moved_ode = parallel_transport(ode, kind, path, u, tight)
+    assert np.abs(moved_chart.components - moved_ode.components).max() <= 1e-9
+
+
+def test_legendre_line_leaving_the_domain_raises(models, cfg):
+    # mu = -2 and 2 at sigma^2 = 19: the eta-line's midpoint has sigma^2 = 23,
+    # i.e. theta2 = -1/46 > -0.025, outside the domain
+    ga = models["gaussian1d"]
+    p, q = ga.point([-2.0 / 19.0, -1.0 / 38.0]), ga.point([2.0 / 19.0, -1.0 / 38.0])
+    v = log_map(ga, D_KIND, p, q, cfg)
+    with pytest.raises(DomainExit):
+        integrate_geodesic(ga, D_KIND, p, v, cfg)

@@ -219,3 +219,39 @@ def test_dualized_sphere_pairs_keep_the_angle_filter(models):
     sp = models["sphere"].dualized()
     P, Q = sample_pairs(sp, 200, np.random.default_rng(0))
     assert great_circle_angle(P, Q).max() <= SPHERE_MAX_ANGLE
+
+
+@pytest.mark.parametrize("spec", [*ALL, "categorical:3"])
+def test_dualized_twice_keeps_the_affine_charts(models, spec):
+    model = models.get(spec) or parse_model_spec(spec)
+    dual = model.dualized()
+    for kind in ConnectionKind:
+        assert dual.affine_charts.get(kind.dual) is model.affine_charts.get(kind)
+    assert model.dualized().dualized().affine_charts == model.affine_charts
+
+
+@pytest.mark.parametrize("spec", ["categorical:2", "categorical:3", "gaussian1d"])
+def test_legendre_chart_inverts_and_its_jacobian_is_the_metric(rng, spec):
+    model = parse_model_spec(spec)
+    chart = model.affine_charts[ConnectionKind.DUAL]
+    assert not model.is_flat(ConnectionKind.DUAL)
+    X = sample_points(model, 6, rng)
+    assert np.abs(chart.from_affine(chart.to_affine(X)) - X).max() < 1e-12
+    assert np.array_equal(chart.jacobian(X), model.metric_batch(X))
+    h = 1e-6
+    for j in range(model.dim):
+        e = np.zeros(model.dim)
+        e[j] = h
+        column = (chart.to_affine(X + e) - chart.to_affine(X - e)) / (2.0 * h)
+        assert np.abs(column - chart.jacobian(X)[:, :, j]).max() < 1e-8
+
+
+def test_legendre_chart_maps_eta_off_the_image_outside_the_domain():
+    for spec, eta in (
+        ("categorical:2", [[0.7, 0.5], [-0.1, 0.5], [0.5, 0.5]]),
+        ("gaussian1d", [[2.0, 3.0], [2.0, 4.0], [0.0, 0.0]]),
+    ):
+        model = parse_model_spec(spec)
+        with np.errstate(all="raise"):
+            theta = model.affine_charts[ConnectionKind.DUAL].from_affine(np.array(eta))
+        assert not model.contains_batch(theta).any(), spec

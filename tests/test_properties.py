@@ -16,6 +16,8 @@ from dualgeo.errors import InvalidModelSpec
 ALL = ["euclidean", "sphere", "categorical", "gaussian1d", "alpha_categorical"]
 DUALLY_FLAT = ["categorical", "gaussian1d"]
 SETTINGS = settings(deadline=None, max_examples=100, derandomize=True, database=None)
+# a non-finite value is a flagged row or a rejected input, never a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def unit_points(count, dim=3):
@@ -76,9 +78,15 @@ NUMBER = st.one_of(
 )
 POINT = st.lists(NUMBER, min_size=0, max_size=3).map(",".join)
 MODEL = st.one_of(
-    st.sampled_from(["euclidean:2", "categorical:2", "{", '{"name": 2}', '{"params": []}']),
+    st.sampled_from(
+        ["euclidean:2", "categorical:2", "gaussian1d", "{", '{"name": 2}', '{"params": []}']
+    ),
     st.text(max_size=12),
 )
+# models whose every kind is closed form: euclidean answers all kinds exactly;
+# on the dually flat families one connection is flat in the working chart and
+# the other in the expectation chart
+CLOSED_FORM = ("euclidean:2", "categorical:2", "gaussian1d")
 QUAD = st.one_of(st.integers(-3, 40).map(str), st.text(max_size=4))
 
 
@@ -91,9 +99,9 @@ QUAD = st.one_of(st.integers(-3, 40).map(str), st.text(max_size=4))
     quad=st.none() | QUAD,
 )
 def test_div_on_fuzzed_text_exits_with_a_documented_code(model, kind, p, q, quad):
-    # only models whose every requested kind is closed form are cheap to fuzz:
-    # euclidean answers all kinds exactly, anything else gets the oracle
-    if model != "euclidean:2":
+    # only models whose every requested kind is closed form are cheap to fuzz;
+    # anything else gets the oracle
+    if model not in CLOSED_FORM:
         kind = "oracle"
     argv = ["div", f"--model={model}", f"--kind={kind}", f"-p={p}", f"-q={q}"]
     if quad is not None:
@@ -150,17 +158,42 @@ def test_sweep_on_fuzzed_text_exits_with_a_documented_code(model, kind, p, grid)
     assert_documented_exit(argv)
 
 
+def coords(first, second):
+    return st.tuples(first, second).map(lambda xy: ",".join(map(repr, xy)))
+
+
+# mostly points of a box around each safe box, so that most pairs lie inside
+# the domain and reach the expectation chart
+INSIDE_MOSTLY = {
+    "categorical:2": mostly(coords(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), POINT2),
+    "gaussian1d": mostly(coords(st.floats(-3.0, 3.0), st.floats(-3.0, -0.03)), POINT2),
+}
+
+
+@settings(SETTINGS, max_examples=150)
+@given(
+    pair=st.sampled_from(sorted(INSIDE_MOSTLY)).flatmap(
+        lambda model: st.tuples(st.just(model), INSIDE_MOSTLY[model], INSIDE_MOSTLY[model])
+    ),
+    kind=st.sampled_from(["ay", "canonical", "dual", "pseudonorm", "oracle"]),
+)
+def test_div_on_the_dually_flat_models_exits_with_a_documented_code(pair, kind):
+    model, p, q = pair
+    assert_documented_exit(["div", f"--model={model}", f"--kind={kind}", f"-p={p}", f"-q={q}"])
+
+
 def cheap_or_invalid(model):
     try:
-        return _load_model(model).name == "euclidean"
+        return _load_model(model).name in ("euclidean", "categorical")
     except InvalidModelSpec:
         return True
 
 
 @settings(SETTINGS, max_examples=150)
-@given(model=mostly(st.just("euclidean:2"), MODEL), p=st.none() | POINT2)
+@given(model=mostly(st.sampled_from(["euclidean:2", "categorical:2"]), MODEL), p=st.none() | POINT2)
 def test_probe_f_on_fuzzed_text_exits_with_a_documented_code(model, p):
-    # probe-f evaluates the dual and canonical divergences, exact only on euclidean
+    # probe-f evaluates the dual and canonical divergences, both closed form on
+    # euclidean and on the categorical family
     assume(cheap_or_invalid(model))
     argv = ["probe-f", f"--model={model}", "--samples=10"]
     if p is not None:
