@@ -344,7 +344,8 @@ def _integrate_states(
     cfg: ToleranceConfig,
     t_eval: np.ndarray,
 ) -> np.ndarray:
-    """Integrate m geodesic initial value problems; returns (len(t_eval), m, 2n)."""
+    """Integrate m geodesic initial value problems, in closed form when the
+    connection has an affine chart; returns (len(t_eval), m, 2n)."""
     m, n = X0.shape
     T = np.asarray(t_eval, dtype=float)
     chart = model.affine_charts.get(kind)

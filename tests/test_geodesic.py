@@ -361,12 +361,3 @@ def test_legendre_chart_route_matches_ode_route(cfg, spec, dual):
     moved_ode = parallel_transport(ode, kind, path, u, tight)
     assert np.abs(moved_chart.components - moved_ode.components).max() <= 1e-9
 
-
-def test_legendre_line_leaving_the_domain_raises(models, cfg):
-    # mu = -2 and 2 at sigma^2 = 19: the eta-line's midpoint has sigma^2 = 23,
-    # i.e. theta2 = -1/46 > -0.025, outside the domain
-    ga = models["gaussian1d"]
-    p, q = ga.point([-2.0 / 19.0, -1.0 / 38.0]), ga.point([2.0 / 19.0, -1.0 / 38.0])
-    v = log_map(ga, D_KIND, p, q, cfg)
-    with pytest.raises(DomainExit):
-        integrate_geodesic(ga, D_KIND, p, v, cfg)
