@@ -137,6 +137,17 @@ def _pool_map(model: ManifoldModel, kinds, P: np.ndarray, Q: np.ndarray, cfg: To
     return values, ok
 
 
+def _seed(text: str) -> int:
+    """--seed: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise InvalidModelSpec(f"--seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_common(parser):
     parser.add_argument("--tol-ode", type=float, default=None, help="ODE relative tolerance")
     parser.add_argument("--tol-shoot", type=float, default=None, help="shooting tolerance")
@@ -144,7 +155,7 @@ def _add_common(parser):
     parser.add_argument("--fd-step", type=float, default=None, help="finite-difference step")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
+    parser.add_argument("--seed", type=_seed, default=0, help="seed for any sampling")
     parser.add_argument(
         "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
     )
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["eguchi", "pathindep", "gradient", "collapse", "symmetry", "classification", "all"],
     )
     p_ver.add_argument("--samples", type=int, default=3)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--output", default=None)
     p_ver.add_argument("--tol-ode", type=float, default=None)
     p_ver.add_argument("--tol-shoot", type=float, default=None)
@@ -396,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # inside the try: an argument type may reject its value as bad input
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InvalidModelSpec as exc:
         print(f"error: {exc}", file=sys.stderr)

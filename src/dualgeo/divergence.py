@@ -404,7 +404,7 @@ def pseudo_norm(
 
 def oracle_divergence(model: ManifoldModel, p: Point, q: Point) -> float:
     """Closed-form reference divergence; OracleUnavailable if the model has none."""
-    return model.oracle(p, q)
+    return divergence_value(model, DivergenceKind.ORACLE_KL, p, q)
 
 
 def _piecewise_nodes(cfg: ToleranceConfig, breaks) -> tuple:

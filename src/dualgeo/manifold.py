@@ -16,7 +16,8 @@ Builtins:
                                the dual symbols are the third derivatives of
                                the log-partition ln(1 + sum exp(theta_i))
     gaussian1d                 univariate Gaussian in natural parameters
-                               (theta1, theta2), theta2 < 0
+                               (theta1, theta2), -50 < theta2 < -0.025,
+                               |theta1| < 50
     alpha_categorical(n, a)    simplex in mixture coordinates with the Fisher
                                metric and the a-connection pair, a in (-1, 1)
 
@@ -41,12 +42,20 @@ Their Jacobian d eta / d theta is the metric. A copy with no charts,
 `dataclasses.replace(model, affine_charts={})`, takes the ODE route for every
 connection.
 
+A self-dual model may carry a `RoundSphere`: an isometry onto a piece of a
+round sphere, through which its geodesics are great circles, its distance is
+radius * central angle, its canonical divergence is half the squared distance
+and its sectional curvature is 1 / radius^2. The sphere carries its spherical
+embedding; alpha_categorical(n, 0), the simplex with the Fisher metric, carries
+p -> sqrt(p) over the full probability vector with radius 2 (Amari & Nagaoka
+2000, ch. 2).
+
 For the dually flat builtins (euclidean, categorical, gaussian1d) the model
 carries a closed-form reference divergence. Its orientation is fixed so that
-`oracle(p, q)` equals the primal canonical divergence from p to q under this
+`oracle_fn(p, q)` equals the primal canonical divergence from p to q under this
 chart convention; for the categorical family that is
 
-    oracle(p, q) = sum_i q_i * log(q_i / p_i)
+    oracle_fn(p, q) = sum_i q_i * log(q_i / p_i)
 
 over the full probability vectors (see README for the numerical resolution of
 this orientation on the Bernoulli family).
@@ -56,7 +65,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,6 +76,7 @@ from .errors import BaseMismatch, InvalidModelSpec, PointOutOfDomain
 __all__ = [
     "AffineChart",
     "ConnectionKind",
+    "RoundSphere",
     "Point",
     "Tangent",
     "ManifoldModel",
@@ -151,6 +162,26 @@ class AffineChart:
 WORKING_CHART = AffineChart(to_affine=lambda X: X, from_affine=lambda E: E)
 
 
+@dataclass(frozen=True)
+class RoundSphere:
+    """An isometry onto a piece of the round sphere of this radius: chart points
+    X (..., n) map to radius * to_unit(X), with to_unit(X) unit vectors (..., k)."""
+
+    radius: float
+    to_unit: Callable[[np.ndarray], np.ndarray]
+
+    def angle(self, X, Y) -> np.ndarray:
+        """Central angle between the images of chart points X and Y."""
+        dot = np.sum(self.to_unit(X) * self.to_unit(Y), axis=-1)
+        return np.arccos(np.clip(dot, -1.0, 1.0))
+
+
+def spherical_to_unit(X) -> np.ndarray:
+    """Spherical-chart points (..., 2) = (theta, phi) -> unit vectors (..., 3)."""
+    th, ph = X[..., 0], X[..., 1]
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+
+
 def _as_batch(points) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
@@ -170,6 +201,8 @@ class ManifoldModel:
     affine_charts[kind]     the chart where that connection is flat, if the
                             model knows one; WORKING_CHART when its symbols
                             vanish in the working chart
+    round_sphere            RoundSphere of a self-dual model of constant
+                            positive curvature, or None
     safe_box                (n, 2) per-coordinate sampling box comfortably
                             inside the domain, used for seeded sampling
     """
@@ -186,6 +219,7 @@ class ManifoldModel:
     oracle_fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     affine_charts: dict = field(default_factory=dict)
     coord_converters: dict = field(default_factory=dict)
+    round_sphere: Optional[RoundSphere] = None
 
     # -- domain ---------------------------------------------------------
 
@@ -248,15 +282,6 @@ class ManifoldModel:
         fns = self.christoffel_fns
         return fns[ConnectionKind.PRIMAL] is fns[ConnectionKind.DUAL]
 
-    def oracle(self, p: Point, q: Point) -> float:
-        from .errors import OracleUnavailable
-
-        if self.oracle_fn is None:
-            raise OracleUnavailable(f"{self.spec_string} has no closed-form divergence")
-        self.require_inside(p)
-        self.require_inside(q)
-        return float(self.oracle_fn(p.coords, q.coords))
-
     # -- helpers --------------------------------------------------------
 
     def point(self, coords) -> Point:
@@ -280,27 +305,14 @@ class ManifoldModel:
         """
         if self.is_self_dual:
             return self
-        swapped = {
-            ConnectionKind.PRIMAL: self.christoffel_fns[ConnectionKind.DUAL],
-            ConnectionKind.DUAL: self.christoffel_fns[ConnectionKind.PRIMAL],
-        }
-        oracle = None
-        if self.oracle_fn is not None:
-            orig = self.oracle_fn
-            oracle = lambda p, q: orig(q, p)  # noqa: E731
-        return ManifoldModel(
+        oracle = self.oracle_fn
+        return replace(
+            self,
             name=self.name + "*",
-            dim=self.dim,
-            params=self.params,
             spec_string=self.spec_string + "*",
-            chart=self.chart,
-            metric_fn=self.metric_fn,
-            christoffel_fns=swapped,
-            domain_fn=self.domain_fn,
-            safe_box=self.safe_box,
-            oracle_fn=oracle,
+            christoffel_fns={k.dual: f for k, f in self.christoffel_fns.items()},
+            oracle_fn=None if oracle is None else lambda p, q: oracle(q, p),
             affine_charts={k.dual: c for k, c in self.affine_charts.items()},
-            coord_converters=self.coord_converters,
         )
 
     def convert_coords(self, coords, system: str) -> np.ndarray:
@@ -352,8 +364,9 @@ def _full_probs_batch(theta: np.ndarray) -> np.ndarray:
 
 
 def _mixture_full_probs(eta: np.ndarray) -> np.ndarray:
-    tail = 1.0 - eta.sum(axis=1, keepdims=True)
-    return np.concatenate([eta, tail], axis=1)
+    """(..., n) head probabilities -> (..., n+1) probability vectors."""
+    tail = 1.0 - eta.sum(axis=-1, keepdims=True)
+    return np.concatenate([eta, tail], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +458,7 @@ def _make_sphere(radius: float) -> ManifoldModel:
         christoffel_fns={ConnectionKind.PRIMAL: gamma, ConnectionKind.DUAL: gamma},
         domain_fn=domain,
         safe_box=np.array([[math.pi / 2 - 0.55, math.pi / 2 + 0.55], [-0.55, 0.55]]),
-        oracle_fn=None,
+        round_sphere=RoundSphere(radius, spherical_to_unit),
     )
 
 
@@ -516,8 +529,10 @@ def _make_categorical(n: int) -> ManifoldModel:
     )
 
 
-# conditioning guards: theta2 bounded away from zero, theta1 bounded
+# conditioning guards: theta2 bounded away from zero and from -inf, where the
+# metric underflows to singular; theta1 bounded
 _GAUSS_T2_MAX = -0.025
+_GAUSS_T2_MIN = -50.0
 _GAUSS_T1_MAX = 50.0
 
 
@@ -553,7 +568,8 @@ def _make_gaussian1d() -> ManifoldModel:
         return T
 
     def domain(X):
-        return (X[:, 1] < _GAUSS_T2_MAX) & (np.abs(X[:, 0]) < _GAUSS_T1_MAX)
+        t2_ok = (_GAUSS_T2_MIN < X[:, 1]) & (X[:, 1] < _GAUSS_T2_MAX)
+        return t2_ok & (np.abs(X[:, 0]) < _GAUSS_T1_MAX)
 
     def expectation(X):
         mu = -X[:, 0] / (2.0 * X[:, 1])
@@ -638,8 +654,10 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
     dual = primal if alpha == 0.0 else gamma_factory(-1.0)
 
     def domain(X):
-        full = np.concatenate([X, 1.0 - X.sum(axis=1, keepdims=True)], axis=1)
-        return full.min(axis=1) >= _MIN_PROB
+        return _mixture_full_probs(X).min(axis=1) >= _MIN_PROB
+
+    def sqrt_probs(X):
+        return np.sqrt(_mixture_full_probs(X))
 
     return ManifoldModel(
         name="alpha_categorical",
@@ -651,11 +669,12 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
         christoffel_fns={ConnectionKind.PRIMAL: primal, ConnectionKind.DUAL: dual},
         domain_fn=domain,
         safe_box=np.array([[0.3 / n, 0.9 / n]] * n),
-        oracle_fn=None,
         coord_converters={
             "mixture": lambda c: np.asarray(c, dtype=float),
             "natural": lambda c: natural_to_mixture(c),
         },
+        # p -> 2 sqrt(p) carries the Fisher metric onto the sphere of radius 2
+        round_sphere=RoundSphere(2.0, sqrt_probs) if alpha == 0.0 else None,
     )
 
 
@@ -685,7 +704,7 @@ _SCHEMAS = {
     "gaussian1d": {
         "params": "gaussian1d[:2]",
         "chart": "natural parameters (theta1, theta2)",
-        "domain": f"theta2 < {_GAUSS_T2_MAX}, |theta1| < {_GAUSS_T1_MAX:g}",
+        "domain": f"{_GAUSS_T2_MIN:g} < theta2 < {_GAUSS_T2_MAX}, |theta1| < {_GAUSS_T1_MAX:g}",
         "dually_flat": True,
     },
     "alpha_categorical": {
@@ -730,8 +749,9 @@ def make_builtin(name: str, params: Sequence[float]) -> ManifoldModel:
         if n != 2:
             raise InvalidModelSpec("only the 2-sphere is supported")
         radius = float(params[1]) if len(params) > 1 else 1.0
-        if not 0.0 < radius < math.inf:
-            raise InvalidModelSpec("sphere radius must be positive and finite")
+        # the metric scales by radius^2: zero, subnormal or infinite breaks it
+        if not (radius > 0.0 and sys.float_info.min <= radius * radius < math.inf):
+            raise InvalidModelSpec("sphere radius must be positive with a finite, normal square")
         if len(params) > 2:
             raise InvalidModelSpec("sphere takes (dim, radius)")
         return _make_sphere(radius)

@@ -2,14 +2,15 @@
 
 The safe box is a per-model sub-box of the chart domain inside which metric
 conditioning stays bounded and safe-box pairs sit in the shooting basin; pairs
-on the sphere are additionally filtered to a bounded great-circle angle.
+on a model with a round-sphere embedding are additionally filtered to a
+bounded great-circle angle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .manifold import ManifoldModel
+from .manifold import ManifoldModel, RoundSphere, spherical_to_unit
 
 __all__ = ["sample_points", "sample_pairs", "great_circle_angle"]
 
@@ -18,17 +19,8 @@ SPHERE_MAX_ANGLE = 1.0
 
 def great_circle_angle(x, y) -> float:
     """Central angle between two spherical-chart points (radius-independent)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def embed(c):
-        th, ph = c[..., 0], c[..., 1]
-        return np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-        )
-
-    dot = np.clip(np.sum(embed(x) * embed(y), axis=-1), -1.0, 1.0)
-    return np.arccos(dot)
+    unit = RoundSphere(1.0, spherical_to_unit)
+    return unit.angle(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def sample_points(
@@ -53,16 +45,14 @@ def sample_pairs(
     shrink: float = 1.0,
 ):
     """Seeded in-basin pairs; redraws pairs that are nearly coincident and, on
-    the sphere, pairs separated by more than a unit great-circle angle."""
+    a round sphere, pairs separated by more than a unit great-circle angle."""
+    sphere = model.round_sphere
     P = sample_points(model, count, rng, shrink)
     Q = sample_points(model, count, rng, shrink)
     for i in range(count):
         for _ in range(200):
             sep_ok = np.linalg.norm(Q[i] - P[i]) >= min_separation
-            angle_ok = (
-                model.name != "sphere"
-                or great_circle_angle(P[i], Q[i]) <= SPHERE_MAX_ANGLE
-            )
+            angle_ok = sphere is None or sphere.angle(P[i], Q[i]) <= SPHERE_MAX_ANGLE
             if sep_ok and angle_ok:
                 break
             P[i] = sample_points(model, 1, rng, shrink)[0]

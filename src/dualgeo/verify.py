@@ -5,10 +5,20 @@ generator and records the worst observed error against the declared tolerance.
 Reports serialize to a stable JSON schema; identical (model, suite, samples,
 seed, tolerances) runs produce byte-identical documents, so wall-clock timing
 is returned separately rather than embedded.
+
+Which checks a model gets follows from its structure, never from its name:
+
+    self-dual                   canonical equals the Amari-Ay divergence
+    doubly flat                 both equal the quadratic form 1/2 d.g.d
+    a flat connection           dually flat: reversal equals the dual divergence
+    a closed-form oracle        canonical equals the oracle
+    a round-sphere embedding    canonical equals 1/2 (radius * angle)^2, and
+                                every coordinate plane has curvature 1/radius^2
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -29,7 +39,7 @@ from .eguchi import classify_manifold, curvature_tensor, recover_structure, symm
 from .errors import InvalidModelSpec
 from .geodesic import Curve
 from .manifold import ConnectionKind, ManifoldModel, Point, make_builtin
-from .sampling import great_circle_angle, sample_pairs, sample_points
+from .sampling import sample_pairs, sample_points
 
 __all__ = ["CheckRecord", "VerificationReport", "run_suites", "default_models", "SUITES"]
 
@@ -227,16 +237,17 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
                 samples,
             )
         )
-    if model.name == "euclidean":
-        closed = 0.5 * np.sum((Q - P) ** 2, axis=1)
+    if all(map(model.is_flat, ConnectionKind)):
+        # the metric is constant; at q it is not the form _divergence_many takes at p
+        closed = 0.5 * _pairing(model.metric_batch(Q), Q - P, Q - P)
         out.append(_rec("flat_quadratic_oracle", float(np.abs(canon - closed).max()), 1e-8, samples))
         out.append(_rec("flat_quadratic_oracle_ay", float(np.abs(ay - closed).max()), 1e-8, samples))
-    if model.name == "sphere":
-        r = model.params[1]
-        closed = 0.5 * (r * great_circle_angle(P, Q)) ** 2
+    sphere = model.round_sphere
+    if sphere is not None:
+        closed = 0.5 * (sphere.radius * sphere.angle(P, Q)) ** 2
         out.append(_rec("great_circle_oracle", float(np.abs(canon - closed).max()), 1e-6, samples))
     if model.oracle_fn is not None:
-        oracle = np.array([model.oracle_fn(p, q) for p, q in zip(P, Q)])
+        oracle = _divergence_many(model, DivergenceKind.ORACLE_KL, P, Q, cfg)
         rel = float(np.abs(canon - oracle).max() / (1.0 + np.abs(oracle).max()))
         out.append(_rec("closed_form_oracle_rel", rel, 1e-6, samples))
     doubled = _divergence_many(
@@ -251,7 +262,7 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
 def suite_symmetry(model, samples, rng, cfg) -> List[CheckRecord]:
     """Reversal symmetry against the dual divergence; rank agreement probe."""
     out = []
-    if model.oracle_fn is not None:
+    if model.flat_kinds:
         # reversal equality is asserted only where the structure is dually flat
         P, Q = sample_pairs(model, samples, rng, shrink=0.85)
         rev = _divergence_many(model, DivergenceKind.CANONICAL, Q, P, cfg)
@@ -265,7 +276,7 @@ def suite_symmetry(model, samples, rng, cfg) -> List[CheckRecord]:
     out.append(
         _rec("probe_skipped_fraction", len(probe.skipped) / len(qs), 0.2, len(qs))
     )
-    if model.oracle_fn is not None:
+    if model.flat_kinds:
         out.append(
             _rec("probe_pointwise_equality_rel", probe.max_equality_error, 1e-6, len(qs))
         )
@@ -276,7 +287,8 @@ def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
     """Verdicts expected from the model's structure plus curvature spot checks.
 
     A self-dual model must classify as SelfDual; otherwise a model with a flat
-    connection is dually flat (the dual of a flat connection is flat too).
+    connection is dually flat (the dual of a flat connection is flat too). On
+    a round sphere of radius r each coordinate plane has curvature 1/r^2.
     """
     pts = [Point(x) for x in sample_points(model, min(samples, 5), rng, shrink=0.7)]
     report = classify_manifold(model, pts, cfg)
@@ -288,15 +300,16 @@ def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
         )
     if model.flat_kinds:
         out.append(_rec("flatness_residual", report.flatness_residual, 1e-5, len(pts)))
-    if model.name == "sphere":
-        r = model.params[1]
+    sphere = model.round_sphere
+    if sphere is not None:
         worst = 0.0
         for p in pts:
             R = curvature_tensor(model, ConnectionKind.PRIMAL, p, cfg)
             g = model.metric_at(p)
             low = np.einsum("lm,mijk->ijkl", g, R)
-            K = low[0, 1, 1, 0] / np.linalg.det(g)
-            worst = max(worst, abs(float(K) - 1.0 / r**2))
+            for i, j in itertools.combinations(range(model.dim), 2):
+                K = low[i, j, j, i] / np.linalg.det(g[np.ix_([i, j], [i, j])])
+                worst = max(worst, abs(float(K) - 1.0 / sphere.radius**2))
         out.append(_rec("sectional_curvature_error", worst, 1e-5, len(pts)))
     out.append(
         _rec(f"verdict_recorded_{report.verdict}", 0.0, 0.0, len(pts))

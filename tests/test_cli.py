@@ -161,6 +161,12 @@ def test_div_invalid_model_exit_2(capsys):
         ["probe-f", "--model", "euclidean:2", "--samples", "10", "-p=nan,0"],
         ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p=nan,0", "--grid", "0:1:2,0:1:2"],
         ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0", "--grid", "0:inf:2,0:1:2"],
+        ["verify", "--model", "euclidean:2", "--suite", "classification", "--seed=-1"],
+        ["probe-f", "--model", "euclidean:2", "--samples", "10", "--seed=-1"],
+        ["verify", "--model", "sphere:2:1e-200", "--suite", "classification"],
+        ["div", "--model", "sphere:2:1e-200", "-p", "1,0", "-q", "1,1"],
+        ["verify", "--model", "sphere:2:1e160", "--suite", "classification"],
+        ["div", "--model", "sphere:2:1e160", "-p", "1,0", "-q", "1,1"],
     ],
     ids=[
         "div-number",
@@ -176,6 +182,12 @@ def test_div_invalid_model_exit_2(capsys):
         "probe-f-point-outside",
         "sweep-point-outside",
         "sweep-grid-infinite",
+        "verify-seed-negative",
+        "probe-f-seed-negative",
+        "verify-radius-square-underflows",
+        "div-radius-square-underflows",
+        "verify-radius-square-overflows",
+        "div-radius-square-overflows",
     ],
 )
 def test_malformed_input_exits_2_with_message(capsys, argv):
@@ -335,3 +347,15 @@ def test_verify_single_suite_pass(tmp_path, capsys):
 def test_verify_unknown_suite_exit_2():
     r = run_cli(["verify", "--suite", "bogus"])
     assert r.returncode == 2
+
+
+def test_gaussian1d_domain_ends_before_the_theta2_collar(capsys):
+    # the fields clip theta2 at -100; beyond the domain's -50 no point sees the clip
+    argv = ["div", "--model", "gaussian1d", "--kind", "canonical", "-p=0,-200", "-q=0,-150"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out.splitlines()[1].endswith(",nan,32,False")
+    values = {}
+    for kind in ("canonical", "oracle"):
+        assert main(["div", "--model", "gaussian1d", "--kind", kind, "-p=1,-40", "-q=-1,-45"]) == 0
+        values[kind] = float(capsys.readouterr().out.splitlines()[1].split(",")[-3])
+    assert abs(values["canonical"] - values["oracle"]) <= 1e-6 * values["oracle"]

@@ -10,6 +10,7 @@ from dualgeo import (
     Point,
     PointOutOfDomain,
     builtin_names,
+    builtin_schemas,
     make_builtin,
     mixture_to_natural,
     natural_to_mixture,
@@ -255,3 +256,30 @@ def test_legendre_chart_maps_eta_off_the_image_outside_the_domain():
         with np.errstate(all="raise"):
             theta = model.affine_charts[ConnectionKind.DUAL].from_affine(np.array(eta))
         assert not model.contains_batch(theta).any(), spec
+
+
+@pytest.mark.parametrize(
+    "spec", ["sphere:2", "sphere:2:2.5", "alpha_categorical:2:0", "alpha_categorical:3:0"]
+)
+def test_round_sphere_embedding_is_an_isometry(rng, spec):
+    model = parse_model_spec(spec)
+    sphere = model.round_sphere
+    X = sample_points(model, 6, rng)
+    U = sphere.to_unit(X)
+    assert np.abs(np.linalg.norm(U, axis=1) - 1.0).max() < 1e-12
+    # the radius times the Jacobian of the unit map pulls back the model metric
+    h = 1e-6
+    steps = h * np.eye(model.dim)
+    J = np.stack([(sphere.to_unit(X + e) - sphere.to_unit(X - e)) / (2 * h) for e in steps], axis=2)
+    pulled = sphere.radius**2 * np.einsum("mki,mkj->mij", J, J)
+    g = model.metric_batch(X)
+    assert np.abs(pulled - g).max() < 1e-6 * np.abs(g).max()
+
+
+@pytest.mark.parametrize(
+    "spec", [*ALL, "categorical:3", "alpha_categorical:2:0"], ids=[*ALL, "categorical-3", "alpha-0"]
+)
+def test_schema_dually_flat_matches_the_model_structure(models, spec):
+    model = models.get(spec) or parse_model_spec(spec)
+    for m in (model, model.dualized()):
+        assert builtin_schemas()[model.name]["dually_flat"] == bool(m.flat_kinds), m

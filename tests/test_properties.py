@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -115,14 +116,15 @@ def test_div_on_fuzzed_text_exits_with_a_documented_code(model, kind, p, q, quad
     assert code in (0, 2, 3), (argv, err.getvalue())
 
 
-def assert_documented_exit(argv):
+def assert_documented_exit(argv, codes=(0, 2, 3)):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert code in codes, (argv, err.getvalue())
+    return err.getvalue()
 
 
 def mostly(good, bad):
@@ -199,3 +201,39 @@ def test_probe_f_on_fuzzed_text_exits_with_a_documented_code(model, p):
     if p is not None:
         argv.append(f"-p={p}")
     assert_documented_exit(argv)
+
+
+# verify's cost grows as samples x dim^5, so the fuzz keeps one sample and
+# dimensions 1-3; a dimension drawn from NUMBER could be 1e300, which parses
+DIM = mostly(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "1.5", "nan", "inf", "x", ""]))
+# a mantissa and a decimal exponent: radii from 1e-320 to 1e308, spread in log
+RADIUS = st.builds("{:.3f}e{}".format, st.floats(1.0, 9.999), st.integers(-320, 307))
+VERIFY_MODEL = st.one_of(
+    st.tuples(st.sampled_from(["euclidean", "categorical"]), DIM).map(":".join),
+    st.tuples(DIM, mostly(st.floats(-1.5, 1.5).map(repr), NUMBER)).map(
+        lambda t: "alpha_categorical:" + ":".join(t)
+    ),
+    mostly(RADIUS, NUMBER).map(lambda r: "sphere:2:" + r),
+    MODEL,
+)
+# any other suite name that parses would cost seconds
+SUITE_TEXT = st.text(max_size=5).filter(
+    lambda s: s not in {"eguchi", "pathindep", "gradient", "collapse", "symmetry", "all"}
+)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(
+    model=VERIFY_MODEL,
+    seed=mostly(st.integers(0, 2**70).map(str), st.integers(-3, -1).map(str) | NUMBER),
+    suite=mostly(st.just("classification"), SUITE_TEXT),
+)
+def test_verify_on_fuzzed_text_exits_with_a_documented_code(model, seed, suite):
+    argv = ["verify", f"--model={model}", f"--seed={seed}", f"--suite={suite}", "--samples=1"]
+    # numpy warns while a sphere of extreme radius is checked, since the
+    # determinant of its metric leaves the float range; this test holds verify
+    # to its exit codes only
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        err = assert_documented_exit(argv, codes=(0, 1, 2))
+    assert "Traceback" not in err
