@@ -32,13 +32,7 @@ from .manifold import ManifoldModel, Point, builtin_schemas, parse_model_spec
 from .sampling import sample_points
 from .verify import default_models, run_suites
 
-KIND_NAMES = {
-    "ay": DivergenceKind.AY,
-    "canonical": DivergenceKind.CANONICAL,
-    "dual": DivergenceKind.CANONICAL_DUAL,
-    "pseudonorm": DivergenceKind.PSEUDO_NORM,
-    "oracle": DivergenceKind.ORACLE_KL,
-}
+KIND_NAMES = {k.value: k for k in DivergenceKind}
 
 
 def _f17(x) -> str:
@@ -148,11 +142,15 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_common(parser):
+def _add_tolerances(parser):
     parser.add_argument("--tol-ode", type=float, default=None, help="ODE relative tolerance")
     parser.add_argument("--tol-shoot", type=float, default=None, help="shooting tolerance")
     parser.add_argument("--quad-nodes", type=int, default=None, help="quadrature node count")
     parser.add_argument("--fd-step", type=float, default=None, help="finite-difference step")
+
+
+def _add_common(parser):
+    _add_tolerances(parser)
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
     parser.add_argument("--seed", type=_seed, default=0, help="seed for any sampling")
@@ -380,10 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=3)
     p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--output", default=None)
-    p_ver.add_argument("--tol-ode", type=float, default=None)
-    p_ver.add_argument("--tol-shoot", type=float, default=None)
-    p_ver.add_argument("--quad-nodes", type=int, default=None)
-    p_ver.add_argument("--fd-step", type=float, default=None)
+    _add_tolerances(p_ver)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="divergence values over a coordinate grid")

@@ -20,8 +20,10 @@ connections:
 
 All quadratures are fixed-order Gauss-Legendre on [0, 1]; each node requires
 its own two-point solve, so nodes are batched and solved as stacked systems.
-The weighted sum over the nodes is taken row by row, so a pair's value depends
-only on that pair and never on the rest of the batch or on the BLAS kernel.
+The weighted sum over the nodes is taken row by row, so a pair's value never
+depends on the BLAS kernel. On the closed-form routes it depends only on that
+pair; on the ODE routes a stacked system shares one adaptive step, so its last
+bits depend on the rest of the batch.
 
 `_divergence_many` decides in one place which pairs of a geodesic-integral
 kind are answered by the quadratic form d.g(p).d (halved for every kind but

@@ -9,10 +9,14 @@ diagonal and the two connections through mixed third derivatives:
 
 `recover_structure` estimates all three numerically and reports how well the
 diagonal identities hold (vanishing first derivatives; agreement of the three
-equivalent second-derivative expressions). Every stencil evaluation of the
-divergence is collected first and computed in one batch, so the integrator's
-error is highly correlated across the stencil and largely cancels in the
-differences.
+equivalent second-derivative expressions). It describes each estimate once,
+in one table: output array, indices, sign, and central-difference stencil per
+step level (`_stencil`). Every stencil evaluation is requested from the table,
+order by order and level by level, and computed in one batch, so the
+integrator's error is highly correlated across the stencil and largely cancels
+in the differences; the outputs are then filled from the same table. On the ODE
+routes batch-mates share one adaptive step, so the batch's make-up and order
+are part of the result.
 
 Derivative steps grow with the derivative order to balance truncation against
 cancellation noise; second and third derivatives use Richardson extrapolation
@@ -21,6 +25,7 @@ over the step pair (h, h/2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,14 +105,6 @@ class SymmetryProbeResult:
 # ---------------------------------------------------------------------------
 
 
-def _derivative_steps(cfg: ToleranceConfig):
-    """Step ladder per derivative order (calibrated on the builtin catalog)."""
-    h1 = cfg.fd_step
-    h2 = np.sqrt(cfg.fd_step)
-    h3 = 0.25 * cfg.fd_step ** (1.0 / 3.0)
-    return h1, h2, h3
-
-
 class _StencilEvaluator:
     """Collects divergence evaluations at offsets of (p, p), computes them in
     one batch, then serves them to the finite-difference assembly."""
@@ -151,16 +148,32 @@ def _unit(n, h, i):
     return e
 
 
-def _second_pattern(n, h, i, j):
-    """Offsets and weights of the central second-derivative stencil."""
-    if i == j:
-        e = _unit(n, h, i)
-        return [(e, 1.0), (np.zeros(n), -2.0), (-e, 1.0)], h * h
-    e, f = _unit(n, h, i), _unit(n, h, j)
-    return (
-        [(e + f, 1.0), (e - f, -1.0), (-e + f, -1.0), (-e - f, 1.0)],
-        4.0 * h * h,
-    )
+def _stencil(n, h, a, b):
+    """Central-difference stencil of d_a d'_b Div(p + x, p + y) at x = y = 0.
+
+    `a` and `b` name the first- and second-slot directions. The stencil is the
+    tensor product of one-dimensional central differences of step h, with the
+    slot that has fewer directions outermost (the first slot on a tie); a
+    direction named twice in one slot takes the second difference. Returns the
+    terms ((x, y), weight) in summation order and the denominator.
+    """
+
+    def slot(dirs):
+        terms, denom = [], 1.0
+        for d in dict.fromkeys(dirs):
+            e = _unit(n, h, d)
+            if dirs.count(d) == 2:
+                diff, width = [(e, 1.0), (np.zeros(n), -2.0), (-e, 1.0)], h * h
+            else:
+                diff, width = [(e, 1.0), (-e, -1.0)], 2.0 * h
+            terms = [(x + dx, w * dw) for x, w in terms for dx, dw in diff] if terms else diff
+            denom *= width
+        return terms or [(np.zeros(n), 1.0)], denom
+
+    (xs, da), (ys, db) = slot(a), slot(b)
+    if len(b) < len(a):
+        return [((x, y), wy * wx) for y, wy in ys for x, wx in xs], da * db
+    return [((x, y), wx * wy) for x, wx in xs for y, wy in ys], da * db
 
 
 def recover_structure(
@@ -177,117 +190,61 @@ def recover_structure(
     """
     model.require_inside(p)
     n = model.dim
-    h1, h2, h3 = _derivative_steps(cfg)
     stencil_cfg = cfg.with_(quad_nodes=min(cfg.quad_nodes, 8))
     ev = _StencilEvaluator(model, which, p.coords, stencil_cfg)
-    z = np.zeros(n)
 
-    def second_terms(h, i, j, slot):
-        pattern, denom = _second_pattern(n, h, i, j)
-        if slot == "first":
-            return [((da, z), wgt) for da, wgt in pattern], denom
-        return [((z, da), wgt) for da, wgt in pattern], denom
+    # The step ladder per derivative order (calibrated on the builtin catalog),
+    # with the Richardson pair (h, h/2) above the first order.
+    h2, h3 = np.sqrt(cfg.fd_step), 0.25 * cfg.fd_step ** (1.0 / 3.0)
+    steps = {1: (cfg.fd_step,), 2: (h2, h2 / 2.0), 3: (h3, h3 / 2.0)}
+    # The table of estimates, one group per derivative order: (output, the
+    # indices it fills, sign, its stencil at each step level).
+    groups = {1: [], 2: [], 3: []}
 
-    def mixed_terms(h, i, j):
-        e, f = _unit(n, h, i), _unit(n, h, j)
-        return (
-            [((e, f), 1.0), ((e, -f), -1.0), ((-e, f), -1.0), ((-e, -f), 1.0)],
-            4.0 * h * h,
-        )
+    def estimate(order, out, idx, sign, a, b):
+        groups[order].append((out, idx, sign, [_stencil(n, h, a, b) for h in steps[order]]))
 
-    def third_terms(h, i, j, k, primal_slot):
-        """d'_k (or d_k) of a second derivative in the other slot."""
-        ek = _unit(n, h, k)
-        pattern, denom = _second_pattern(n, h, i, j)
-        terms = []
-        for sign, db in ((1.0, ek), (-1.0, -ek)):
-            for da, wgt in pattern:
-                pair = (da, db) if primal_slot else (db, da)
-                terms.append((pair, sign * wgt))
-        return terms, denom * 2.0 * h
-
-    def first_terms(i):
-        e = _unit(n, h1, i)
-        return [
-            ("first", [((e, z), 1.0), ((-e, z), -1.0)], 2.0 * h1),
-            ("second", [((z, e), 1.0), ((z, -e), -1.0)], 2.0 * h1),
-        ]
-
-    # ---- request phase ---------------------------------------------------
-    jobs = []
+    first = np.zeros((n, 2))
+    metric, second_q, mixed = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    gamma, gamma_star = np.zeros((n, n, n)), np.zeros((n, n, n))
     for i in range(n):
-        for _, terms, denom in first_terms(i):
-            jobs.append((terms, denom))
-    for h in (h2, h2 / 2.0):
-        for i in range(n):
-            for j in range(i, n):
-                jobs.append(second_terms(h, i, j, "first"))
-                jobs.append(second_terms(h, i, j, "second"))
-                jobs.append(mixed_terms(h, i, j))
-                if i != j:
-                    jobs.append(mixed_terms(h, j, i))
-    for h in (h3, h3 / 2.0):
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    jobs.append(third_terms(h, i, j, k, True))
-                    jobs.append(third_terms(h, i, j, k, False))
-    for terms, _ in jobs:
-        for (da, db), _w in terms:
-            ev.request(da, db)
+        estimate(1, first, [(i, 0)], 1.0, (i,), ())
+        estimate(1, first, [(i, 1)], 1.0, (), (i,))
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        estimate(2, metric, [(i, j), (j, i)], 1.0, (i, j), ())
+        estimate(2, second_q, [(i, j), (j, i)], 1.0, (), (i, j))
+        for r, c in dict.fromkeys([(i, j), (j, i)]):
+            estimate(2, mixed, [(r, c)], 1.0, (r,), (c,))
+    for k in range(n):
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            estimate(3, gamma, [(i, j, k), (j, i, k)], -1.0, (i, j), (k,))
+            estimate(3, gamma_star, [(i, j, k), (j, i, k)], -1.0, (k,), (i, j))
+
+    # request level by level within each order, then assemble from the same table
+    for order, group in groups.items():
+        for level in range(len(steps[order])):
+            for *_, stencils in group:
+                for (x, y), _w in stencils[level][0]:
+                    ev.request(x, y)
     ev.compute()
 
     def apply(terms, denom):
-        return sum(w * ev.value(da, db) for (da, db), w in terms) / denom
+        return sum(w * ev.value(x, y) for (x, y), w in terms) / denom
 
-    def richardson(pair_fn):
-        coarse = apply(*pair_fn(0))
-        fine = apply(*pair_fn(1))
-        return (4.0 * fine - coarse) / 3.0
+    for group in groups.values():
+        for out, idx, sign, stencils in group:
+            est = [apply(*s) for s in stencils]
+            # Richardson extrapolation over the step pair (h, h/2)
+            val = est[0] if len(est) == 1 else (4.0 * est[1] - est[0]) / 3.0
+            for ix in idx:
+                out[ix] = sign * val
 
-    # ---- assembly ----------------------------------------------------------
-    first_res = 0.0
-    for i in range(n):
-        for _, terms, denom in first_terms(i):
-            first_res = max(first_res, abs(apply(terms, denom)))
-
-    metric = np.zeros((n, n))
-    second_q = np.zeros((n, n))
-    mixed = np.zeros((n, n))
-    steps2 = (h2, h2 / 2.0)
-    for i in range(n):
-        for j in range(i, n):
-            metric[i, j] = metric[j, i] = richardson(
-                lambda lv, i=i, j=j: second_terms(steps2[lv], i, j, "first")
-            )
-            second_q[i, j] = second_q[j, i] = richardson(
-                lambda lv, i=i, j=j: second_terms(steps2[lv], i, j, "second")
-            )
-            mixed[i, j] = richardson(lambda lv, i=i, j=j: mixed_terms(steps2[lv], i, j))
-            if i != j:
-                mixed[j, i] = richardson(
-                    lambda lv, i=i, j=j: mixed_terms(steps2[lv], j, i)
-                )
     mixed_res = max(np.abs(metric + mixed).max(), np.abs(metric - second_q).max())
-
-    gamma = np.zeros((n, n, n))
-    gamma_star = np.zeros((n, n, n))
-    steps3 = (h3, h3 / 2.0)
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                gamma[i, j, k] = gamma[j, i, k] = -richardson(
-                    lambda lv, i=i, j=j, k=k: third_terms(steps3[lv], i, j, k, True)
-                )
-                gamma_star[i, j, k] = gamma_star[j, i, k] = -richardson(
-                    lambda lv, i=i, j=j, k=k: third_terms(steps3[lv], i, j, k, False)
-                )
-
     return RecoveredStructure(
         metric=metric,
         gamma=gamma,
         gamma_star=gamma_star,
-        first_derivative_residual=float(first_res),
+        first_derivative_residual=float(np.abs(first).max()),
         mixed_identity_residual=float(mixed_res),
     )
 
@@ -344,14 +301,13 @@ def curvature_tensor(
     )
 
 
-def _lowered_curvature(model, p, R):
-    g = model.metric_at(p)
+def _lowered_curvature(g, R):
     # R_{ijkl} = g_{lm} R^m_{ijk}
     return np.einsum("lm,mijk->ijkl", g, R)
 
 
-def _nabla_curvature(model, kind, p, cfg, h):
-    """Covariant derivative of the curvature tensor, indexed (m, l, i, j, k)."""
+def _nabla_curvature(model, kind, p, cfg, h, R0):
+    """Covariant derivative of the curvature tensor R0 at p, indexed (m, l, i, j, k)."""
     n = model.dim
     x = p.coords
     dR = np.empty((n, n, n, n, n))
@@ -360,7 +316,6 @@ def _nabla_curvature(model, kind, p, cfg, h):
         Rp = curvature_tensor(model, kind, Point(x + e), cfg)
         Rm = curvature_tensor(model, kind, Point(x - e), cfg)
         dR[mdir] = (Rp - Rm) / (2.0 * h)
-    R0 = curvature_tensor(model, kind, p, cfg)
     G = _raised_gamma(model, x[None, :], kind)[0]  # [l, j, k] = Gamma^l_{jk}
     return (
         dR
@@ -402,10 +357,10 @@ def classify_manifold(
         R = curvature_tensor(model, ConnectionKind.PRIMAL, p, cfg)
         Rstar = curvature_tensor(model, ConnectionKind.DUAL, p, cfg)
         flatness = max(flatness, float(np.abs(R).max()), float(np.abs(Rstar).max()))
-        nabla = _nabla_curvature(model, ConnectionKind.PRIMAL, p, cfg, h_outer)
+        nabla = _nabla_curvature(model, ConnectionKind.PRIMAL, p, cfg, h_outer, R)
         nabla_res = max(nabla_res, float(np.abs(nabla).max()))
-        low = _lowered_curvature(model, p, R)
         g = model.metric_at(p)
+        low = _lowered_curvature(g, R)
         for _ in range(tangent_probes):
             Y = rng.standard_normal(n)
             X = rng.standard_normal(n)

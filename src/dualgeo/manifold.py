@@ -682,6 +682,8 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
 # catalog front door
 # ---------------------------------------------------------------------------
 
+MAX_DIM = 100  # keeps one point's n^3 symbol array at 8 MB
+
 _SCHEMAS = {
     "euclidean": {
         "params": "euclidean:<dim>",
@@ -736,6 +738,8 @@ def make_builtin(name: str, params: Sequence[float]) -> ManifoldModel:
         d = params[0]
         if not float(d).is_integer() or d < 1:
             raise InvalidModelSpec(f"dimension must be a positive integer, got {d!r}")
+        if d > MAX_DIM:
+            raise InvalidModelSpec(f"dimension must be at most {MAX_DIM}, got {d!r}")
         return int(d)
 
     if name == "euclidean":

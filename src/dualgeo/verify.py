@@ -35,7 +35,13 @@ from .divergence import (
     path_functional,
     pseudo_norm,
 )
-from .eguchi import classify_manifold, curvature_tensor, recover_structure, symmetry_probe
+from .eguchi import (
+    _lowered_curvature,
+    classify_manifold,
+    curvature_tensor,
+    recover_structure,
+    symmetry_probe,
+)
 from .errors import InvalidModelSpec
 from .geodesic import Curve
 from .manifold import ConnectionKind, ManifoldModel, Point, make_builtin
@@ -306,7 +312,7 @@ def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
         for p in pts:
             R = curvature_tensor(model, ConnectionKind.PRIMAL, p, cfg)
             g = model.metric_at(p)
-            low = np.einsum("lm,mijk->ijkl", g, R)
+            low = _lowered_curvature(g, R)
             for i, j in itertools.combinations(range(model.dim), 2):
                 K = low[i, j, j, i] / np.linalg.det(g[np.ix_([i, j], [i, j])])
                 worst = max(worst, abs(float(K) - 1.0 / sphere.radius**2))

@@ -167,6 +167,9 @@ def test_div_invalid_model_exit_2(capsys):
         ["div", "--model", "sphere:2:1e-200", "-p", "1,0", "-q", "1,1"],
         ["verify", "--model", "sphere:2:1e160", "--suite", "classification"],
         ["div", "--model", "sphere:2:1e160", "-p", "1,0", "-q", "1,1"],
+        ["div", "--model", "euclidean:1e9", "-p", "0", "-q", "1"],
+        ["div", "--model", "euclidean:1e300", "-p", "0", "-q", "1"],
+        ["div", "--model", "categorical:101", "-p", ",".join("0" * 101), "-q", ",".join("1" * 101)],
     ],
     ids=[
         "div-number",
@@ -188,6 +191,9 @@ def test_div_invalid_model_exit_2(capsys):
         "div-radius-square-underflows",
         "verify-radius-square-overflows",
         "div-radius-square-overflows",
+        "dimension-huge",
+        "dimension-overflows-numpy",
+        "dimension-above-bound",
     ],
 )
 def test_malformed_input_exits_2_with_message(capsys, argv):

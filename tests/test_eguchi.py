@@ -15,6 +15,7 @@ from dualgeo import (
     sample_points,
     symmetry_probe,
 )
+from dualgeo import eguchi
 from dualgeo.verify import run_suites
 
 P_KIND, D_KIND = ConnectionKind.PRIMAL, ConnectionKind.DUAL
@@ -156,3 +157,42 @@ def test_stencil_out_of_domain(models, cfg):
     edge = al.point([0.003, 0.3])  # valid point, but the stencil pokes outside
     with pytest.raises(StencilOutOfDomain):
         recover_structure(al, DivergenceKind.CANONICAL, edge, cfg)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "name,dim,kind,pairs",
+    [
+        ("categorical", 1, DivergenceKind.CANONICAL, 37),
+        ("categorical", 2, DivergenceKind.CANONICAL, 185),
+        ("euclidean", 3, DivergenceKind.AY, 541),
+    ],
+)
+def test_stencil_batch_make_up(monkeypatch, cfg, name, dim, kind, pairs):
+    # On the ODE routes batch-mates share one adaptive step, so the batch's
+    # distinct pairs and their order are part of every recovered value.
+    batches = []
+
+    def capture(self):
+        batches.append(list(self._requests))
+        raise _Captured
+
+    monkeypatch.setattr(eguchi._StencilEvaluator, "compute", capture)
+    model = make_builtin(name, [dim])
+    with pytest.raises(_Captured):
+        recover_structure(model, kind, Point(np.full(dim, 0.1)), cfg)
+    (keys,) = batches
+    assert len(keys) == pairs
+    # it opens with the first derivatives at fd_step: +e_i, -e_i in the first
+    # slot, then +e_i, -e_i in the second, direction by direction
+    z = np.zeros(dim)
+    expected = []
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = cfg.fd_step
+        expected += [(e, z), (-e, z), (z, e), (z, -e)]
+    rounded = [(tuple(np.round(x, 14)), tuple(np.round(y, 14))) for x, y in expected]
+    assert keys[: 4 * dim] == rounded
