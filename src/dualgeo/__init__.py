@@ -10,7 +10,6 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .divergence import (
     DivergenceKind,
     PathFunctionalResult,
-    PiFieldCache,
     ay_divergence,
     canonical_divergence,
     divergence_gradient,
@@ -70,7 +69,6 @@ __all__ = [
     "Curve",
     "DivergenceKind",
     "PathFunctionalResult",
-    "PiFieldCache",
     "RecoveredStructure",
     "ClassificationReport",
     "SymmetryProbeResult",

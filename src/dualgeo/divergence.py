@@ -20,6 +20,9 @@ connections:
 
 All quadratures are fixed-order Gauss-Legendre on [0, 1]; each node requires
 its own two-point solve, so nodes are batched and solved as stacked systems.
+Every computation runs batched over pairs; the single-pair functions are a
+batch of one: each divergence kind goes through `divergence_value` into
+`_divergence_many`, and `pi_field` into `_pi_many`, with no path of their own.
 The weighted sum over the nodes is taken row by row, so a pair's value never
 depends on the BLAS kernel. On the closed-form routes it depends only on that
 pair; on the ODE routes a stacked system shares one adaptive step, so its last
@@ -61,7 +64,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import OracleUnavailable, PointOutOfDomain, QuadratureFailure
 from .geodesic import (
-    BatchedCurves,
     Curve,
     _curves_from_initial,
     _flat_transport,
@@ -73,7 +75,6 @@ from .manifold import ConnectionKind, ManifoldModel, Point, Tangent
 __all__ = [
     "DivergenceKind",
     "PathFunctionalResult",
-    "PiFieldCache",
     "ay_divergence",
     "canonical_divergence",
     "dual_canonical_divergence",
@@ -106,18 +107,6 @@ class PathFunctionalResult:
     @property
     def sum(self) -> float:
         return self.primal_integral + self.dual_integral
-
-
-class PiFieldCache:
-    """Warm-start state for repeated pi_field calls along one path.
-
-    Holds the previous node's two log solutions; must not be shared across
-    concurrent evaluations.
-    """
-
-    def __init__(self):
-        self.v_primal: Optional[np.ndarray] = None
-        self.v_dual: Optional[np.ndarray] = None
 
 
 def _gauss_legendre(nodes: int):
@@ -159,19 +148,16 @@ def _pi_many(
     want_primal: bool = True,
     want_dual: bool = True,
     node_times: Optional[np.ndarray] = None,
-    v_init_primal: Optional[np.ndarray] = None,
-    v_init_dual: Optional[np.ndarray] = None,
 ):
     """Batched transported difference vectors at the targets.
 
     The primal field is the primal-transport, along the dual geodesic from
     base to target, of the primal log vector; the dual field swaps the roles.
     A connection with an affine chart transports as J(target)^{-1} J(base) V,
-    which needs no track geodesic. Returns (Pi, PiStar, Vp, Vd); unrequested
-    fields come back as None.
+    which needs no track geodesic. Returns (Pi, PiStar); an unrequested field
+    comes back as None.
     """
-    Pi = PiStar = None
-    Vp = Vd = None
+    Pi = PiStar = Vp = Vd = None
     primal_chart = model.affine_charts.get(ConnectionKind.PRIMAL)
     dual_chart = model.affine_charts.get(ConnectionKind.DUAL)
     # the primal log is needed for the primal field itself and, unless the dual
@@ -181,25 +167,9 @@ def _pi_many(
     need_vd = want_dual or (want_primal and primal_chart is None)
 
     if need_vp:
-        Vp, _ = _shoot_many(
-            model,
-            ConnectionKind.PRIMAL,
-            bases,
-            targets,
-            cfg,
-            v_init=v_init_primal,
-            node_times=node_times,
-        )
+        Vp, _ = _shoot_many(model, ConnectionKind.PRIMAL, bases, targets, cfg, node_times=node_times)
     if need_vd:
-        Vd, _ = _shoot_many(
-            model,
-            ConnectionKind.DUAL,
-            bases,
-            targets,
-            cfg,
-            v_init=v_init_dual,
-            node_times=node_times,
-        )
+        Vd, _ = _shoot_many(model, ConnectionKind.DUAL, bases, targets, cfg, node_times=node_times)
     if want_primal:
         if primal_chart is not None:
             Pi = _flat_transport(primal_chart, bases, targets, Vp)
@@ -212,7 +182,7 @@ def _pi_many(
         else:
             primal_curves = _curves_from_initial(model, ConnectionKind.PRIMAL, bases, Vp, cfg)
             PiStar = _transport_many(model, ConnectionKind.DUAL, primal_curves, Vd, cfg)
-    return Pi, PiStar, Vp, Vd
+    return Pi, PiStar
 
 
 def pi_field(
@@ -221,31 +191,11 @@ def pi_field(
     gamma: Curve,
     t: float,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    cache: Optional[PiFieldCache] = None,
 ):
-    """The pair of transported difference vectors at gamma(t), based there.
-
-    A PiFieldCache warm-starts the two shooting solves from the previous
-    node's solution when evaluating many nodes along one path.
-    """
+    """The pair of transported difference vectors at gamma(t), based there."""
     model.require_inside(p)
     x = np.atleast_1d(gamma.position(float(t)))
-    base = p.coords[None, :]
-    target = x[None, :]
-    vp0 = None if cache is None or cache.v_primal is None else cache.v_primal[None, :]
-    vd0 = None if cache is None or cache.v_dual is None else cache.v_dual[None, :]
-    Pi, PiStar, Vp, Vd = _pi_many(
-        model,
-        base,
-        target,
-        cfg,
-        v_init_primal=vp0,
-        v_init_dual=vd0,
-        node_times=np.array([t]),
-    )
-    if cache is not None:
-        cache.v_primal = Vp[0].copy()
-        cache.v_dual = Vd[0].copy()
+    Pi, PiStar = _pi_many(model, p.coords[None, :], x[None, :], cfg, node_times=np.array([t]))
     at = Point(x)
     return Tangent(at, Pi[0]), Tangent(at, PiStar[0])
 
@@ -255,7 +205,7 @@ def pi_field(
 # ---------------------------------------------------------------------------
 
 
-def _main_curves(model, kind, P, Q, cfg) -> BatchedCurves:
+def _main_curves(model, kind, P, Q, cfg) -> Curve:
     V, _ = _shoot_many(model, kind, P, Q, cfg)
     return _curves_from_initial(model, kind, P, V, cfg)
 
@@ -264,7 +214,7 @@ def _ay_many(model, P, Q, cfg) -> np.ndarray:
     n = P.shape[1]
     t_nodes, w = _gauss_legendre(cfg.quad_nodes)
     curves = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg)
-    xs, vs = curves.position_all(t_nodes), curves.velocity_all(t_nodes)  # (m, k, n)
+    xs, vs = curves.position(t_nodes), curves.velocity(t_nodes)  # (m, k, n)
     flat_x = xs.reshape(-1, n)
     speed2 = _metric_pairing(model, flat_x, vs.reshape(-1, n), vs.reshape(-1, n))
     speed2 = speed2.reshape(-1, t_nodes.shape[0])
@@ -278,11 +228,11 @@ def _canonical_many(model, P, Q, cfg) -> np.ndarray:
     t_nodes, w = _gauss_legendre(cfg.quad_nodes)
     k = t_nodes.shape[0]
     curves = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg)
-    xs, vs = curves.position_all(t_nodes), curves.velocity_all(t_nodes)  # (m, k, n)
+    xs, vs = curves.position(t_nodes), curves.velocity(t_nodes)  # (m, k, n)
     bases = np.repeat(P, k, axis=0)
     targets = xs.reshape(-1, n)
     times = np.tile(t_nodes, P.shape[0])
-    Pi, _, _, _ = _pi_many(
+    Pi, _ = _pi_many(
         model, bases, targets, cfg, want_primal=True, want_dual=False, node_times=times
     )
     integrand = _metric_pairing(model, targets, Pi, vs.reshape(-1, n)).reshape(-1, k)
@@ -358,50 +308,43 @@ def _evaluate_many(model, kind, P, Q, cfg) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def divergence_value(
+    model: ManifoldModel,
+    kind: DivergenceKind,
+    p: Point,
+    q: Point,
+    cfg: ToleranceConfig = DEFAULT_CONFIG,
+) -> float:
+    """Scalar divergence of any kind for one pair: a batch of one."""
+    return float(_divergence_many(model, kind, p.coords[None], q.coords[None], cfg)[0])
+
+
 def ay_divergence(
     model: ManifoldModel, p: Point, q: Point, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> float:
     """Time-weighted energy of the primal geodesic from p to q."""
-    return float(
-        _divergence_many(model, DivergenceKind.AY, p.coords[None], q.coords[None], cfg)[0]
-    )
+    return divergence_value(model, DivergenceKind.AY, p, q, cfg)
 
 
 def canonical_divergence(
-    model: ManifoldModel,
-    p: Point,
-    q: Point,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
+    model: ManifoldModel, p: Point, q: Point, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> float:
     """Line integral of the transported-difference field along the primal geodesic."""
-    return float(
-        _divergence_many(model, DivergenceKind.CANONICAL, p.coords[None], q.coords[None], cfg)[0]
-    )
+    return divergence_value(model, DivergenceKind.CANONICAL, p, q, cfg)
 
 
 def dual_canonical_divergence(
-    model: ManifoldModel,
-    p: Point,
-    q: Point,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
+    model: ManifoldModel, p: Point, q: Point, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> float:
     """The canonical construction applied to the manifold with connections swapped."""
-    return float(
-        _divergence_many(
-            model, DivergenceKind.CANONICAL_DUAL, p.coords[None], q.coords[None], cfg
-        )[0]
-    )
+    return divergence_value(model, DivergenceKind.CANONICAL_DUAL, p, q, cfg)
 
 
 def pseudo_norm(
     model: ManifoldModel, p: Point, q: Point, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> float:
     """Metric pairing at p of the primal and dual log vectors of q."""
-    return float(
-        _divergence_many(
-            model, DivergenceKind.PSEUDO_NORM, p.coords[None], q.coords[None], cfg
-        )[0]
-    )
+    return divergence_value(model, DivergenceKind.PSEUDO_NORM, p, q, cfg)
 
 
 def oracle_divergence(model: ManifoldModel, p: Point, q: Point) -> float:
@@ -443,7 +386,7 @@ def path_functional(
     vs = np.atleast_2d(gamma.velocity(t_nodes))
     _check_inside(model, xs, "path node")
     bases = np.repeat(p.coords[None, :], t_nodes.shape[0], axis=0)
-    Pi, PiStar, _, _ = _pi_many(model, bases, xs, cfg, node_times=t_nodes)
+    Pi, PiStar = _pi_many(model, bases, xs, cfg, node_times=t_nodes)
     primal = float((_metric_pairing(model, xs, Pi, vs) * w).sum())
     dual = float((_metric_pairing(model, xs, PiStar, vs) * w).sum())
     return PathFunctionalResult(primal_integral=primal, dual_integral=dual)
@@ -488,16 +431,3 @@ def divergence_gradient(
     model.require_inside(q)
     grads = _gradient_many(model, which, p.coords[None, :], q.coords[None, :], cfg)
     return Tangent(q, grads[0])
-
-
-def divergence_value(
-    model: ManifoldModel,
-    kind: DivergenceKind,
-    p: Point,
-    q: Point,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> float:
-    """Scalar divergence of any kind for one pair."""
-    return float(
-        _divergence_many(model, kind, p.coords[None], q.coords[None], cfg)[0]
-    )

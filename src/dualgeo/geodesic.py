@@ -12,10 +12,13 @@ of thousands of tiny ones:
 Each numerical piece has one copy. Both ODEs take their right-hand side from
 `_contract`, the raised symbol contraction -g^{-1} Gamma(u, w): at (v, v) for
 a geodesic, at (x', V) for a transported vector. Both are solved by `_rk45`.
-Curves, single (`Curve`) or batched (`BatchedCurves`), are dense samples on
-the uniform grid linspace(0, 1, grid), taken from the integrator's output and
-read between samples by one cubic Hermite interpolant (`_hermite_value`,
-`_hermite_slope`), at one time or a vector of times.
+One type, `Curve`, holds one path or a batch of them: dense samples of shape
+(..., grid, n) on the uniform grid linspace(0, 1, grid), read between samples
+by one cubic Hermite interpolant (`_hermite_value`, `_hermite_slope`), at one
+time or a vector of times. The single-item API is a view of the batched core:
+`integrate_geodesic` and `parallel_transport` hand their one curve to
+`_curves_from_initial` and `_transport_many`, which take leading axes, and
+`log_map` solves a batch of one.
 
 A connection for which the model supplies an affine chart (the chart where
 it is flat: the working chart for the model's `flat_kinds`, the Legendre chart
@@ -122,7 +125,11 @@ def _hermite_slope(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
 
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """A path t in [0, 1] -> M sampled on the uniform grid linspace(0, 1, len(ts)).
+    """Paths t in [0, 1] -> M sampled on the uniform grid linspace(0, 1, len(ts)).
+
+    `xs` and `vs` have shape (..., grid, n): one path, or a batch of paths in
+    leading axes that share the grid. A scalar t gives (..., n); a vector of
+    k times gives (..., k, n).
 
     `velocity` is the exact derivative of the position interpolant when no
     acceleration samples are stored (interpolated paths), and the Hermite
@@ -149,7 +156,7 @@ class Curve:
 
     @property
     def dim(self) -> int:
-        return self.xs.shape[1]
+        return self.xs.shape[-1]
 
     def position(self, t):
         return _hermite_value(self.ts, self.xs, self.vs, t)
@@ -165,16 +172,16 @@ class Curve:
         return _hermite_slope(self.ts, self.vs, self.accs, t)
 
     def start_point(self) -> Point:
-        return Point(self.xs[0].copy())
+        return Point(self.xs[..., 0, :].copy())
 
     def end_point(self) -> Point:
-        return Point(self.xs[-1].copy())
+        return Point(self.xs[..., -1, :].copy())
 
     def start_tangent(self) -> Tangent:
-        return Tangent(self.start_point(), self.vs[0].copy())
+        return Tangent(self.start_point(), self.vs[..., 0, :].copy())
 
     def end_tangent(self) -> Tangent:
-        return Tangent(self.end_point(), self.vs[-1].copy())
+        return Tangent(self.end_point(), self.vs[..., -1, :].copy())
 
     @staticmethod
     def from_waypoints(waypoints, grid: int = DEFAULT_CONFIG.curve_grid) -> "Curve":
@@ -215,36 +222,6 @@ class Curve:
             + w(d11) * M[cell + 1]
         )
         return Curve(ts=ts, xs=xs, vs=vs, accs=None, breaks=knots[1:-1].copy())
-
-
-class BatchedCurves:
-    """m curves sharing one uniform grid; a time, or a vector of k times, is
-    shared by every member and gives (m, n) or (m, k, n)."""
-
-    def __init__(self, ts, xs, vs, accs=None):
-        self.ts = ts
-        self.xs = xs  # (m, grid, n)
-        self.vs = vs
-        self.accs = accs
-
-    @property
-    def count(self) -> int:
-        return self.xs.shape[0]
-
-    def position_all(self, t):
-        return _hermite_value(self.ts, self.xs, self.vs, t)
-
-    def velocity_all(self, t):
-        if self.accs is None:
-            return _hermite_slope(self.ts, self.xs, self.vs, t)
-        return _hermite_value(self.ts, self.vs, self.accs, t)
-
-    def member(self, i: int) -> Curve:
-        acc = None if self.accs is None else self.accs[i].copy()
-        return Curve(ts=self.ts, xs=self.xs[i].copy(), vs=self.vs[i].copy(), accs=acc)
-
-    def endpoints(self) -> np.ndarray:
-        return self.xs[:, -1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +352,26 @@ def _grid(cfg: ToleranceConfig) -> np.ndarray:
     return np.linspace(0.0, 1.0, cfg.curve_grid)
 
 
-def _curves_from_initial(model, kind, X0, V0, cfg) -> BatchedCurves:
-    """Dense integration of m geodesics into batched curves; DomainExit when a
-    grid sample lies outside the domain."""
-    m, n = X0.shape
+def _curves_from_initial(model, kind, X0, V0, cfg) -> Curve:
+    """Dense integration of the geodesics with initial data X0, V0 of shape
+    (..., n) into curves of shape (..., grid, n); DomainExit when a grid
+    sample lies outside the domain."""
+    n = X0.shape[-1]
     ts = _grid(cfg)
-    states = _integrate_states(model, kind, X0, V0, cfg, ts)
+    shape = X0.shape[:-1] + (ts.shape[0], n)
+    states = _integrate_states(model, kind, X0.reshape(-1, n), V0.reshape(-1, n), cfg, ts)
     xs = np.swapaxes(states[:, :, :n], 0, 1).copy()
     vs = np.swapaxes(states[:, :, n:], 0, 1).copy()
     flat_x = xs.reshape(-1, n)
     inside = model.contains_batch(flat_x)
     if not inside.all():
-        bad = np.where(~inside.reshape(m, -1).all(axis=1))[0]
+        bad = np.where(~inside.reshape(xs.shape[0], -1).all(axis=1))[0]
         raise DomainExit(
             f"geodesic left the domain of {model.spec_string} "
             f"(members {bad[:8].tolist()})"
         )
-    accs = _geodesic_accel(model, kind, flat_x, vs.reshape(-1, n)).reshape(m, ts.shape[0], n)
-    return BatchedCurves(ts=ts, xs=xs, vs=vs, accs=accs)
+    accs = _geodesic_accel(model, kind, flat_x, vs.reshape(-1, n))
+    return Curve(ts=ts, xs=xs.reshape(shape), vs=vs.reshape(shape), accs=accs.reshape(shape))
 
 
 def integrate_geodesic(
@@ -406,8 +385,7 @@ def integrate_geodesic(
     model.require_inside(p)
     if not np.array_equal(v.base.coords, p.coords):
         raise BaseMismatch("initial velocity must be based at the initial point")
-    batch = _curves_from_initial(model, kind, p.coords[None, :], v.components[None, :], cfg)
-    return batch.member(0)
+    return _curves_from_initial(model, kind, p.coords, v.components, cfg)
 
 
 def exp_map(
@@ -463,7 +441,6 @@ def _shoot_many(
     P: np.ndarray,
     Q: np.ndarray,
     cfg: ToleranceConfig,
-    v_init: Optional[np.ndarray] = None,
     node_times: Optional[np.ndarray] = None,
 ):
     """Solve m two-point problems exp_{P_i}(v_i) = Q_i by Newton iteration,
@@ -486,7 +463,7 @@ def _shoot_many(
         return _from_affine_components(chart, P, dE), np.ones(m, dtype=bool)
 
     h = cfg.fd_step
-    v = _chart_log_guess(model, P, Q) if v_init is None else v_init.copy()
+    v = _chart_log_guess(model, P, Q)
     lam = np.ones(m)
     prev_err = np.full(m, np.inf)
     converged = np.zeros(m, dtype=bool)
@@ -572,7 +549,6 @@ def log_map(
     p: Point,
     q: Point,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    v_init: Optional[Tangent] = None,
 ) -> Tangent:
     """Initial velocity of the connection geodesic running from p to q in unit time.
 
@@ -582,10 +558,7 @@ def log_map(
     """
     model.require_inside(p)
     model.require_inside(q)
-    init = None if v_init is None else v_init.components[None, :]
-    V, _ = _shoot_many(
-        model, kind, p.coords[None, :], q.coords[None, :], cfg, v_init=init
-    )
+    V, _ = _shoot_many(model, kind, p.coords[None, :], q.coords[None, :], cfg)
     return Tangent(p, V[0])
 
 
@@ -597,22 +570,25 @@ def log_map(
 def _transport_many(
     model: ManifoldModel,
     kind: ConnectionKind,
-    curves: BatchedCurves,
+    curves: Curve,
     V0: np.ndarray,
     cfg: ToleranceConfig,
 ) -> np.ndarray:
-    """Transport V0[i] along curves[i] under the chosen connection; returns (m, n)."""
-    m, n = V0.shape
+    """Transport each vector of V0, shape (..., n), along its curve (shape
+    (..., grid, n)) under the chosen connection; returns V0's shape."""
+    n = V0.shape[-1]
+    V = V0.reshape(-1, n)
     chart = model.affine_charts.get(kind)
     if chart is not None:
-        return _flat_transport(chart, curves.xs[:, 0, :], curves.xs[:, -1, :], V0)
+        X0, X1 = curves.xs[..., 0, :].reshape(V.shape), curves.xs[..., -1, :].reshape(V.shape)
+        return _flat_transport(chart, X0, X1, V).reshape(V0.shape)
 
     def rhs(t, y):
-        x = curves.position_all(float(t))
-        xd = curves.velocity_all(float(t))
-        return _contract(model, kind, x, xd, y.reshape(m, n)).ravel()
+        x = curves.position(float(t)).reshape(V.shape)
+        xd = curves.velocity(float(t)).reshape(V.shape)
+        return _contract(model, kind, x, xd, y.reshape(V.shape)).ravel()
 
-    return _rk45(rhs, V0.ravel(), np.array([1.0]), cfg, "parallel transport").reshape(m, n)
+    return _rk45(rhs, V.ravel(), np.array([1.0]), cfg, "parallel transport").reshape(V0.shape)
 
 
 def parallel_transport(
@@ -625,11 +601,5 @@ def parallel_transport(
     """Solution at t = 1 of the transport equation for v along the curve."""
     if not np.allclose(v.base.coords, curve.xs[0], rtol=0.0, atol=1e-12):
         raise BaseMismatch("transported vector must be based at the curve start")
-    batch = BatchedCurves(
-        ts=curve.ts,
-        xs=curve.xs[None, :, :],
-        vs=curve.vs[None, :, :],
-        accs=None if curve.accs is None else curve.accs[None, :, :],
-    )
-    out = _transport_many(model, kind, batch, v.components[None, :], cfg)
-    return Tangent(curve.end_point(), out[0])
+    out = _transport_many(model, kind, curve, v.components, cfg)
+    return Tangent(curve.end_point(), out)

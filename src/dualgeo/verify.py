@@ -190,17 +190,17 @@ def suite_gradient(model, samples, rng, cfg) -> List[CheckRecord]:
     """Gradient identity for the pseudo-norm and the orthogonal decompositions."""
     P, Q = sample_pairs(model, samples, rng, shrink=0.8)
     g = model.metric_batch(Q)
-    Pi, PiStar, _, _ = _pi_many(model, P, Q, cfg)
+    Pi, PiStar = _pi_many(model, P, Q, cfg)
     grad_r = _gradient_many(model, DivergenceKind.PSEUDO_NORM, P, Q, cfg)
     ident_err = float(_norms(g, Pi + PiStar - grad_r).max())
 
-    sig_dot = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg).velocity_all(1.0)
+    sig_dot = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg).velocity(1.0)
     grad_D = _gradient_many(model, DivergenceKind.CANONICAL, P, Q, cfg)
     num = np.abs(_pairing(g, Pi - grad_D, sig_dot))
     den = np.maximum(_norms(g, Pi) * _norms(g, sig_dot), 1e-30)
     orth_p_err = float((num / den).max())
 
-    sig_star_dot = _main_curves(model, ConnectionKind.DUAL, P, Q, cfg).velocity_all(1.0)
+    sig_star_dot = _main_curves(model, ConnectionKind.DUAL, P, Q, cfg).velocity(1.0)
     grad_Dstar = _gradient_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
     num = np.abs(_pairing(g, PiStar - grad_Dstar, sig_star_dot))
     den = np.maximum(_norms(g, PiStar) * _norms(g, sig_star_dot), 1e-30)

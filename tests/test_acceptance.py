@@ -119,7 +119,7 @@ def test_criterion_5_gradient_identity(models):
     for name in ALL:
         model = models[name]
         P, Q = sample_pairs(model, 20, rng_for(5), shrink=0.8)
-        Pi, PiStar, _, _ = _pi_many(model, P, Q, CFG)
+        Pi, PiStar = _pi_many(model, P, Q, CFG)
         grad_r = _gradient_many(model, DivergenceKind.PSEUDO_NORM, P, Q, CFG)
         g = model.metric_batch(Q)
         worst = max(worst, float(norms(g, Pi + PiStar - grad_r).max()))
@@ -133,13 +133,13 @@ def test_criterion_6_orthogonal_decomposition(models):
         model = models[name]
         P, Q = sample_pairs(model, 20, rng_for(6), shrink=0.8)
         g = model.metric_batch(Q)
-        Pi, PiStar, _, _ = _pi_many(model, P, Q, CFG)
-        sig_dot = _main_curves(model, ConnectionKind.PRIMAL, P, Q, CFG).velocity_all(1.0)
+        Pi, PiStar = _pi_many(model, P, Q, CFG)
+        sig_dot = _main_curves(model, ConnectionKind.PRIMAL, P, Q, CFG).velocity(1.0)
         grad_D = _gradient_many(model, DivergenceKind.CANONICAL, P, Q, CFG)
         num = np.abs(pairing(g, Pi - grad_D, sig_dot))
         den = np.maximum(norms(g, Pi) * norms(g, sig_dot), 1e-30)
         orth_worst = max(orth_worst, float((num / den).max()))
-        sig_star_dot = _main_curves(model, ConnectionKind.DUAL, P, Q, CFG).velocity_all(1.0)
+        sig_star_dot = _main_curves(model, ConnectionKind.DUAL, P, Q, CFG).velocity(1.0)
         grad_Ds = _gradient_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, CFG)
         num = np.abs(pairing(g, PiStar - grad_Ds, sig_star_dot))
         den = np.maximum(norms(g, PiStar) * norms(g, sig_star_dot), 1e-30)

@@ -11,7 +11,6 @@ from dualgeo import (
     DivergenceKind,
     DomainExit,
     OracleUnavailable,
-    PiFieldCache,
     Point,
     PointOutOfDomain,
     ay_divergence,
@@ -170,19 +169,6 @@ def test_pi_field_zero_at_base(models, cfg):
     a, b = pi_field(sp, p, gamma, 0.0, cfg)
     assert np.abs(a.components).max() < 1e-9
     assert np.abs(b.components).max() < 1e-9
-
-
-def test_pi_field_warm_cache_matches_cold(models, cfg):
-    al = models["alpha_categorical"]
-    p = al.point([0.25, 0.3])
-    v = al.tangent(p, [0.15, -0.05])
-    gamma = integrate_geodesic(al, ConnectionKind.PRIMAL, p, v, cfg)
-    cache = PiFieldCache()
-    for t in (0.2, 0.4, 0.6, 0.8):
-        warm_a, warm_b = pi_field(al, p, gamma, t, cfg, cache=cache)
-        cold_a, cold_b = pi_field(al, p, gamma, t, cfg)
-        assert np.abs(warm_a.components - cold_a.components).max() <= cfg.shoot_tol
-        assert np.abs(warm_b.components - cold_b.components).max() <= cfg.shoot_tol
 
 
 def test_path_functional_constant_path(models, cfg):

@@ -22,7 +22,7 @@ from dualgeo import (
     parse_model_spec,
     sample_pairs,
 )
-from dualgeo.geodesic import BatchedCurves, _curves_from_initial, _shoot_many, _transport_many
+from dualgeo.geodesic import _curves_from_initial, _shoot_many, _transport_many
 
 P_KIND, D_KIND = ConnectionKind.PRIMAL, ConnectionKind.DUAL
 KINDS = [P_KIND, D_KIND]
@@ -114,7 +114,7 @@ def test_log_exp_round_trip(models, cfg, rng, name, kind):
     V, ok = _shoot_many(model, kind, P, Q, cfg)
     assert ok.all()
     V = V * rng.uniform(0.2, 1.0, (100, 1))
-    ends = _curves_from_initial(model, kind, P, V, cfg).endpoints()
+    ends = _curves_from_initial(model, kind, P, V, cfg).xs[:, -1, :]
     V_back, ok = _shoot_many(model, kind, P, ends, cfg)
     assert ok.all()
     assert np.abs(V_back - V).max() <= 10 * cfg.shoot_tol
@@ -129,7 +129,7 @@ def test_self_dual_transport_preserves_norm(models, cfg, rng, name):
     U0 = rng.standard_normal((20, model.dim))
     U1 = _transport_many(model, P_KIND, curves, U0, cfg)
     g0 = model.metric_batch(P)
-    g1 = model.metric_batch(curves.endpoints())
+    g1 = model.metric_batch(curves.xs[:, -1, :])
     n0 = np.einsum("mi,mij,mj->m", U0, g0, U0)
     n1 = np.einsum("mi,mij,mj->m", U1, g1, U1)
     assert np.abs(np.sqrt(n1) - np.sqrt(n0)).max() <= 1e-8
@@ -147,7 +147,7 @@ def test_dual_transports_preserve_pairing(models, cfg, rng, name):
     U1 = _transport_many(model, P_KIND, curves, U0, cfg)
     W1 = _transport_many(model, D_KIND, curves, W0, cfg)
     g0 = model.metric_batch(P)
-    g1 = model.metric_batch(curves.endpoints())
+    g1 = model.metric_batch(curves.xs[:, -1, :])
     pair0 = np.einsum("mi,mij,mj->m", U0, g0, W0)
     pair1 = np.einsum("mi,mij,mj->m", U1, g1, W1)
     assert np.abs(pair1 - pair0).max() <= 1e-8
@@ -295,9 +295,11 @@ def test_batched_curves_member_round_trip(models, cfg, rng):
     P, Q = sample_pairs(model, 4, rng)
     V, _ = _shoot_many(model, P_KIND, P, Q, cfg)
     batch = _curves_from_initial(model, P_KIND, P, V, cfg)
-    single = batch.member(2)
+    assert batch.xs.shape == (4, cfg.curve_grid, 2) and batch.dim == 2
+    single = Curve(ts=batch.ts, xs=batch.xs[2], vs=batch.vs[2], accs=batch.accs[2])
     ts = np.linspace(0, 1, 5)
-    assert np.abs(single.position(ts) - np.stack([batch.position_all(t)[2] for t in ts])).max() < 1e-14
+    assert np.abs(single.position(ts) - np.stack([batch.position(t)[2] for t in ts])).max() < 1e-14
+    assert np.array_equal(single.velocity(ts), batch.velocity(ts)[2])
 
 
 def test_curve_rejects_a_non_uniform_grid():
@@ -313,10 +315,10 @@ def test_batched_curves_at_a_vector_of_times_stack_the_single_times(models, cfg,
     P, Q = sample_pairs(model, 3, rng)
     V, _ = _shoot_many(model, P_KIND, P, Q, cfg)
     integrated = _curves_from_initial(model, P_KIND, P, V, cfg)
-    interpolated = BatchedCurves(ts=integrated.ts, xs=integrated.xs, vs=integrated.vs)
+    interpolated = Curve(ts=integrated.ts, xs=integrated.xs, vs=integrated.vs)
     ts = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
     for batch in (integrated, interpolated):
-        for at in (batch.position_all, batch.velocity_all):
+        for at in (batch.position, batch.velocity):
             assert np.array_equal(at(ts), np.stack([at(t) for t in ts], axis=1))
 
 
