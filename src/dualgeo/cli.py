@@ -50,9 +50,15 @@ def _csv_line(fields) -> str:
 
 
 class _Output:
+    """The --output file, or stdout. Commands open it before they compute, so
+    a path that cannot be opened is bad input, found before any work."""
+
     def __init__(self, path: Optional[str]):
         self.path = path
-        self._fh = open(path, "w", newline="") if path else sys.stdout
+        try:
+            self._fh = open(path, "w", newline="") if path else sys.stdout
+        except OSError as exc:
+            raise InvalidModelSpec(f"cannot open --output {path!r}: {exc.strerror}") from None
 
     def write(self, text: str):
         self._fh.write(text)
@@ -189,9 +195,8 @@ def cmd_div(args) -> int:
     if len(ps) != len(qs):
         raise InvalidModelSpec("-p and -q must be given equally often (or one -p for many -q)")
 
-    values, oks = _pool_map(model, [kind], np.array(ps), np.array(qs), cfg)
-
     out = _Output(args.output)
+    values, oks = _pool_map(model, [kind], np.array(ps), np.array(qs), cfg)
     if args.format == "csv":
         out.write(_csv_line(["kind", "p", "q", "value", "quad_nodes", "converged"]))
     for p, q, (val,), ok in zip(ps, qs, values.tolist(), oks.tolist()):
@@ -231,10 +236,9 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         raise InvalidModelSpec("verify needs at least 1 sample")
     models = [_load_model(args.model)] if args.model else default_models()
-    report = run_suites(models, args.suite, samples=args.samples, seed=args.seed, cfg=cfg)
-    doc = json.dumps(report.to_dict(), indent=2) + "\n"
     out = _Output(args.output)
-    out.write(doc)
+    report = run_suites(models, args.suite, samples=args.samples, seed=args.seed, cfg=cfg)
+    out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     out.close()
     print(f"suite {args.suite}: {'pass' if report.passed else 'FAIL'} "
           f"in {report.duration:.1f}s", file=sys.stderr)
@@ -270,10 +274,9 @@ def cmd_sweep(args) -> int:
     mesh = np.meshgrid(*axes, indexing="ij")
     Q = np.stack([m.ravel() for m in mesh], axis=1)
 
+    out = _Output(args.output)
     values, oks = _pool_map(model, kinds, np.repeat(p[None, :], Q.shape[0], axis=0), Q, cfg)
     rows = list(zip(Q, values.tolist(), oks.tolist()))
-
-    out = _Output(args.output)
     if args.format == "csv":
         header = [f"q{i+1}" for i in range(model.dim)] + list(args.kind) + ["converged"]
         out.write(_csv_line(header))
@@ -301,9 +304,8 @@ def cmd_probe_f(args) -> int:
     else:
         p = Point(sample_points(model, 1, rng, shrink=0.6)[0])
     qs = [Point(x) for x in sample_points(model, args.samples, rng, shrink=0.85)]
-    res = symmetry_probe(model, p, qs, cfg)
-
     out = _Output(args.output)
+    res = symmetry_probe(model, p, qs, cfg)
     if args.format == "csv":
         out.write(_csv_line(["index", "dual_divergence", "reversed_divergence"]))
         for i, (d, r) in enumerate(res.pairs):

@@ -170,6 +170,14 @@ def test_div_invalid_model_exit_2(capsys):
         ["div", "--model", "euclidean:1e9", "-p", "0", "-q", "1"],
         ["div", "--model", "euclidean:1e300", "-p", "0", "-q", "1"],
         ["div", "--model", "categorical:101", "-p", ",".join("0" * 101), "-q", ",".join("1" * 101)],
+        ["div", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0", "-q", "3,4",
+         "--output", "/nonexistent/x.csv"],
+        ["div", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0", "-q", "3,4",
+         "--output", "."],
+        ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0", "--grid", "0:1:2,0:1:2",
+         "--output", "/nonexistent/x.csv"],
+        ["probe-f", "--model", "euclidean:2", "--samples", "10", "--output", "."],
+        ["verify", "--output", "/nonexistent/x.json"],
     ],
     ids=[
         "div-number",
@@ -194,6 +202,11 @@ def test_div_invalid_model_exit_2(capsys):
         "dimension-huge",
         "dimension-overflows-numpy",
         "dimension-above-bound",
+        "div-output-missing-directory",
+        "div-output-is-a-directory",
+        "sweep-output-missing-directory",
+        "probe-f-output-is-a-directory",
+        "verify-output-missing-directory",
     ],
 )
 def test_malformed_input_exits_2_with_message(capsys, argv):
