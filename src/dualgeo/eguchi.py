@@ -118,7 +118,9 @@ class _StencilEvaluator:
         self._values = None
 
     def _key(self, da, db):
-        return (tuple(np.round(da, 14)), tuple(np.round(db, 14)))
+        # every offset coordinate is exactly +-h or 0, so the offsets key
+        # themselves: rounding would merge points at a tiny step and move them
+        return (tuple(da.tolist()), tuple(db.tolist()))
 
     def request(self, da, db):
         key = self._key(da, db)

@@ -164,16 +164,26 @@ class _Captured(Exception):
 
 
 @pytest.mark.parametrize(
-    "name,dim,kind,pairs",
+    "name,dim,kind,pairs,fd_step",
     [
-        ("categorical", 1, DivergenceKind.CANONICAL, 37),
-        ("categorical", 2, DivergenceKind.CANONICAL, 185),
-        ("euclidean", 3, DivergenceKind.AY, 541),
+        ("categorical", 1, DivergenceKind.CANONICAL, 37, None),
+        ("categorical", 2, DivergenceKind.CANONICAL, 185, None),
+        ("euclidean", 3, DivergenceKind.AY, 541, None),
+        ("categorical", 1, DivergenceKind.CANONICAL, 37, 1e-15),
+    ],
+    ids=[
+        "categorical-1-DivergenceKind.CANONICAL-37",
+        "categorical-2-DivergenceKind.CANONICAL-185",
+        "euclidean-3-DivergenceKind.AY-541",
+        "categorical-1-DivergenceKind.CANONICAL-37-fd_step-1e-15",
     ],
 )
-def test_stencil_batch_make_up(monkeypatch, cfg, name, dim, kind, pairs):
+def test_stencil_batch_make_up(monkeypatch, cfg, name, dim, kind, pairs, fd_step):
     # On the ODE routes batch-mates share one adaptive step, so the batch's
-    # distinct pairs and their order are part of every recovered value.
+    # distinct pairs and their order are part of every recovered value. Keys
+    # are the exact offsets: a step of 1e-15 keeps all its points apart.
+    if fd_step is not None:
+        cfg = cfg.with_(fd_step=fd_step)
     batches = []
 
     def capture(self):
@@ -194,5 +204,4 @@ def test_stencil_batch_make_up(monkeypatch, cfg, name, dim, kind, pairs):
         e = np.zeros(dim)
         e[i] = cfg.fd_step
         expected += [(e, z), (-e, z), (z, e), (z, -e)]
-    rounded = [(tuple(np.round(x, 14)), tuple(np.round(y, 14))) for x, y in expected]
-    assert keys[: 4 * dim] == rounded
+    assert keys[: 4 * dim] == [(tuple(x), tuple(y)) for x, y in expected]
