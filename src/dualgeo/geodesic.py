@@ -204,23 +204,8 @@ class Curve:
         G = (K - 1) * per_cell + 1
         ts = np.linspace(0.0, 1.0, G)
         knots = np.linspace(0.0, 1.0, K)
-        cell = np.clip((ts * (K - 1)).astype(int), 0, K - 2)
-        s = (ts - knots[cell]) / du
-        h00, h10, h01, h11 = _hermite_weights(s)
-        d00, d10, d01, d11 = _hermite_dweights(s)
-        w = lambda a: a[:, None]  # noqa: E731
-        xs = (
-            w(h00) * W[cell]
-            + w(h10) * du * M[cell]
-            + w(h01) * W[cell + 1]
-            + w(h11) * du * M[cell + 1]
-        )
-        vs = (
-            w(d00) * W[cell] / du
-            + w(d10) * M[cell]
-            + w(d01) * W[cell + 1] / du
-            + w(d11) * M[cell + 1]
-        )
+        xs = _hermite_value(knots, W, M, ts)
+        vs = _hermite_slope(knots, W, M, ts)
         return Curve(ts=ts, xs=xs, vs=vs, accs=None, breaks=knots[1:-1].copy())
 
 
