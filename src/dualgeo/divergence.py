@@ -20,9 +20,11 @@ connections:
 
 All quadratures are fixed-order Gauss-Legendre on [0, 1]; each node requires
 its own two-point solve, so nodes are batched and solved as stacked systems.
-Every computation runs batched over pairs; the single-pair functions are a
-batch of one: each divergence kind goes through `divergence_value` into
-`_divergence_many`, and `pi_field` into `_pi_many`, with no path of their own.
+Every computation runs batched; each public function is a batch of one, with
+no path of its own: each divergence kind goes through `divergence_value` into
+`_divergence_many`, `pi_field` into `_pi_many`, `path_functional` into
+`_path_functional_many` (paths of shape (..., grid, n), all their nodes in one
+`_pi_many` call) and `divergence_gradient` into `_gradient_many`.
 The weighted sum over the nodes is taken row by row, so a pair's value never
 depends on the BLAS kernel. On the closed-form routes it depends only on that
 pair; on the ODE routes a stacked system shares one adaptive step, so its last
@@ -65,6 +67,7 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import OracleUnavailable, PointOutOfDomain, QuadratureFailure
 from .geodesic import (
     Curve,
+    _central_stencil,
     _curves_from_initial,
     _flat_transport,
     _shoot_many,
@@ -368,6 +371,28 @@ def _piecewise_nodes(cfg: ToleranceConfig, breaks) -> tuple:
     return np.concatenate(ts), np.concatenate(ws)
 
 
+def _path_functional_many(model: ManifoldModel, P: np.ndarray, paths: Curve, cfg: ToleranceConfig):
+    """Both line integrals of (Pi, Pi*) along paths of shape (..., grid, n),
+    from base points P that broadcast to (..., n); two arrays of shape (...).
+
+    All paths' quadrature nodes go through one `_pi_many` call, and each
+    path's weighted sum is taken on its own row.
+    """
+    n = paths.dim
+    t_nodes, w = _piecewise_nodes(cfg, paths.breaks)
+    xs = paths.position(t_nodes)  # (..., k, n)
+    vs = paths.velocity(t_nodes).reshape(-1, n)
+    bases = np.broadcast_to(P[..., None, :], xs.shape).reshape(-1, n)
+    xs = xs.reshape(bases.shape)
+    _check_inside(model, xs, "path node")
+    times = np.tile(t_nodes, bases.shape[0] // t_nodes.shape[0])
+    Pi, PiStar = _pi_many(model, bases, xs, cfg, node_times=times)
+    shape = paths.xs.shape[:-2] + t_nodes.shape
+    primal = (_metric_pairing(model, xs, Pi, vs).reshape(shape) * w).sum(axis=-1)
+    dual = (_metric_pairing(model, xs, PiStar, vs).reshape(shape) * w).sum(axis=-1)
+    return primal, dual
+
+
 def path_functional(
     model: ManifoldModel,
     p: Point,
@@ -380,16 +405,8 @@ def path_functional(
     (p, gamma(1)); the integrals are taken against gamma's own velocity.
     """
     model.require_inside(p)
-    n = p.dim
-    t_nodes, w = _piecewise_nodes(cfg, gamma.breaks)
-    xs = np.atleast_2d(gamma.position(t_nodes))
-    vs = np.atleast_2d(gamma.velocity(t_nodes))
-    _check_inside(model, xs, "path node")
-    bases = np.repeat(p.coords[None, :], t_nodes.shape[0], axis=0)
-    Pi, PiStar = _pi_many(model, bases, xs, cfg, node_times=t_nodes)
-    primal = float((_metric_pairing(model, xs, Pi, vs) * w).sum())
-    dual = float((_metric_pairing(model, xs, PiStar, vs) * w).sum())
-    return PathFunctionalResult(primal_integral=primal, dual_integral=dual)
+    primal, dual = _path_functional_many(model, p.coords, gamma, cfg)
+    return PathFunctionalResult(primal_integral=float(primal), dual_integral=float(dual))
 
 
 def _gradient_many(
@@ -401,15 +418,10 @@ def _gradient_many(
 ) -> np.ndarray:
     """Riemannian gradients in the second slot for m pairs, one batched call."""
     m, n = Q.shape
-    h = cfg.fd_step
-    stencil = np.repeat(Q[:, None, :], 2 * n, axis=1)
-    for j in range(n):
-        stencil[:, 2 * j, j] += h
-        stencil[:, 2 * j + 1, j] -= h
+    stencil, difference = _central_stencil(Q, cfg.fd_step)
     bases = np.repeat(P, 2 * n, axis=0)
     vals = _divergence_many(model, which, bases, stencil.reshape(-1, n), cfg)
-    vals = vals.reshape(m, 2 * n)
-    cov = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)
+    cov = difference(vals.reshape(m, n, 2))
     g = model.metric_batch(Q)
     return np.linalg.solve(g, cov[..., None])[..., 0]
 

@@ -21,6 +21,12 @@ are part of the result.
 Derivative steps grow with the derivative order to balance truncation against
 cancellation noise; second and third derivatives use Richardson extrapolation
 over the step pair (h, h/2).
+
+Curvature is batched over points: `_curvature_many` takes the raised symbols
+at the points and at their central-difference stencil in one evaluation, and
+`curvature_tensor` is a batch of one. `classify_manifold` makes one call per
+quantity for all its sample points, the covariant derivative of the curvature
+included (one call at the outer stencil of every point).
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .divergence import DivergenceKind, _divergence_many
+from .divergence import DivergenceKind, _check_inside, _divergence_many
 from .errors import QuadratureFailure, ShootingNoConvergence, StencilOutOfDomain
+from .geodesic import _central_stencil
 from .manifold import ConnectionKind, ManifoldModel, Point
 
 __all__ = [
@@ -144,12 +151,6 @@ class _StencilEvaluator:
         return self._values[self._key(da, db)]
 
 
-def _unit(n, h, i):
-    e = np.zeros(n)
-    e[i] = h
-    return e
-
-
 def _stencil(n, h, a, b):
     """Central-difference stencil of d_a d'_b Div(p + x, p + y) at x = y = 0.
 
@@ -163,7 +164,7 @@ def _stencil(n, h, a, b):
     def slot(dirs):
         terms, denom = [], 1.0
         for d in dict.fromkeys(dirs):
-            e = _unit(n, h, d)
+            e = h * np.eye(n)[d]
             if dirs.count(d) == 2:
                 diff, width = [(e, 1.0), (np.zeros(n), -2.0), (-e, 1.0)], h * h
             else:
@@ -263,6 +264,29 @@ def _raised_gamma(model, X, kind):
     return np.einsum("mls,mjks->mljk", ginv, G)
 
 
+def _curvature_many(model, kind, X, h) -> np.ndarray:
+    """Coordinate curvature tensors R^l_{ijk} at points X of shape (m, n),
+    indexed (m, l, i, j, k), from one batched evaluation of the raised symbols
+    at the points and their central-difference stencil of step h."""
+    _check_inside(model, X, "curvature point")
+    m, n = X.shape
+    stencil, difference = _central_stencil(X, h)
+    if not model.contains_batch(stencil.reshape(-1, n)).all():
+        raise StencilOutOfDomain(
+            f"curvature stencil around {X!r} leaves the domain of {model.spec_string}"
+        )
+    raised = _raised_gamma(model, np.concatenate([stencil.reshape(-1, n), X]), kind)
+    dG = difference(raised[:-m].reshape(m, n, 2, n, n, n))  # [m, i, l, j, k] = d_i Gamma^l_{jk}
+    G0 = raised[-m:]
+    # R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{ia} G^a_{jk} - G^l_{ja} G^a_{ik}
+    return (
+        np.einsum("xiljk->xlijk", dG)
+        - np.einsum("xjlik->xlijk", dG)
+        + np.einsum("xlia,xajk->xlijk", G0, G0)
+        - np.einsum("xlja,xaik->xlijk", G0, G0)
+    )
+
+
 def curvature_tensor(
     model: ManifoldModel,
     kind: ConnectionKind,
@@ -273,58 +297,32 @@ def curvature_tensor(
 
     R(e_i, e_j) e_k = R^l_{ijk} e_l, with derivative terms by central finite
     differences of step cfg.fd_step on the raised symbols; antisymmetric in
-    (i, j).
+    (i, j). A batch of one.
     """
     model.require_inside(p)
-    n = model.dim
-    h = cfg.fd_step
-    x = p.coords
-    stencil = []
-    for i in range(n):
-        e = _unit(n, h, i)
-        stencil.extend([x + e, x - e])
-    stencil.append(x)
-    X = np.array(stencil)
-    if not model.contains_batch(X).all():
-        raise StencilOutOfDomain(
-            f"curvature stencil around {x!r} leaves the domain of {model.spec_string}"
-        )
-    raised = _raised_gamma(model, X, kind)  # (2n+1, l, j, k)
-    dG = np.empty((n, n, n, n))  # [i, l, j, k] = d_i Gamma^l_{jk}
-    for i in range(n):
-        dG[i] = (raised[2 * i] - raised[2 * i + 1]) / (2.0 * h)
-    G0 = raised[-1]
-    # R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}
-    return (
-        np.einsum("iljk->lijk", dG)
-        - np.einsum("jlik->lijk", dG)
-        + np.einsum("lim,mjk->lijk", G0, G0)
-        - np.einsum("ljm,mik->lijk", G0, G0)
-    )
+    return _curvature_many(model, kind, p.coords[None, :], cfg.fd_step)[0]
 
 
 def _lowered_curvature(g, R):
-    # R_{ijkl} = g_{lm} R^m_{ijk}
-    return np.einsum("lm,mijk->ijkl", g, R)
+    # R_{ijkl} = g_{lm} R^m_{ijk}, over leading batch axes
+    return np.einsum("...lm,...mijk->...ijkl", g, R)
 
 
-def _nabla_curvature(model, kind, p, cfg, h, R0):
-    """Covariant derivative of the curvature tensor R0 at p, indexed (m, l, i, j, k)."""
-    n = model.dim
-    x = p.coords
-    dR = np.empty((n, n, n, n, n))
-    for mdir in range(n):
-        e = _unit(n, h, mdir)
-        Rp = curvature_tensor(model, kind, Point(x + e), cfg)
-        Rm = curvature_tensor(model, kind, Point(x - e), cfg)
-        dR[mdir] = (Rp - Rm) / (2.0 * h)
-    G = _raised_gamma(model, x[None, :], kind)[0]  # [l, j, k] = Gamma^l_{jk}
+def _nabla_curvature(model, kind, X, cfg, h, R0):
+    """Covariant derivatives of the curvature tensors R0 at points X, indexed
+    (x, m, l, i, j, k), with the derivative terms by central differences of
+    step h on the curvature."""
+    m, n = X.shape
+    stencil, difference = _central_stencil(X, h)
+    R = _curvature_many(model, kind, stencil.reshape(-1, n), cfg.fd_step)
+    dR = difference(R.reshape((m, n, 2) + R.shape[1:]))
+    G = _raised_gamma(model, X, kind)  # [x, l, j, k] = Gamma^l_{jk}
     return (
         dR
-        + np.einsum("lma,aijk->mlijk", G, R0)
-        - np.einsum("ami,lajk->mlijk", G, R0)
-        - np.einsum("amj,liak->mlijk", G, R0)
-        - np.einsum("amk,lija->mlijk", G, R0)
+        + np.einsum("xlma,xaijk->xmlijk", G, R0)
+        - np.einsum("xami,xlajk->xmlijk", G, R0)
+        - np.einsum("xamj,xliak->xmlijk", G, R0)
+        - np.einsum("xamk,xlija->xmlijk", G, R0)
     )
 
 
@@ -343,33 +341,21 @@ def classify_manifold(
     """
     if len(sample_points) < 1:
         raise ValueError("need at least one sample point")
-    n = model.dim
-    rng = np.random.default_rng(seed)
-    h_outer = 2.0 * np.sqrt(cfg.fd_step)
-
-    self_dual = 0.0
-    flatness = 0.0
-    nabla_res = 0.0
-    probe_res = 0.0
-    for p in sample_points:
-        x = p.coords[None, :]
-        Gp = model.christoffel_batch(x, ConnectionKind.PRIMAL)[0]
-        Gd = model.christoffel_batch(x, ConnectionKind.DUAL)[0]
-        self_dual = max(self_dual, float(np.abs(Gp - Gd).max()))
-        R = curvature_tensor(model, ConnectionKind.PRIMAL, p, cfg)
-        Rstar = curvature_tensor(model, ConnectionKind.DUAL, p, cfg)
-        flatness = max(flatness, float(np.abs(R).max()), float(np.abs(Rstar).max()))
-        nabla = _nabla_curvature(model, ConnectionKind.PRIMAL, p, cfg, h_outer, R)
-        nabla_res = max(nabla_res, float(np.abs(nabla).max()))
-        g = model.metric_at(p)
-        low = _lowered_curvature(g, R)
-        for _ in range(tangent_probes):
-            Y = rng.standard_normal(n)
-            X = rng.standard_normal(n)
-            Y = Y / np.sqrt(Y @ g @ Y)
-            X = X / np.sqrt(X @ g @ X)
-            val = np.einsum("ijkl,i,j,k,l->", low, Y, X, X, X)
-            probe_res = max(probe_res, abs(float(val)))
+    X = np.array([p.coords for p in sample_points])
+    m, n = X.shape
+    Gp, Gd = (model.christoffel_batch(X, kind) for kind in ConnectionKind)
+    self_dual = float(np.abs(Gp - Gd).max())
+    R, Rstar = (_curvature_many(model, kind, X, cfg.fd_step) for kind in ConnectionKind)
+    flatness = max(float(np.abs(R).max()), float(np.abs(Rstar).max()))
+    nabla = _nabla_curvature(model, ConnectionKind.PRIMAL, X, cfg, 2.0 * np.sqrt(cfg.fd_step), R)
+    nabla_res = float(np.abs(nabla).max())
+    g = model.metric_batch(X)
+    low = _lowered_curvature(g, R)
+    # drawn point by point, probe by probe, Y before X
+    Y, Xt = np.moveaxis(np.random.default_rng(seed).standard_normal((m, tangent_probes, 2, n)), 2, 0)
+    Y, Xt = (V / np.sqrt(V[..., None, :] @ g[:, None] @ V[..., None])[..., 0] for V in (Y, Xt))
+    vals = np.einsum("xijkl,xpi,xpj,xpk,xpl->xp", low, Y, Xt, Xt, Xt)
+    probe_res = float(np.abs(vals).max())
 
     thr = CLASSIFY_THRESHOLD
     if self_dual <= thr:
@@ -438,18 +424,10 @@ def symmetry_probe(
             failed_times=skipped,
         )
     keep = np.setdiff1d(np.arange(m), np.array(skipped, dtype=int))
-    d = dual_vals[keep]
-    r = rev_vals[keep]
-    k = keep.shape[0]
-    concordant = 0
-    total = 0
-    for i in range(k):
-        di = d[i] - d[i + 1 :]
-        ri = r[i] - r[i + 1 :]
-        total += di.shape[0]
-        concordant += int(np.sum(di * ri > 0))
-    agreement = concordant / total if total else 1.0
-    eq_err = float(np.max(np.abs(d - r) / (1.0 + np.abs(r)))) if k else 0.0
+    d, r = dual_vals[keep], rev_vals[keep]
+    i, j = np.triu_indices(keep.shape[0], 1)  # every pair of kept targets
+    agreement = float(np.mean((d[i] - d[j]) * (r[i] - r[j]) > 0)) if i.size else 1.0
+    eq_err = float(np.max(np.abs(d - r) / (1.0 + np.abs(r)))) if keep.size else 0.0
     return SymmetryProbeResult(
         pairs=np.column_stack([d, r]),
         skipped=skipped,

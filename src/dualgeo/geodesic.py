@@ -18,7 +18,10 @@ by one cubic Hermite interpolant (`_hermite_value`, `_hermite_slope`), at one
 time or a vector of times. The single-item API is a view of the batched core:
 `integrate_geodesic` and `parallel_transport` hand their one curve to
 `_curves_from_initial` and `_transport_many`, which take leading axes, and
-`log_map` solves a batch of one.
+`log_map` solves a batch of one. One central-difference stencil,
+`_central_stencil` (the points X +- h e_i laid out (..., i, +-, n), and their
+difference), serves the shooting Jacobian, the divergence gradients, the
+curvature tensors and the duality check.
 
 A connection for which the model supplies an affine chart (the chart where
 it is flat: the working chart for the model's `flat_kinds`, the Legendre chart
@@ -187,21 +190,22 @@ class Curve:
 
     @staticmethod
     def from_waypoints(waypoints, grid: int = DEFAULT_CONFIG.curve_grid) -> "Curve":
-        """C1 path through waypoints (Catmull-Rom tangents, uniform knots).
+        """C1 paths through waypoints of shape (..., K, n) (Catmull-Rom
+        tangents, uniform knots); the paths have shape (..., grid', n).
 
         The fine grid is aligned with the knots so resampling reproduces the
         piecewise cubic exactly; velocity is the exact path derivative.
         """
         W = np.asarray(waypoints, dtype=float)
-        if W.ndim != 2 or W.shape[0] < 2:
+        if W.ndim < 2 or W.shape[-2] < 2:
             raise ValueError("need at least two waypoints")
-        K = W.shape[0]
+        K = W.shape[-2]
         du = 1.0 / (K - 1)
         M = np.empty_like(W)
-        M[0] = (W[1] - W[0]) / du
-        M[-1] = (W[-1] - W[-2]) / du
+        M[..., 0, :] = (W[..., 1, :] - W[..., 0, :]) / du
+        M[..., -1, :] = (W[..., -1, :] - W[..., -2, :]) / du
         if K > 2:
-            M[1:-1] = (W[2:] - W[:-2]) / (2.0 * du)
+            M[..., 1:-1, :] = (W[..., 2:, :] - W[..., :-2, :]) / (2.0 * du)
         per_cell = max(1, int(np.ceil((grid - 1) / (K - 1))))
         G = (K - 1) * per_cell + 1
         ts = np.linspace(0.0, 1.0, G)
@@ -387,6 +391,31 @@ def exp_map(
 
 
 # ---------------------------------------------------------------------------
+# central differences
+# ---------------------------------------------------------------------------
+
+
+def _central_stencil(X: np.ndarray, h: float):
+    """The central-difference stencil of step h around points X of shape (..., n).
+
+    Returns the points X + h e_i and X - h e_i, shape (..., i, 2, n), and a
+    function taking values at them, shape (..., i, 2, ...), to the central
+    differences (F(X + h e_i) - F(X - h e_i)) / 2h, shape (..., i, ...).
+    """
+    n = X.shape[-1]
+    pts = np.repeat(np.repeat(X[..., None, None, :], 2, axis=-2), n, axis=-3)
+    i = np.arange(n)
+    pts[..., i, 0, i] = X + h
+    pts[..., i, 1, i] = X - h
+    axis = X.ndim  # the +- axis of the values
+
+    def difference(F):
+        return (np.take(F, 0, axis=axis) - np.take(F, 1, axis=axis)) / (2.0 * h)
+
+    return pts, difference
+
+
+# ---------------------------------------------------------------------------
 # shooting (log map)
 # ---------------------------------------------------------------------------
 
@@ -462,23 +491,18 @@ def _shoot_many(
     stall = np.zeros(m, dtype=int)
     hopeless = np.zeros(m, dtype=bool)
 
-    def stencil_states(vcur):
-        Xs = np.repeat(P, cols, axis=0)
-        Vs = np.repeat(vcur, cols, axis=0).reshape(m, cols, n)
-        for j in range(n):
-            Vs[:, 1 + 2 * j, j] += h
-            Vs[:, 2 + 2 * j, j] -= h
-        return Xs, Vs.reshape(m * cols, n)
-
     def clamp(vcur):
         norms = np.linalg.norm(vcur, axis=1)
         scale = np.where(norms > trust, trust / np.maximum(norms, 1.0), 1.0)
         return vcur * scale[:, None]
 
     v = clamp(v)
+    Xs = np.repeat(P, cols, axis=0)
     for _ in range(cfg.shoot_max_iter):
-        Xs, Vs = stencil_states(v)
-        E, okE = _endpoints_resilient(model, kind, Xs, Vs, cfg)
+        # the center shot first, then the Jacobian columns' stencil
+        stencil, difference = _central_stencil(v, h)
+        Vs = np.concatenate([v[:, None, :], stencil.reshape(m, 2 * n, n)], axis=1)
+        E, okE = _endpoints_resilient(model, kind, Xs, Vs.reshape(m * cols, n), cfg)
         E = E[:, :n].reshape(m, cols, n)
         ok = okE.reshape(m, cols).all(axis=1) & np.isfinite(E).all(axis=(1, 2))
         F = E[:, 0, :] - Q
@@ -488,9 +512,7 @@ def _shoot_many(
         improving = err <= 0.97 * prev_err
         stall = np.where(done | improving, 0, stall + 1)
         hopeless |= stall >= 6
-        J = np.empty((m, n, n))
-        for j in range(n):
-            J[:, :, j] = (E[:, 1 + 2 * j, :] - E[:, 2 + 2 * j, :]) / (2.0 * h)
+        J = np.swapaxes(difference(E[:, 1:, :].reshape(m, n, 2, n)), 1, 2)
         J = np.where(ok[:, None, None], J, eye[None, :, :])
         F_safe = np.where(ok[:, None], F, 0.0)
         try:

@@ -18,7 +18,6 @@ Which checks a model gets follows from its structure, never from its name:
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -31,19 +30,18 @@ from .divergence import (
     _divergence_many,
     _gradient_many,
     _main_curves,
+    _path_functional_many,
     _pi_many,
-    path_functional,
-    pseudo_norm,
 )
 from .eguchi import (
+    _curvature_many,
     _lowered_curvature,
     classify_manifold,
-    curvature_tensor,
     recover_structure,
     symmetry_probe,
 )
 from .errors import InvalidModelSpec
-from .geodesic import Curve
+from .geodesic import Curve, _central_stencil
 from .manifold import ConnectionKind, ManifoldModel, Point, make_builtin
 from .sampling import sample_pairs, sample_points
 
@@ -106,16 +104,13 @@ def suite_eguchi(model, samples, rng, cfg) -> List[CheckRecord]:
     """Structure recovery from the canonical divergence plus the duality relation."""
     out = []
     X = sample_points(model, samples, rng, shrink=0.8)
-    h = 1e-5
-    worst = 0.0
+    # d_k g_ij = Gamma_kij + Gamma*_kji, with d_k by central differences
+    n = model.dim
+    stencil, difference = _central_stencil(X, 1e-5)
+    dg = difference(model.metric_batch(stencil.reshape(-1, n)).reshape(stencil.shape[:-1] + (n, n)))
     Gp = model.christoffel_batch(X, ConnectionKind.PRIMAL)
     Gd = model.christoffel_batch(X, ConnectionKind.DUAL)
-    for k in range(model.dim):
-        e = np.zeros(model.dim)
-        e[k] = h
-        dg = (model.metric_batch(X + e) - model.metric_batch(X - e)) / (2.0 * h)
-        resid = dg - (Gp[:, k, :, :] + np.swapaxes(Gd[:, k, :, :], 1, 2))
-        worst = max(worst, float(np.abs(resid).max()))
+    worst = float(np.abs(dg - (Gp + np.swapaxes(Gd, 2, 3))).max())
     out.append(_rec("duality_relation", worst, 1e-6, samples))
 
     pts = sample_points(model, min(samples, 10), rng, shrink=0.7)
@@ -142,40 +137,33 @@ def suite_eguchi(model, samples, rng, cfg) -> List[CheckRecord]:
     return out
 
 
-def _random_paths(model, p, q, rng, n_paths, cfg):
-    """C1 waypoint paths from p to q jittered inside the safe box."""
+def _random_paths(model, P, Q, rng, n_paths, cfg) -> Curve:
+    """C1 waypoint paths from each P to its Q jittered inside the safe box:
+    one batch of shape (m, n_paths, grid, n), drawn pair by pair, path by path."""
     box = model.safe_box
     span = box[:, 1] - box[:, 0]
-    paths = []
-    for _ in range(n_paths):
-        w1 = p + (q - p) * 0.33 + rng.uniform(-0.06, 0.06, p.shape[0]) * span
-        w2 = p + (q - p) * 0.66 + rng.uniform(-0.06, 0.06, p.shape[0]) * span
-        w1 = np.clip(w1, box[:, 0], box[:, 1])
-        w2 = np.clip(w2, box[:, 0], box[:, 1])
-        paths.append(Curve.from_waypoints([p, w1, w2, q], grid=cfg.curve_grid))
-    return paths
+    jitter = rng.uniform(-0.06, 0.06, (P.shape[0], n_paths, 2, P.shape[1])) * span
+    P, Q = P[:, None, :], Q[:, None, :]
+    w1 = np.clip(P + (Q - P) * 0.33 + jitter[:, :, 0], box[:, 0], box[:, 1])
+    w2 = np.clip(P + (Q - P) * 0.66 + jitter[:, :, 1], box[:, 0], box[:, 1])
+    ends = np.broadcast_to(P, w1.shape), np.broadcast_to(Q, w1.shape)
+    return Curve.from_waypoints(np.stack([ends[0], w1, w2, ends[1]], axis=2), grid=cfg.curve_grid)
 
 
 def suite_pathindep(model, samples, rng, cfg) -> List[CheckRecord]:
     """Path independence of the summed line integrals, against the pseudo-norm."""
     P, Q = sample_pairs(model, samples, rng, shrink=0.85)
     n_paths = 5
-    spread_err = 0.0
-    agree_err = 0.0
-    for p, q in zip(P, Q):
-        r = pseudo_norm(model, Point(p), Point(q), cfg)
-        sums = []
-        for gamma in _random_paths(model, p, q, rng, n_paths, cfg):
-            res = path_functional(model, Point(p), gamma, cfg)
-            sums.append(res.sum)
-        sums = np.array(sums)
-        spread_err = max(spread_err, float(np.ptp(sums) / (1.0 + np.abs(sums).max())))
-        agree_err = max(agree_err, float(np.abs(sums - r).max() / (1.0 + abs(r))))
-    out = [
-        _rec("path_spread_rel", spread_err, 1e-5, samples * n_paths),
-        _rec("sum_equals_pseudo_norm_rel", agree_err, 1e-5, samples * n_paths),
+    r = _divergence_many(model, DivergenceKind.PSEUDO_NORM, P, Q, cfg)[:, None]
+    paths = _random_paths(model, P, Q, rng, n_paths, cfg)
+    primal, dual = _path_functional_many(model, P[:, None, :], paths, cfg)
+    sums = primal + dual
+    spread = np.ptp(sums, axis=1) / (1.0 + np.abs(sums).max(axis=1))
+    agree = np.abs(sums - r).max(axis=1) / (1.0 + np.abs(r[:, 0]))
+    return [
+        _rec("path_spread_rel", spread.max(), 1e-5, samples * n_paths),
+        _rec("sum_equals_pseudo_norm_rel", agree.max(), 1e-5, samples * n_paths),
     ]
-    return out
 
 
 def _pairing(g, U, V):
@@ -223,26 +211,12 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
     P, Q = sample_pairs(model, samples, rng)
     canon = _divergence_many(model, DivergenceKind.CANONICAL, P, Q, cfg)
     ay = _divergence_many(model, DivergenceKind.AY, P, Q, cfg)
-    out = []
-    out.append(
-        _rec(
-            "positivity_off_diagonal",
-            float((canon <= 0.0).sum()),
-            0.0,
-            samples,
-        )
-    )
+    out = [_rec("positivity_off_diagonal", float((canon <= 0.0).sum()), 0.0, samples)]
     diag = _divergence_many(model, DivergenceKind.CANONICAL, P, P, cfg)
     out.append(_rec("zero_on_diagonal", float(np.abs(diag).max()), 1e-10, samples))
     if model.is_self_dual:
-        out.append(
-            _rec(
-                "self_dual_collapse_rel",
-                float(np.abs(canon - ay).max() / (1.0 + np.abs(ay).max())),
-                1e-6,
-                samples,
-            )
-        )
+        rel = float(np.abs(canon - ay).max() / (1.0 + np.abs(ay).max()))
+        out.append(_rec("self_dual_collapse_rel", rel, 1e-6, samples))
     if all(map(model.is_flat, ConnectionKind)):
         # the metric is constant; at q it is not the form _divergence_many takes at p
         closed = 0.5 * _pairing(model.metric_batch(Q), Q - P, Q - P)
@@ -259,9 +233,7 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
     doubled = _divergence_many(
         model, DivergenceKind.CANONICAL, P, Q, cfg.with_(quad_nodes=2 * cfg.quad_nodes)
     )
-    out.append(
-        _rec("quadrature_node_doubling", float(np.abs(doubled - canon).max()), 1e-8, samples)
-    )
+    out.append(_rec("quadrature_node_doubling", float(np.abs(doubled - canon).max()), 1e-8, samples))
     return out
 
 
@@ -279,13 +251,9 @@ def suite_symmetry(model, samples, rng, cfg) -> List[CheckRecord]:
     qs = [Point(x) for x in sample_points(model, max(samples, 10), rng, shrink=0.85)]
     probe = symmetry_probe(model, p, qs, cfg)
     out.append(_rec("rank_agreement_deficit", 1.0 - probe.rank_agreement, 0.0, len(qs)))
-    out.append(
-        _rec("probe_skipped_fraction", len(probe.skipped) / len(qs), 0.2, len(qs))
-    )
+    out.append(_rec("probe_skipped_fraction", len(probe.skipped) / len(qs), 0.2, len(qs)))
     if model.flat_kinds:
-        out.append(
-            _rec("probe_pointwise_equality_rel", probe.max_equality_error, 1e-6, len(qs))
-        )
+        out.append(_rec("probe_pointwise_equality_rel", probe.max_equality_error, 1e-6, len(qs)))
     return out
 
 
@@ -308,18 +276,16 @@ def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
         out.append(_rec("flatness_residual", report.flatness_residual, 1e-5, len(pts)))
     sphere = model.round_sphere
     if sphere is not None:
-        worst = 0.0
-        for p in pts:
-            R = curvature_tensor(model, ConnectionKind.PRIMAL, p, cfg)
-            g = model.metric_at(p)
-            low = _lowered_curvature(g, R)
-            for i, j in itertools.combinations(range(model.dim), 2):
-                K = low[i, j, j, i] / np.linalg.det(g[np.ix_([i, j], [i, j])])
-                worst = max(worst, abs(float(K) - 1.0 / sphere.radius**2))
-        out.append(_rec("sectional_curvature_error", worst, 1e-5, len(pts)))
-    out.append(
-        _rec(f"verdict_recorded_{report.verdict}", 0.0, 0.0, len(pts))
-    )
+        # K = R_ijji / det g|ij on every coordinate plane
+        X = np.array([p.coords for p in pts])
+        g = model.metric_batch(X)
+        low = _lowered_curvature(g, _curvature_many(model, ConnectionKind.PRIMAL, X, cfg.fd_step))
+        i, j = np.triu_indices(model.dim, 1)
+        plane = np.stack([i, j], axis=1)
+        K = low[:, i, j, j, i] / np.linalg.det(g[:, plane[:, :, None], plane[:, None, :]])
+        err = np.abs(K - 1.0 / sphere.radius**2).max(initial=0.0)  # a 1-D sphere has no plane
+        out.append(_rec("sectional_curvature_error", err, 1e-5, len(pts)))
+    out.append(_rec(f"verdict_recorded_{report.verdict}", 0.0, 0.0, len(pts)))
     return out
 
 

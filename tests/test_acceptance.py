@@ -19,7 +19,6 @@ from dualgeo import (
     curvature_tensor,
     great_circle_angle,
     make_builtin,
-    path_functional,
     recover_structure,
     sample_pairs,
     sample_points,
@@ -27,7 +26,7 @@ from dualgeo import (
 )
 from dualgeo.config import DEFAULT_CONFIG as CFG
 from dualgeo.divergence import _divergence_many, _gradient_many, _main_curves, _pi_many
-from dualgeo.verify import _random_paths
+from dualgeo.verify import suite_pathindep
 
 ALL = ["euclidean", "sphere", "categorical", "gaussian1d", "alpha_categorical"]
 SEED = 7
@@ -95,23 +94,11 @@ def test_criterion_3_dually_flat_oracles():
 
 
 def test_criterion_4_path_independence(models):
-    al = models["alpha_categorical"]
-    rng = rng_for(4)
-    P, Q = sample_pairs(al, 20, rng, shrink=0.85)
-    spread_worst = 0.0
-    agree_worst = 0.0
-    for p, q in zip(P, Q):
-        r = _divergence_many(al, DivergenceKind.PSEUDO_NORM, p[None], q[None], CFG)[0]
-        sums = np.array(
-            [
-                path_functional(al, Point(p), gamma, CFG).sum
-                for gamma in _random_paths(al, p, q, rng, 5, CFG)
-            ]
-        )
-        spread_worst = max(spread_worst, float(np.ptp(sums) / (1.0 + np.abs(sums).max())))
-        agree_worst = max(agree_worst, float(np.abs(sums - r).max() / (1.0 + abs(r))))
-    report("4a path independence spread (20 pairs x 5 paths)", spread_worst, 1e-5)
-    report("4b summed functional equals log-pairing", agree_worst, 1e-5)
+    # verify's batched suite on 20 pairs x 5 paths: pairs, then paths, from one rng
+    records = {r.check_id: r for r in suite_pathindep(models["alpha_categorical"], 20, rng_for(4), CFG)}
+    assert records["path_spread_rel"].samples == records["sum_equals_pseudo_norm_rel"].samples == 100
+    report("4a path independence spread (20 pairs x 5 paths)", records["path_spread_rel"].max_error, 1e-5)
+    report("4b summed functional equals log-pairing", records["sum_equals_pseudo_norm_rel"].max_error, 1e-5)
 
 
 def test_criterion_5_gradient_identity(models):

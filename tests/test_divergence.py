@@ -28,7 +28,7 @@ from dualgeo import (
     pseudo_norm,
     sample_pairs,
 )
-from dualgeo.divergence import _divergence_many
+from dualgeo.divergence import _divergence_many, _path_functional_many
 
 # frozen closed-form values for the Bernoulli pair p=(0.5,0.5), q=(0.9,0.1):
 # sum_i p_i log(p_i/q_i) and sum_i q_i log(q_i/p_i)
@@ -209,6 +209,23 @@ def test_path_independence_random_paths(models, cfg, rng):
     sums = np.array(sums)
     assert np.ptp(sums) <= 1e-5 * (1 + np.abs(sums).max())
     assert np.abs(sums - r).max() <= 1e-5 * (1 + abs(r))
+
+
+@pytest.mark.parametrize("name,tol", [("categorical", 0.0), ("alpha_categorical", 1e-11)])
+def test_path_functional_many_equals_per_path(models, cfg, rng, name, tol):
+    # closed-form fields give every path the same bits; a stacked ODE system
+    # shares one adaptive step, so there the last bits move with the batch
+    # (1.3e-12 to 2.7e-12 on alpha_categorical pairs of this size)
+    model = models[name]
+    P, Q = sample_pairs(model, 2, rng, shrink=0.8)
+    mid = 0.5 * (P + Q)[:, None, :] + rng.uniform(-0.02, 0.02, (2, 3, 2))
+    W = np.stack([np.repeat(P[:, None], 3, 1), mid, np.repeat(Q[:, None], 3, 1)], axis=2)
+    primal, dual = _path_functional_many(model, P[:, None, :], Curve.from_waypoints(W), cfg)
+    assert primal.shape == dual.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        res = path_functional(model, Point(P[i]), Curve.from_waypoints(W[i, j]), cfg)
+        assert abs(primal[i, j] - res.primal_integral) <= tol
+        assert abs(dual[i, j] - res.dual_integral) <= tol
 
 
 def test_gradient_euclidean(models, cfg):

@@ -72,6 +72,17 @@ def test_curvature_flat_cases(models, cfg):
     assert np.abs(curvature_tensor(cat, D_KIND, p, cfg)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["sphere", "categorical", "gaussian1d", "alpha_categorical"])
+@pytest.mark.parametrize("kind", [P_KIND, D_KIND])
+def test_curvature_many_equals_per_point_curvature(models, cfg, rng, name, kind):
+    model = models[name]
+    X = sample_points(model, 4, rng, shrink=0.7)
+    batched = eguchi._curvature_many(model, kind, X, cfg.fd_step)
+    assert batched.shape == (4,) + (model.dim,) * 4
+    for x, R in zip(X, batched):
+        assert np.array_equal(R, curvature_tensor(model, kind, Point(x), cfg))
+
+
 def test_curvature_antisymmetry(models, cfg):
     al = models["alpha_categorical"]
     R = curvature_tensor(al, P_KIND, al.point([0.3, 0.35]), cfg)

@@ -278,6 +278,18 @@ def test_curve_from_waypoints_interpolates(rng):
     assert c.breaks is not None and len(c.breaks) == 2
 
 
+@pytest.mark.parametrize("batch,K", [((3,), 2), ((2, 3), 4), ((5,), 3)])
+def test_curve_from_waypoints_batch_equals_its_single_paths(rng, batch, K):
+    W = rng.uniform(-1.0, 1.0, batch + (K, 2))
+    batched = Curve.from_waypoints(W, grid=33)
+    for idx in np.ndindex(*batch):
+        single = Curve.from_waypoints(W[idx], grid=33)
+        assert np.array_equal(batched.ts, single.ts)
+        assert np.array_equal(batched.xs[idx], single.xs)
+        assert np.array_equal(batched.vs[idx], single.vs)
+        assert np.array_equal(batched.breaks, single.breaks)
+
+
 def test_curve_invariants():
     ts = np.linspace(0, 1, 9)
     xs = np.stack([ts, ts**2], axis=1)
