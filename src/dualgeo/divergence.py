@@ -23,8 +23,7 @@ its own two-point solve, so nodes are batched and solved as stacked systems.
 Every computation runs batched; each public function is a batch of one, with
 no path of its own: each divergence kind goes through `divergence_value` into
 `_divergence_many`, `pi_field` into `_pi_many`, `path_functional` into
-`_path_functional_many` (paths of shape (..., grid, n), all their nodes in one
-`_pi_many` call) and `divergence_gradient` into `_gradient_many`.
+`_path_functional_many` and `divergence_gradient` into `_gradient_many`.
 The weighted sum over the nodes is taken row by row, so a pair's value never
 depends on the BLAS kernel. On the closed-form routes it depends only on that
 pair; on the ODE routes a stacked system shares one adaptive step, so its last
@@ -361,14 +360,9 @@ def _piecewise_nodes(cfg: ToleranceConfig, breaks) -> tuple:
     if breaks is not None:
         edges.extend(float(b) for b in np.sort(np.asarray(breaks)) if 0.0 < b < 1.0)
     edges.append(1.0)
-    pieces = len(edges) - 1
-    per_piece = max(8, int(np.ceil(cfg.quad_nodes / pieces)))
-    x, w = _gauss_legendre(per_piece)
-    ts, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ts.append(a + (b - a) * x)
-        ws.append((b - a) * w)
-    return np.concatenate(ts), np.concatenate(ws)
+    x, w = _gauss_legendre(max(8, int(np.ceil(cfg.quad_nodes / (len(edges) - 1)))))
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    return (a + (b - a) * x).ravel(), ((b - a) * w).ravel()
 
 
 def _path_functional_many(model: ManifoldModel, P: np.ndarray, paths: Curve, cfg: ToleranceConfig):

@@ -22,11 +22,9 @@ Derivative steps grow with the derivative order to balance truncation against
 cancellation noise; second and third derivatives use Richardson extrapolation
 over the step pair (h, h/2).
 
-Curvature is batched over points: `_curvature_many` takes the raised symbols
-at the points and at their central-difference stencil in one evaluation, and
-`curvature_tensor` is a batch of one. `classify_manifold` makes one call per
-quantity for all its sample points, the covariant derivative of the curvature
-included (one call at the outer stencil of every point).
+Curvature is batched over points (`_curvature_many`; `curvature_tensor` is a
+batch of one), so `classify_manifold` makes one call per quantity for all its
+sample points, the covariant derivative of the curvature included.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .divergence import DivergenceKind, _check_inside, _divergence_many
-from .errors import QuadratureFailure, ShootingNoConvergence, StencilOutOfDomain
+from .divergence import NEAR_DIAGONAL, DivergenceKind, _check_inside, _divergence_many
+from .errors import InvalidModelSpec, QuadratureFailure, ShootingNoConvergence, StencilOutOfDomain
 from .geodesic import _central_stencil
 from .manifold import ConnectionKind, ManifoldModel, Point
 
@@ -143,6 +141,12 @@ class _StencilEvaluator:
             raise StencilOutOfDomain(
                 f"finite-difference stencil around {self.p!r} leaves the domain "
                 f"of {self.model.spec_string}"
+            )
+        # there the quadratic form answers, which holds the metric exactly
+        if ((A != B).any(axis=1) & (np.linalg.norm(B - A, axis=1) < NEAR_DIAGONAL)).any():
+            raise InvalidModelSpec(
+                f"finite-difference step {self.cfg.fd_step!r} puts stencil pairs closer than "
+                f"{NEAR_DIAGONAL!r}, where the divergence is replaced by its quadratic form"
             )
         vals = _divergence_many(self.model, self.which, A, B, self.cfg)
         self._values = {k: v for k, v in zip(keys, vals)}
@@ -271,9 +275,11 @@ def _curvature_many(model, kind, X, h) -> np.ndarray:
     _check_inside(model, X, "curvature point")
     m, n = X.shape
     stencil, difference = _central_stencil(X, h)
-    if not model.contains_batch(stencil.reshape(-1, n)).all():
+    inside = model.contains_batch(stencil.reshape(-1, n)).reshape(m, -1).all(axis=1)
+    if not inside.all():
         raise StencilOutOfDomain(
-            f"curvature stencil around {X!r} leaves the domain of {model.spec_string}"
+            f"curvature stencil around {X[np.argmin(inside)]!r} leaves the domain of "
+            f"{model.spec_string}"
         )
     raised = _raised_gamma(model, np.concatenate([stencil.reshape(-1, n), X]), kind)
     dG = difference(raised[:-m].reshape(m, n, 2, n, n, n))  # [m, i, l, j, k] = d_i Gamma^l_{jk}
@@ -299,13 +305,16 @@ def curvature_tensor(
     differences of step cfg.fd_step on the raised symbols; antisymmetric in
     (i, j). A batch of one.
     """
-    model.require_inside(p)
     return _curvature_many(model, kind, p.coords[None, :], cfg.fd_step)[0]
 
 
-def _lowered_curvature(g, R):
-    # R_{ijkl} = g_{lm} R^m_{ijk}, over leading batch axes
-    return np.einsum("...lm,...mijk->...ijkl", g, R)
+def _scaled_curvature(g, R):
+    """g/s, the lowered curvature R_{ijkl} = g_{lm} R^m_{ijk} over s, and s: a
+    power of four at most max|g|, shape (..., 1, 1). Dividing by it is exact and
+    keeps pairings and determinants inside the float range at any radius."""
+    e = np.frexp(np.abs(g).max(axis=(-2, -1)))[1] - 1
+    s = np.ldexp(1.0, e - e % 2)[..., None, None]
+    return g / s, np.einsum("...lm,...mijk->...ijkl", g / s, R), s
 
 
 def _nabla_curvature(model, kind, X, cfg, h, R0):
@@ -349,12 +358,12 @@ def classify_manifold(
     flatness = max(float(np.abs(R).max()), float(np.abs(Rstar).max()))
     nabla = _nabla_curvature(model, ConnectionKind.PRIMAL, X, cfg, 2.0 * np.sqrt(cfg.fd_step), R)
     nabla_res = float(np.abs(nabla).max())
-    g = model.metric_batch(X)
-    low = _lowered_curvature(g, R)
-    # drawn point by point, probe by probe, Y before X
+    gs, low, s = _scaled_curvature(model.metric_batch(X), R)
+    # drawn point by point, probe by probe, Y before X; unit in g/s, they come
+    # out sqrt(s) times too long, so low/s pairs them to s times the value
     Y, Xt = np.moveaxis(np.random.default_rng(seed).standard_normal((m, tangent_probes, 2, n)), 2, 0)
-    Y, Xt = (V / np.sqrt(V[..., None, :] @ g[:, None] @ V[..., None])[..., 0] for V in (Y, Xt))
-    vals = np.einsum("xijkl,xpi,xpj,xpk,xpl->xp", low, Y, Xt, Xt, Xt)
+    Y, Xt = (V / np.sqrt(V[..., None, :] @ gs[:, None] @ V[..., None])[..., 0] for V in (Y, Xt))
+    vals = np.einsum("xijkl,xpi,xpj,xpk,xpl->xp", low, Y, Xt, Xt, Xt) / s[..., 0]
     probe_res = float(np.abs(vals).max())
 
     thr = CLASSIFY_THRESHOLD

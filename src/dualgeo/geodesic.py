@@ -407,10 +407,9 @@ def _central_stencil(X: np.ndarray, h: float):
     i = np.arange(n)
     pts[..., i, 0, i] = X + h
     pts[..., i, 1, i] = X - h
-    axis = X.ndim  # the +- axis of the values
 
     def difference(F):
-        return (np.take(F, 0, axis=axis) - np.take(F, 1, axis=axis)) / (2.0 * h)
+        return (np.take(F, 0, axis=X.ndim) - np.take(F, 1, axis=X.ndim)) / (2.0 * h)
 
     return pts, difference
 

@@ -35,7 +35,7 @@ from .divergence import (
 )
 from .eguchi import (
     _curvature_many,
-    _lowered_curvature,
+    _scaled_curvature,
     classify_manifold,
     recover_structure,
     symmetry_probe,
@@ -114,21 +114,16 @@ def suite_eguchi(model, samples, rng, cfg) -> List[CheckRecord]:
     out.append(_rec("duality_relation", worst, 1e-6, samples))
 
     pts = sample_points(model, min(samples, 10), rng, shrink=0.7)
-    m_err = g_err = gs_err = f_err = x_err = 0.0
-    for row in pts:
-        p = Point(row)
-        rec = recover_structure(model, DivergenceKind.CANONICAL, p, cfg)
-        g_true = model.metric_at(p)
-        m_err = max(m_err, float(np.abs(rec.metric - g_true).max() / np.abs(g_true).max()))
-        g_err = max(
-            g_err, float(np.abs(rec.gamma - model.christoffel_at(p, ConnectionKind.PRIMAL)).max())
-        )
-        gs_err = max(
-            gs_err,
-            float(np.abs(rec.gamma_star - model.christoffel_at(p, ConnectionKind.DUAL)).max()),
-        )
-        f_err = max(f_err, rec.first_derivative_residual)
-        x_err = max(x_err, rec.mixed_identity_residual)
+    recs = [recover_structure(model, DivergenceKind.CANONICAL, Point(x), cfg) for x in pts]
+    g = model.metric_batch(pts)
+    metric = np.array([r.metric for r in recs])
+    m_err = (np.abs(metric - g).max(axis=(1, 2)) / np.abs(g).max(axis=(1, 2))).max()
+    gamma = np.array([r.gamma for r in recs])
+    g_err = np.abs(gamma - model.christoffel_batch(pts, ConnectionKind.PRIMAL)).max()
+    gamma_star = np.array([r.gamma_star for r in recs])
+    gs_err = np.abs(gamma_star - model.christoffel_batch(pts, ConnectionKind.DUAL)).max()
+    f_err = max(r.first_derivative_residual for r in recs)
+    x_err = max(r.mixed_identity_residual for r in recs)
     out.append(_rec("recovered_metric_rel", m_err, 1e-4, len(pts)))
     out.append(_rec("recovered_gamma_abs", g_err, 1e-3, len(pts)))
     out.append(_rec("recovered_gamma_star_abs", gs_err, 1e-3, len(pts)))
@@ -146,8 +141,8 @@ def _random_paths(model, P, Q, rng, n_paths, cfg) -> Curve:
     P, Q = P[:, None, :], Q[:, None, :]
     w1 = np.clip(P + (Q - P) * 0.33 + jitter[:, :, 0], box[:, 0], box[:, 1])
     w2 = np.clip(P + (Q - P) * 0.66 + jitter[:, :, 1], box[:, 0], box[:, 1])
-    ends = np.broadcast_to(P, w1.shape), np.broadcast_to(Q, w1.shape)
-    return Curve.from_waypoints(np.stack([ends[0], w1, w2, ends[1]], axis=2), grid=cfg.curve_grid)
+    W = np.stack(np.broadcast_arrays(P, w1, w2, Q), axis=2)
+    return Curve.from_waypoints(W, grid=cfg.curve_grid)
 
 
 def suite_pathindep(model, samples, rng, cfg) -> List[CheckRecord]:
@@ -211,12 +206,26 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
     P, Q = sample_pairs(model, samples, rng)
     canon = _divergence_many(model, DivergenceKind.CANONICAL, P, Q, cfg)
     ay = _divergence_many(model, DivergenceKind.AY, P, Q, cfg)
-    out = [_rec("positivity_off_diagonal", float((canon <= 0.0).sum()), 0.0, samples)]
+    out = []
+    out.append(
+        _rec(
+            "positivity_off_diagonal",
+            float((canon <= 0.0).sum()),
+            0.0,
+            samples,
+        )
+    )
     diag = _divergence_many(model, DivergenceKind.CANONICAL, P, P, cfg)
     out.append(_rec("zero_on_diagonal", float(np.abs(diag).max()), 1e-10, samples))
     if model.is_self_dual:
-        rel = float(np.abs(canon - ay).max() / (1.0 + np.abs(ay).max()))
-        out.append(_rec("self_dual_collapse_rel", rel, 1e-6, samples))
+        out.append(
+            _rec(
+                "self_dual_collapse_rel",
+                float(np.abs(canon - ay).max() / (1.0 + np.abs(ay).max())),
+                1e-6,
+                samples,
+            )
+        )
     if all(map(model.is_flat, ConnectionKind)):
         # the metric is constant; at q it is not the form _divergence_many takes at p
         closed = 0.5 * _pairing(model.metric_batch(Q), Q - P, Q - P)
@@ -233,7 +242,9 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
     doubled = _divergence_many(
         model, DivergenceKind.CANONICAL, P, Q, cfg.with_(quad_nodes=2 * cfg.quad_nodes)
     )
-    out.append(_rec("quadrature_node_doubling", float(np.abs(doubled - canon).max()), 1e-8, samples))
+    out.append(
+        _rec("quadrature_node_doubling", float(np.abs(doubled - canon).max()), 1e-8, samples)
+    )
     return out
 
 
@@ -251,9 +262,13 @@ def suite_symmetry(model, samples, rng, cfg) -> List[CheckRecord]:
     qs = [Point(x) for x in sample_points(model, max(samples, 10), rng, shrink=0.85)]
     probe = symmetry_probe(model, p, qs, cfg)
     out.append(_rec("rank_agreement_deficit", 1.0 - probe.rank_agreement, 0.0, len(qs)))
-    out.append(_rec("probe_skipped_fraction", len(probe.skipped) / len(qs), 0.2, len(qs)))
+    out.append(
+        _rec("probe_skipped_fraction", len(probe.skipped) / len(qs), 0.2, len(qs))
+    )
     if model.flat_kinds:
-        out.append(_rec("probe_pointwise_equality_rel", probe.max_equality_error, 1e-6, len(qs)))
+        out.append(
+            _rec("probe_pointwise_equality_rel", probe.max_equality_error, 1e-6, len(qs))
+        )
     return out
 
 
@@ -264,7 +279,8 @@ def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
     connection is dually flat (the dual of a flat connection is flat too). On
     a round sphere of radius r each coordinate plane has curvature 1/r^2.
     """
-    pts = [Point(x) for x in sample_points(model, min(samples, 5), rng, shrink=0.7)]
+    X = sample_points(model, min(samples, 5), rng, shrink=0.7)
+    pts = [Point(x) for x in X]
     report = classify_manifold(model, pts, cfg)
     out = []
     expected = "SelfDual" if model.is_self_dual else "DuallyFlat" if model.flat_kinds else None
@@ -276,16 +292,18 @@ def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
         out.append(_rec("flatness_residual", report.flatness_residual, 1e-5, len(pts)))
     sphere = model.round_sphere
     if sphere is not None:
-        # K = R_ijji / det g|ij on every coordinate plane
-        X = np.array([p.coords for p in pts])
-        g = model.metric_batch(X)
-        low = _lowered_curvature(g, _curvature_many(model, ConnectionKind.PRIMAL, X, cfg.fd_step))
+        # K = R_ijji / det g|ij on every coordinate plane, taken on g/s and low/s
+        R = _curvature_many(model, ConnectionKind.PRIMAL, X, cfg.fd_step)
+        gs, low, s = _scaled_curvature(model.metric_batch(X), R)
         i, j = np.triu_indices(model.dim, 1)
         plane = np.stack([i, j], axis=1)
-        K = low[:, i, j, j, i] / np.linalg.det(g[:, plane[:, :, None], plane[:, None, :]])
+        det = np.linalg.det(gs[:, plane[:, :, None], plane[:, None, :]])
+        K = low[:, i, j, j, i] / det / s[..., 0]
         err = np.abs(K - 1.0 / sphere.radius**2).max(initial=0.0)  # a 1-D sphere has no plane
         out.append(_rec("sectional_curvature_error", err, 1e-5, len(pts)))
-    out.append(_rec(f"verdict_recorded_{report.verdict}", 0.0, 0.0, len(pts)))
+    out.append(
+        _rec(f"verdict_recorded_{report.verdict}", 0.0, 0.0, len(pts))
+    )
     return out
 
 

@@ -96,9 +96,10 @@ def test_criterion_3_dually_flat_oracles():
 def test_criterion_4_path_independence(models):
     # verify's batched suite on 20 pairs x 5 paths: pairs, then paths, from one rng
     records = {r.check_id: r for r in suite_pathindep(models["alpha_categorical"], 20, rng_for(4), CFG)}
-    assert records["path_spread_rel"].samples == records["sum_equals_pseudo_norm_rel"].samples == 100
-    report("4a path independence spread (20 pairs x 5 paths)", records["path_spread_rel"].max_error, 1e-5)
-    report("4b summed functional equals log-pairing", records["sum_equals_pseudo_norm_rel"].max_error, 1e-5)
+    spread, agree = records["path_spread_rel"], records["sum_equals_pseudo_norm_rel"]
+    assert spread.samples == agree.samples == 100
+    report("4a path independence spread (20 pairs x 5 paths)", spread.max_error, 1e-5)
+    report("4b summed functional equals log-pairing", agree.max_error, 1e-5)
 
 
 def test_criterion_5_gradient_identity(models):

@@ -178,6 +178,8 @@ def test_div_invalid_model_exit_2(capsys):
          "--output", "/nonexistent/x.csv"],
         ["probe-f", "--model", "euclidean:2", "--samples", "10", "--output", "."],
         ["verify", "--output", "/nonexistent/x.json"],
+        ["verify", "--model", "categorical:2", "--suite", "eguchi", "--samples", "1",
+         "--fd-step", "1e-12"],
     ],
     ids=[
         "div-number",
@@ -207,6 +209,7 @@ def test_div_invalid_model_exit_2(capsys):
         "sweep-output-missing-directory",
         "probe-f-output-is-a-directory",
         "verify-output-missing-directory",
+        "verify-fd-step-below-near-diagonal",
     ],
 )
 def test_malformed_input_exits_2_with_message(capsys, argv):

@@ -6,6 +6,7 @@ import pytest
 from dualgeo import (
     ConnectionKind,
     DivergenceKind,
+    InvalidModelSpec,
     Point,
     StencilOutOfDomain,
     classify_manifold,
@@ -137,6 +138,18 @@ def test_dualized_model_keeps_its_classification_checks(models, name):
     assert dual.passed, dual.to_dict()
 
 
+@pytest.mark.parametrize("name", ["sphere", "categorical", "alpha_categorical"])
+def test_classification_of_many_points_is_the_worst_single_point(models, cfg, rng, name):
+    model = models[name]
+    pts = [Point(x) for x in sample_points(model, 3, rng, shrink=0.7)]
+    batch = classify_manifold(model, pts, cfg).to_dict()
+    singles = [classify_manifold(model, [p], cfg).to_dict() for p in pts]
+    for key in ("self_dual_residual", "flatness_residual", "covariant_curvature_derivative_residual"):
+        assert batch[key] == max(single[key] for single in singles)
+    # alone, the first point draws the probes it draws first in the batch
+    assert batch["sectional_probe_residual"] >= singles[0]["sectional_probe_residual"]
+
+
 def test_classification_requires_points(models, cfg):
     with pytest.raises(ValueError):
         classify_manifold(models["euclidean"], [], cfg)
@@ -163,11 +176,33 @@ def test_symmetry_probe_alpha_rank_agreement(models, cfg, rng):
     assert len(res.skipped) <= 6
 
 
+def test_symmetry_probe_rank_agreement_counts_pairs_as_a_loop(monkeypatch, models, cfg, rng):
+    dual, rev = rng.standard_normal(12), rng.standard_normal(12)
+    rev[4] = rev[3]  # a tie is not concordant
+    values = {DivergenceKind.CANONICAL_DUAL: dual, DivergenceKind.CANONICAL: rev}
+    monkeypatch.setattr(eguchi, "_divergence_many", lambda model, kind, P, Q, cfg: values[kind])
+    eu = models["euclidean"]
+    qs = [eu.point(x) for x in rng.uniform(-1.0, 1.0, (12, 3))]
+    res = symmetry_probe(eu, eu.point([0.0, 0.0, 0.0]), qs, cfg)
+    pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    concordant = sum((dual[i] - dual[j]) * (rev[i] - rev[j]) > 0 for i, j in pairs)
+    assert 0.0 < res.rank_agreement == concordant / len(pairs) < 1.0
+
+
 def test_stencil_out_of_domain(models, cfg):
     al = models["alpha_categorical"]
     edge = al.point([0.003, 0.3])  # valid point, but the stencil pokes outside
     with pytest.raises(StencilOutOfDomain):
         recover_structure(al, DivergenceKind.CANONICAL, edge, cfg)
+
+
+@pytest.mark.parametrize("fd_step", [1e-12, 1e-8])
+def test_recovery_refuses_a_stencil_inside_the_near_diagonal_form(models, cfg, fd_step):
+    # first-order pairs fd_step apart would be answered by the quadratic form,
+    # which holds the metric exactly whatever the divergence
+    cat = models["categorical"]
+    with pytest.raises(InvalidModelSpec, match="closer than"):
+        recover_structure(cat, DivergenceKind.CANONICAL, cat.point([0.1, 0.2]), cfg.with_(fd_step=fd_step))
 
 
 class _Captured(Exception):

@@ -1,6 +1,7 @@
 """Verification suites: which checks a model gets follows from its structure."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -51,3 +52,15 @@ def test_other_alphas_have_no_round_sphere():
     model = parse_model_spec("alpha_categorical:2:0.5")
     assert model.round_sphere is None
     assert "sectional_curvature_error" not in checks(model, "classification")
+
+
+@pytest.mark.parametrize("radius,passes", [("1e-150", False), ("1e100", True), ("1e154", True)])
+def test_classification_of_an_extreme_sphere_stays_in_the_float_range(radius, passes):
+    # r^4 sin^2 theta, the metric's determinant, leaves the float range here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        found = checks(parse_model_spec(f"sphere:2:{radius}"), "classification")
+    assert np.isfinite(found["sectional_curvature_error"].max_error)
+    assert found["verdict_is_SelfDual"].passed
+    if passes:
+        assert found["sectional_curvature_error"].passed, found["sectional_curvature_error"]
