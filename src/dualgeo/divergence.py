@@ -57,6 +57,7 @@ QuadratureFailure, and the CLI flags its row.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,9 +112,14 @@ class PathFunctionalResult:
         return self.primal_integral + self.dual_integral
 
 
+@functools.lru_cache(maxsize=64)
 def _gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per node
+    count; the arrays are shared, so they are read-only."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return (x + 1.0) / 2.0, w / 2.0
+    t, w = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _check_inside(model: ManifoldModel, X: np.ndarray, label: str):

@@ -11,7 +11,14 @@ of thousands of tiny ones:
 
 Each numerical piece has one copy. Both ODEs take their right-hand side from
 `_contract`, the raised symbol contraction -g^{-1} Gamma(u, w): at (v, v) for
-a geodesic, at (x', V) for a transported vector. Both are solved by `_rk45`.
+a geodesic, at (x', V) for a transported vector. `_contract` runs the model's
+closed-form kernel for the connection, `model.contraction_fns[kind]`, when it
+has one, and otherwise the generic reference: the symbols contracted by one
+einsum and solved against the metric. `dualized()` swaps the kernels with the
+symbols, a copy with `affine_charts={}` keeps them, and a copy with
+`contraction_fns={}` runs the generic reference, which is how the kernels are
+cross-checked. Both ODEs are solved by `_rk45`, an in-tree Dormand-Prince
+5(4) integrator whose arithmetic is that of scipy's solve_ivp(method="RK45").
 One type, `Curve`, holds one path or a batch of them: dense samples of shape
 (..., grid, n) on the uniform grid linspace(0, 1, grid), read between samples
 by one cubic Hermite interpolant (`_hermite_value`, `_hermite_slope`), at one
@@ -48,7 +55,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import (
@@ -233,22 +239,34 @@ def _contract(model: ManifoldModel, kind: ConnectionKind, X, U, W) -> np.ndarray
     """Batched raised contraction -g^{-1} Gamma(U, W) of the lower-index symbols.
 
     At (V, V) it is the geodesic acceleration; at (x', V) it is the rate of a
-    vector V transported along a curve with velocity x'.
+    vector V transported along a curve with velocity x'. The model's closed
+    form runs when it has one; otherwise the symbols are contracted and solved
+    against the metric, the generic reference.
     """
+    kernel = model.contraction_fns.get(kind)
+    if kernel is not None:
+        return kernel(X, U, W)
     G = model.christoffel_batch(X, kind)
     g = model.metric_batch(X)
     return -_solve_spd(g, np.einsum("mijk,mi,mj->mk", G, U, W))
 
 
+def _capped(A, cap: float) -> np.ndarray:
+    """A with each row whose norm exceeds `cap` rescaled to norm `cap`, in a
+    copy; A itself when no row does, so in-domain rows are never touched."""
+    sq = (A * A).sum(axis=1)
+    over = sq > cap * cap
+    if not over.any():
+        return A
+    A = A.copy()
+    A[over] *= (cap / np.sqrt(sq[over]))[:, None]
+    return A
+
+
 def _geodesic_accel(model: ManifoldModel, kind: ConnectionKind, X, V) -> np.ndarray:
     """Batched acceleration -Gamma^k_ij v^i v^j, inside the speed and acceleration caps."""
-    vn = np.linalg.norm(V, axis=1)
-    scale = np.where(vn > _SPEED_CAP, _SPEED_CAP / np.maximum(vn, 1.0), 1.0)
-    Veff = V * scale[:, None]
-    a = _contract(model, kind, X, Veff, Veff)
-    an = np.linalg.norm(a, axis=1)
-    a *= np.where(an > _ACCEL_CAP, _ACCEL_CAP / np.maximum(an, 1.0), 1.0)[:, None]
-    return a
+    Veff = _capped(V, _SPEED_CAP)
+    return _capped(_contract(model, kind, X, Veff, Veff), _ACCEL_CAP)
 
 
 def _solve_spd(g, rhs):
@@ -284,24 +302,132 @@ def _flat_transport(chart: AffineChart, X0, X1, V0) -> np.ndarray:
     return _from_affine_components(chart, X1, _to_affine_components(chart, X0, V0)).copy()
 
 
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett &
+# Wanner, Solving ODEs I, II.4) with Shampine's quartic dense output: nodes C,
+# stages A, fifth-order weights B, error-estimate weights E over the six stages
+# and the first stage of the next step, and the dense-output coefficients P.
+_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_DP_A = np.array(
+    [
+        [0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    ]
+)
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array(
+    [-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40]
+)
+_DP_P = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+# step-size control: safety factor and the bounds on one change of step
+_DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10.0
+_DP_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _first_step(rhs, y0, f0, rtol, atol) -> float:
+    """Initial step on [0, 1] (Hairer, Norsett & Wanner, II.4): the step
+    whose explicit Euler error estimate is about 0.01 of the tolerance."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, 1.0)
+    f1 = rhs(h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, 1.0)
+
+
 def _rk45(rhs, y0: np.ndarray, t_eval: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
-    """Solve y' = rhs(t, y) on [0, 1] by RK45; returns the states at t_eval,
-    shape (len(t_eval), len(y0)). A failed solve or a non-finite state raises
-    IntegrationFailure."""
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        y0,
-        method="RK45",
-        rtol=cfg.ode_rel_tol,
-        atol=cfg.ode_abs_tol,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"{what} failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
+    """Solve y' = rhs(t, y) on [0, 1] by adaptive Dormand-Prince 5(4); returns
+    the states at the increasing times t_eval, shape (len(t_eval), len(y0)),
+    read from each step's quartic interpolant. A step size below ten times the
+    float spacing at t, or a non-finite state, raises IntegrationFailure.
+
+    The whole state shares one step, whose local error estimate is held to
+    atol + rtol |y| in the root-mean-square norm over all components. The
+    arithmetic is that of scipy's solve_ivp(method="RK45"), so the states
+    match it bit for bit.
+    """
+    y = np.asarray(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    # a relative tolerance near the float resolution would never be met
+    rtol = max(cfg.ode_rel_tol, 100 * np.finfo(float).eps)
+    atol = cfg.ode_abs_tol
+    t_eval = np.asarray(t_eval, dtype=float)
+    t = 0.0
+    f = rhs(t, y)
+    if y.size == 0:
+        return np.empty((t_eval.shape[0], 0))
+    h_abs = _first_step(rhs, y, f, rtol, atol)
+    K = np.empty((_DP_E.shape[0], y.size))
+    out, done = [], 0
+    while t < 1.0:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationFailure(f"{what} failed: {_TOO_SMALL_STEP}")
+            t_new = min(t + h_abs, 1.0)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, _DP_C.shape[0]):
+                dy = np.dot(K[:s].T, _DP_A[s, :s]) * h
+                K[s] = rhs(t + _DP_C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            f_new = rhs(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _DP_MAX_FACTOR
+                else:
+                    factor = min(_DP_MAX_FACTOR, _DP_SAFETY * error_norm**_DP_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_DP_MIN_FACTOR, _DP_SAFETY * error_norm**_DP_EXPONENT)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        reached = np.searchsorted(t_eval, t, side="right")
+        if reached > done:
+            # the quartic interpolant of this step at the times it passed
+            span = t - t_old
+            x = (t_eval[done:reached] - t_old) / span
+            powers = np.cumprod(np.tile(x, (_DP_P.shape[1], 1)), axis=0)
+            Y = span * np.dot(K.T.dot(_DP_P), powers)
+            Y += y_old[:, None]
+            out.append(Y)
+            done = reached
+    Y = np.hstack(out)
+    if not np.all(np.isfinite(Y)):
         raise IntegrationFailure(f"{what} produced non-finite values")
-    return sol.y.T
+    return Y.T
 
 
 def _integrate_states(

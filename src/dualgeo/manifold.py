@@ -42,6 +42,25 @@ Their Jacobian d eta / d theta is the metric. A copy with no charts,
 `dataclasses.replace(model, affine_charts={})`, takes the ODE route for every
 connection.
 
+A model may also carry, per connection, a contraction kernel in
+`contraction_fns`: the raised symbol contraction -g^{-1} Gamma(U, W) in closed
+form, which is the right-hand side of both the geodesic and the transport
+equations on the ODE route. The curved builtins carry one for each connection
+(the Fisher metric and its a-connections, Amari & Nagaoka 2000, ch. 2-3):
+
+    sphere(2, r)               a^theta = sin(theta) cos(theta) U^phi W^phi,
+                               a^phi = -cot(theta) (U^theta W^phi + U^phi W^theta)
+    alpha_categorical(n, a)    Gamma(U, W) = c (U W / eta^2 - (sum U)(sum W) / t^2),
+                               c = -(1 +- a)/2, t the tail probability, raised
+                               by g^{-1} = diag(eta) - eta eta^T / (t + sum eta)
+                               (Sherman-Morrison)
+
+Both read the clipped coordinates of the field collars, so they agree with
+`metric_fn` and `christoffel_fns` everywhere. `dualized` swaps the kernels
+with the symbols, an `affine_charts={}` copy keeps them, and a
+`contraction_fns={}` copy runs the generic reference (the symbols contracted
+and solved against the metric).
+
 A self-dual model may carry a `RoundSphere`: an isometry onto a piece of a
 round sphere, through which its geodesics are great circles, its distance is
 radius * central angle, its canonical divergence is half the squared distance
@@ -201,6 +220,9 @@ class ManifoldModel:
     affine_charts[kind]     the chart where that connection is flat, if the
                             model knows one; WORKING_CHART when its symbols
                             vanish in the working chart
+    contraction_fns[kind]   (X, U, W) (m, n) each -> (m, n), the raised
+                            contraction -g^{-1} Gamma(U, W) in closed form,
+                            if the model has one
     round_sphere            RoundSphere of a self-dual model of constant
                             positive curvature, or None
     safe_box                (n, 2) per-coordinate sampling box comfortably
@@ -218,6 +240,7 @@ class ManifoldModel:
     safe_box: np.ndarray
     oracle_fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     affine_charts: dict = field(default_factory=dict)
+    contraction_fns: dict = field(default_factory=dict)
     coord_converters: dict = field(default_factory=dict)
     round_sphere: Optional[RoundSphere] = None
 
@@ -297,10 +320,10 @@ class ManifoldModel:
     def dualized(self) -> "ManifoldModel":
         """The same manifold with the two connections swapped.
 
-        Each connection keeps its affine chart. The reference divergence,
-        when present, is reversed accordingly: on a dually flat model the
-        canonical divergence of the swapped structure is the original one
-        with its arguments exchanged. A self-dual model is returned as it is,
+        Each connection keeps its affine chart and its contraction kernel.
+        The reference divergence, when present, is reversed accordingly: on a
+        dually flat model the canonical divergence of the swapped structure is
+        the original one with its arguments exchanged. A self-dual model is returned as it is,
         since swapping two identical connections changes nothing.
         """
         if self.is_self_dual:
@@ -311,6 +334,7 @@ class ManifoldModel:
             name=self.name + "*",
             spec_string=self.spec_string + "*",
             christoffel_fns={k.dual: f for k, f in self.christoffel_fns.items()},
+            contraction_fns={k.dual: f for k, f in self.contraction_fns.items()},
             oracle_fn=None if oracle is None else lambda p, q: oracle(q, p),
             affine_charts={k.dual: c for k, c in self.affine_charts.items()},
         )
@@ -445,6 +469,15 @@ def _make_sphere(radius: float) -> ManifoldModel:
         G[:, 1, 1, 0] = -sc
         return G
 
+    def contraction(X, U, W):
+        # -g^{-1} Gamma(U, W) of the symbols above; the radius cancels
+        th = theta_of(X)
+        s, c = np.sin(th), np.cos(th)
+        a = np.empty_like(U)
+        a[:, 0] = s * c * U[:, 1] * W[:, 1]
+        a[:, 1] = -(c / s) * (U[:, 0] * W[:, 1] + U[:, 1] * W[:, 0])
+        return a
+
     def domain(X):
         return (X[:, 0] > _SPHERE_CAP) & (X[:, 0] < math.pi - _SPHERE_CAP)
 
@@ -456,6 +489,7 @@ def _make_sphere(radius: float) -> ManifoldModel:
         chart="spherical chart (theta, phi), polar caps excluded",
         metric_fn=metric,
         christoffel_fns={ConnectionKind.PRIMAL: gamma, ConnectionKind.DUAL: gamma},
+        contraction_fns={ConnectionKind.PRIMAL: contraction, ConnectionKind.DUAL: contraction},
         domain_fn=domain,
         safe_box=np.array([[math.pi / 2 - 0.55, math.pi / 2 + 0.55], [-0.55, 0.55]]),
         round_sphere=RoundSphere(radius, spherical_to_unit),
@@ -647,11 +681,24 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
         def gamma(X):
             return coeff * amari_chentsov(X)
 
-        return gamma
+        def contraction(X, U, W):
+            # -Gamma(U, W) = D + C 1 with D = -c U W / eta^2, C = c (sum U)(sum W) / t^2;
+            # g^{-1} = diag(eta) - eta eta^T / s, s = t + sum eta (Sherman-Morrison),
+            # takes it to eta (D + (C t - eta . D) / s): C enters only as C t, so
+            # no 1/t^2 term is cancelled when the tail probability t is small
+            eta, tail = clipped_probs(X)
+            D = -coeff * U * W / eta**2
+            Ct = coeff * U.sum(axis=1, keepdims=True) * W.sum(axis=1, keepdims=True) / tail
+            s = tail + eta.sum(axis=1, keepdims=True)
+            return eta * (D + (Ct - (eta * D).sum(axis=1, keepdims=True)) / s)
 
-    primal = gamma_factory(+1.0)
+        return gamma, contraction
+
+    primal, primal_contraction = gamma_factory(+1.0)
     # a = 0 is the Levi-Civita connection, which is its own dual
-    dual = primal if alpha == 0.0 else gamma_factory(-1.0)
+    dual, dual_contraction = (
+        (primal, primal_contraction) if alpha == 0.0 else gamma_factory(-1.0)
+    )
 
     def domain(X):
         return _mixture_full_probs(X).min(axis=1) >= _MIN_PROB
@@ -667,6 +714,10 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
         chart="mixture coordinates (head probabilities)",
         metric_fn=metric,
         christoffel_fns={ConnectionKind.PRIMAL: primal, ConnectionKind.DUAL: dual},
+        contraction_fns={
+            ConnectionKind.PRIMAL: primal_contraction,
+            ConnectionKind.DUAL: dual_contraction,
+        },
         domain_fn=domain,
         safe_box=np.array([[0.3 / n, 0.9 / n]] * n),
         coord_converters={

@@ -355,3 +355,22 @@ def test_dual_pair_whose_legendre_line_leaves_the_domain(models, cfg):
     for model in (ga, dataclasses.replace(ga, affine_charts={})):
         with pytest.raises(DomainExit):
             _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
+
+
+@pytest.mark.parametrize("tighter", [1.0, 100.0], ids=["default-tolerances", "100x-tighter"])
+def test_reversal_asymmetry_off_a_dually_flat_structure(cfg, tighter):
+    # off a dually flat structure D*(p, q) = D(q, p) need not hold; on this
+    # pair of alpha_categorical:2:0.5 the pipeline resolves a residual of
+    # 2.76e-8 (relative size 2e-7) that stays put when the ODE and shooting
+    # tolerances tighten, so an integrator or kernel that moves accuracy by
+    # more than about 1e-9 fails here
+    model = parse_model_spec("alpha_categorical:2:0.5")
+    P, Q = sample_pairs(model, 6, np.random.default_rng(3), shrink=0.85)
+    p, q = Point(P[4]), Point(Q[4])
+    cfg = cfg.with_(
+        ode_rel_tol=cfg.ode_rel_tol / tighter,
+        ode_abs_tol=cfg.ode_abs_tol / tighter,
+        shoot_tol=cfg.shoot_tol / tighter,
+    )
+    residual = dual_canonical_divergence(model, p, q, cfg) - canonical_divergence(model, q, p, cfg)
+    assert 2.7e-8 <= residual <= 2.8e-8, residual

@@ -1,6 +1,8 @@
 """Geodesic integration, exponential/log maps and parallel transport."""
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +24,17 @@ from dualgeo import (
     parse_model_spec,
     sample_pairs,
 )
-from dualgeo.geodesic import _curves_from_initial, _shoot_many, _transport_many
+from dualgeo.errors import IntegrationFailure
+from dualgeo.geodesic import (
+    _ACCEL_CAP,
+    _SPEED_CAP,
+    _contract,
+    _curves_from_initial,
+    _geodesic_accel,
+    _rk45,
+    _shoot_many,
+    _transport_many,
+)
 
 P_KIND, D_KIND = ConnectionKind.PRIMAL, ConnectionKind.DUAL
 KINDS = [P_KIND, D_KIND]
@@ -375,3 +387,162 @@ def test_legendre_chart_route_matches_ode_route(cfg, spec, dual):
     moved_ode = parallel_transport(ode, kind, path, u, tight)
     assert np.abs(moved_chart.components - moved_ode.components).max() <= 1e-9
 
+
+
+# -- contraction kernels and the integrator --------------------------------
+
+
+def _kernel_points(model, rng, m, collar):
+    """m points of the safe box or, with collar, m points just outside the
+    domain where the field formulas clip their coordinates."""
+    lo, hi = model.safe_box[:, 0], model.safe_box[:, 1]
+    X = lo + rng.uniform(size=(m, model.dim)) * (hi - lo)
+    if not collar:
+        return X
+    if model.name.startswith("sphere"):
+        pole = np.where(rng.uniform(size=m) < 0.5, 0.02, np.pi - 0.02)
+        X[:, 0] = pole + rng.uniform(-0.3, 0.3, m)
+        return X
+    # one of the n + 1 probabilities moved to [-0.01, 0.001], its neighbour
+    # taking up the difference
+    n = model.dim
+    probs = np.concatenate([X, 1.0 - X.sum(axis=1, keepdims=True)], axis=1)
+    rows, j = np.arange(m), rng.integers(0, n + 1, m)
+    shift = probs[rows, j] - rng.uniform(-0.01, 0.001, m)
+    probs[rows, j] -= shift
+    probs[rows, (j + 1) % (n + 1)] += shift
+    return probs[:, :n]
+
+
+KERNEL_SPECS = ["sphere:2:0.01", "sphere:2:1", "sphere:2:1000"] + [
+    f"alpha_categorical:{n}:{a}" for n in (1, 2, 5, 20) for a in (0, 0.5)
+]
+
+
+@pytest.mark.parametrize("collar", [False, True], ids=["domain", "collar"])
+@pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_contraction_kernel_matches_the_generic_reference(spec, dual, collar):
+    model = parse_model_spec(spec)
+    model = model.dualized() if dual else model
+    generic = dataclasses.replace(model, contraction_fns={})
+    assert dataclasses.replace(model, affine_charts={}).contraction_fns == model.contraction_fns
+    rng = np.random.default_rng(5)
+    X = _kernel_points(model, rng, 400, collar)
+    assert model.contains_batch(X).all() != collar
+    U, W = rng.normal(size=X.shape), rng.normal(size=X.shape)
+    for kind in KINDS:
+        assert kind in model.contraction_fns
+        got = _contract(model, kind, X, U, W)
+        want = _contract(generic, kind, X, U, W)
+        if not collar:
+            rel = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+            assert rel.max() <= 1e-12, (kind, rel.max())
+        else:
+            # past the collar the clipped metric is ill-conditioned (condition
+            # number up to about 7e3), and the generic solve itself carries
+            # errors up to 1e-11 of its result there; so the difference is
+            # measured against the componentwise scale |g^{-1}| |Gamma(U, W)|
+            # of the raised contraction
+            lowered = np.einsum("mijk,mi,mj->mk", model.christoffel_batch(X, kind), U, W)
+            inverse = np.abs(np.linalg.inv(model.metric_batch(X)))
+            scale = np.einsum("mij,mj->mi", inverse, np.abs(lowered))
+            assert (np.abs(got - want) / scale).max() <= 1e-12, kind
+
+
+def test_dualized_swaps_the_contraction_kernels():
+    model = parse_model_spec("alpha_categorical:3:0.5")
+    star = model.dualized()
+    assert star.contraction_fns[P_KIND] is model.contraction_fns[D_KIND]
+    assert star.contraction_fns[D_KIND] is model.contraction_fns[P_KIND]
+    # the Levi-Civita connection at alpha = 0 is one function for both kinds
+    fisher = parse_model_spec("alpha_categorical:3:0")
+    assert fisher.contraction_fns[P_KIND] is fisher.contraction_fns[D_KIND]
+
+
+def _geodesic_system(model, kind, m, seed):
+    rng = np.random.default_rng(seed)
+    X0 = _kernel_points(model, rng, m, collar=False)
+    V0 = 0.3 * rng.normal(size=X0.shape)
+    n = model.dim
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        Y = y.reshape(m, 2 * n)
+        out = np.empty_like(Y)
+        out[:, :n] = Y[:, n:]
+        out[:, n:] = _geodesic_accel(model, kind, Y[:, :n], Y[:, n:])
+        return out.ravel()
+
+    return rhs, np.concatenate([X0, V0], axis=1).ravel(), calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("spec", ["sphere:2", "alpha_categorical:2:0.5", "alpha_categorical:5:0.3"])
+def test_rk45_equals_scipy_solve_ivp_bit_for_bit(cfg, spec, kind):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    model = parse_model_spec(spec)
+    for m in (1, 8, 40):
+        rhs, y0, calls = _geodesic_system(model, kind, m, seed=m)
+        for t_eval in (np.array([1.0]), np.linspace(0.0, 1.0, cfg.curve_grid)):
+            calls.clear()
+            got = _rk45(rhs, y0, t_eval, cfg, "geodesic integration")
+            ours = len(calls)
+            sol = solve_ivp(
+                rhs, (0.0, 1.0), y0, method="RK45",
+                rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol, t_eval=t_eval,
+            )
+            assert sol.success
+            assert np.array_equal(got, sol.y.T), (m, t_eval.shape)
+            assert ours == sol.nfev
+
+
+def test_rk45_fails_on_a_finite_time_blow_up(cfg):
+    # y' = y^2 from y(0) = 2 blows up at t = 1/2: the step size collapses
+    def rhs(t, y):
+        return y * y
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationFailure, match="less than spacing between numbers"):
+            _rk45(rhs, np.array([2.0, 1.0]), np.array([1.0]), cfg, "blow-up")
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        sol = scipy_integrate.solve_ivp(
+            rhs, (0.0, 1.0), np.array([2.0, 1.0]), method="RK45",
+            rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol, t_eval=[1.0],
+        )
+    assert not sol.success
+
+
+def test_acceleration_caps_rescale_only_the_rows_above_them(models):
+    model = models["sphere"]
+    rng = np.random.default_rng(2)
+    X = _kernel_points(model, rng, 6, collar=False)
+    V = rng.normal(size=X.shape)
+    fast = np.array([False, True, False, True, False, False])
+    V[fast] *= 1e7
+    a = _geodesic_accel(model, P_KIND, X, V)
+    slow = ~fast
+    assert np.array_equal(a[slow], _contract(model, P_KIND, X[slow], V[slow], V[slow]))
+    capped = _SPEED_CAP * V[fast] / np.linalg.norm(V[fast], axis=1)[:, None]
+    assert np.allclose(np.linalg.norm(capped, axis=1), _SPEED_CAP, rtol=1e-15, atol=0.0)
+    want = _contract(model, P_KIND, X[fast], capped, capped)
+    assert np.allclose(a[fast], want, rtol=1e-15, atol=0.0)
+    # an acceleration above its cap comes out at the cap; near a pole the
+    # cot(theta) term drives it there
+    X[fast, 0] = 0.05
+    a = _geodesic_accel(model, P_KIND, X, V)
+    assert np.linalg.norm(_contract(model, P_KIND, X[fast], capped, capped), axis=1).min() > _ACCEL_CAP
+    assert np.allclose(np.linalg.norm(a[fast], axis=1), _ACCEL_CAP, rtol=1e-15, atol=0.0)
+    assert np.array_equal(a[slow], _contract(model, P_KIND, X[slow], V[slow], V[slow]))
+    # below both caps the acceleration is the contraction itself, bit for bit
+    assert np.array_equal(
+        _geodesic_accel(model, P_KIND, X[slow], V[slow]),
+        _contract(model, P_KIND, X[slow], V[slow], V[slow]),
+    )
+
+
+def test_importing_dualgeo_loads_no_scipy():
+    code = "import sys, dualgeo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
