@@ -18,7 +18,8 @@ einsum and solved against the metric. `dualized()` swaps the kernels with the
 symbols, a copy with `affine_charts={}` keeps them, and a copy with
 `contraction_fns={}` runs the generic reference, which is how the kernels are
 cross-checked. Both ODEs are solved by `_rk45`, an in-tree Dormand-Prince
-5(4) integrator whose arithmetic is that of scipy's solve_ivp(method="RK45").
+5(4) integrator whose arithmetic is that of the solve_ivp(method="RK45") call
+it replaced; a test checks the two bit for bit.
 One type, `Curve`, holds one path or a batch of them: dense samples of shape
 (..., grid, n) on the uniform grid linspace(0, 1, grid), read between samples
 by one cubic Hermite interpolant (`_hermite_value`, `_hermite_slope`), at one
@@ -366,8 +367,8 @@ def _rk45(rhs, y0: np.ndarray, t_eval: np.ndarray, cfg: ToleranceConfig, what: s
 
     The whole state shares one step, whose local error estimate is held to
     atol + rtol |y| in the root-mean-square norm over all components. The
-    arithmetic is that of scipy's solve_ivp(method="RK45"), so the states
-    match it bit for bit.
+    arithmetic is that of solve_ivp(method="RK45"), so the states match it
+    bit for bit.
     """
     y = np.asarray(y0, dtype=float)
     if not np.isfinite(y).all():
