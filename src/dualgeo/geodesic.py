@@ -20,6 +20,12 @@ symbols, a copy with `affine_charts={}` keeps them, and a copy with
 cross-checked. Both ODEs are solved by `_rk45`, an in-tree Dormand-Prince
 5(4) integrator whose arithmetic is that of the solve_ivp(method="RK45") call
 it replaced; a test checks the two bit for bit.
+The geodesic equation is integrated as it stands, with no cap on speed or
+acceleration. A Newton trial shot that runs away in finite time has one
+defence: `_rk45` raises IntegrationFailure when the step size collapses or the
+state goes non-finite, `_endpoints_resilient` bisects the batch until the
+runaway member stands alone and flags it, and `_shoot_many` pulls that
+member's velocity back toward zero.
 One type, `Curve`, holds one path or a batch of them: dense samples of shape
 (..., grid, n) on the uniform grid linspace(0, 1, grid), read between samples
 by one cubic Hermite interpolant (`_hermite_value`, `_hermite_slope`), at one
@@ -227,15 +233,6 @@ class Curve:
 # ---------------------------------------------------------------------------
 
 
-# Safety collars for trial shots: the quadratic geodesic equation blows up in
-# finite time when a Newton trial badly overshoots the domain. Saturating the
-# velocity entering the quadratic term (and the resulting acceleration) far
-# beyond any legitimate magnitude keeps wild trajectories integrable; below
-# the caps the dynamics are exact.
-_SPEED_CAP = 1e5
-_ACCEL_CAP = 1e10
-
-
 def _contract(model: ManifoldModel, kind: ConnectionKind, X, U, W) -> np.ndarray:
     """Batched raised contraction -g^{-1} Gamma(U, W) of the lower-index symbols.
 
@@ -252,22 +249,9 @@ def _contract(model: ManifoldModel, kind: ConnectionKind, X, U, W) -> np.ndarray
     return -_solve_spd(g, np.einsum("mijk,mi,mj->mk", G, U, W))
 
 
-def _capped(A, cap: float) -> np.ndarray:
-    """A with each row whose norm exceeds `cap` rescaled to norm `cap`, in a
-    copy; A itself when no row does, so in-domain rows are never touched."""
-    sq = (A * A).sum(axis=1)
-    over = sq > cap * cap
-    if not over.any():
-        return A
-    A = A.copy()
-    A[over] *= (cap / np.sqrt(sq[over]))[:, None]
-    return A
-
-
 def _geodesic_accel(model: ManifoldModel, kind: ConnectionKind, X, V) -> np.ndarray:
-    """Batched acceleration -Gamma^k_ij v^i v^j, inside the speed and acceleration caps."""
-    Veff = _capped(V, _SPEED_CAP)
-    return _capped(_contract(model, kind, X, Veff, Veff), _ACCEL_CAP)
+    """Batched geodesic acceleration -Gamma^k_ij v^i v^j."""
+    return _contract(model, kind, X, V, V)
 
 
 def _solve_spd(g, rhs):
@@ -359,11 +343,14 @@ def _first_step(rhs, y0, f0, rtol, atol) -> float:
     return min(100 * h0, h1, 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rk45(rhs, y0: np.ndarray, t_eval: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
     """Solve y' = rhs(t, y) on [0, 1] by adaptive Dormand-Prince 5(4); returns
     the states at the increasing times t_eval, shape (len(t_eval), len(y0)),
     read from each step's quartic interpolant. A step size below ten times the
-    float spacing at t, or a non-finite state, raises IntegrationFailure.
+    float spacing at t, or a non-finite state, raises IntegrationFailure, so
+    numpy's overflow and invalid-value warnings are off inside: the failure
+    reports what they would.
 
     The whole state shares one step, whose local error estimate is held to
     atol + rtol |y| in the root-mean-square norm over all components. The

@@ -189,10 +189,12 @@ def suite_gradient(model, samples, rng, cfg) -> List[CheckRecord]:
     den = np.maximum(_norms(g, PiStar) * _norms(g, sig_star_dot), 1e-30)
     orth_d_err = float((num / den).max())
 
-    cosang = _pairing(g, grad_D, sig_dot) / np.maximum(
-        _norms(g, grad_D) * _norms(g, sig_dot), 1e-30
-    )
-    align_err = float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
+    # the angle as atan2 of the components across and along the unit tangent:
+    # an arccos of the cosine cannot read below arccos(1 - 2^-53) ~ 1.5e-8
+    unit = sig_dot / np.maximum(_norms(g, sig_dot), 1e-30)[:, None]
+    along = _pairing(g, grad_D, unit)
+    across = _norms(g, grad_D - along[:, None] * unit)
+    align_err = float(np.arctan2(across, along).max())
     return [
         _rec("pseudo_norm_gradient_identity", ident_err, 1e-4, samples),
         _rec("orthogonal_decomposition_primal", orth_p_err, 1e-4, samples),

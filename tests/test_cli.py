@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from dualgeo.cli import main
+from dualgeo.cli import build_parser, main
 
 KL_FORWARD = 0.5108256237659907
 
@@ -117,7 +117,7 @@ def test_div_json_records(capsys):
     assert rec["quad_nodes"] == 32
 
 
-def test_div_batch_pairs_and_threads(capsys):
+def test_div_batch_pairs(capsys):
     code = main(
         [
             "div",
@@ -131,14 +131,43 @@ def test_div_batch_pairs_and_threads(capsys):
             "1,0",
             "-q",
             "0,2",
-            "--threads",
-            "2",
         ]
     )
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     vals = [float(line.split(",")[-3]) for line in lines[1:]]
     assert vals == [0.5, 2.0]
+
+
+_COMMANDS = {
+    "div": ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "1,0"],
+    "sweep": ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0",
+              "--grid", "0:1:2,0:1:2"],
+    "probe-f": ["probe-f", "--model", "euclidean:2", "--samples", "10"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("div", "threads"), ("sweep", "threads"), ("probe-f", "threads"), ("div", "seed"),
+     ("sweep", "seed")],
+)
+def test_removed_options_are_rejected(capsys, command, option):
+    # the thread count never had an effect, and div and sweep sample nothing;
+    # argparse rejects an unknown option with exit status 2
+    with pytest.raises(SystemExit) as exc:
+        main(_COMMANDS[command] + [f"--{option}", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    argv = ["div", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0", "-q", "1,0", "-q", "0,2"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_div_invalid_model_exit_2(capsys):
