@@ -153,7 +153,6 @@ def _pi_many(
     bases: np.ndarray,
     targets: np.ndarray,
     cfg: ToleranceConfig,
-    want_primal: bool = True,
     want_dual: bool = True,
     node_times: Optional[np.ndarray] = None,
 ):
@@ -162,28 +161,23 @@ def _pi_many(
     The primal field is the primal-transport, along the dual geodesic from
     base to target, of the primal log vector; the dual field swaps the roles.
     A connection with an affine chart transports as J(target)^{-1} J(base) V,
-    which needs no track geodesic. Returns (Pi, PiStar); an unrequested field
-    comes back as None.
+    which needs no track geodesic. Returns (Pi, PiStar); PiStar is None unless
+    the dual field is wanted.
     """
-    Pi = PiStar = Vp = Vd = None
+    PiStar = Vd = None
     primal_chart = model.affine_charts.get(ConnectionKind.PRIMAL)
     dual_chart = model.affine_charts.get(ConnectionKind.DUAL)
-    # the primal log is needed for the primal field itself and, unless the dual
+    # the dual log is needed for the dual field itself and, unless the primal
     # connection has an affine chart (flat transport needs no track), as the
-    # transport track for the dual field (and dually)
-    need_vp = want_primal or (want_dual and dual_chart is None)
-    need_vd = want_dual or (want_primal and primal_chart is None)
-
-    if need_vp:
-        Vp, _ = _shoot_many(model, ConnectionKind.PRIMAL, bases, targets, cfg, node_times=node_times)
-    if need_vd:
+    # transport track for the primal field
+    Vp, _ = _shoot_many(model, ConnectionKind.PRIMAL, bases, targets, cfg, node_times=node_times)
+    if want_dual or primal_chart is None:
         Vd, _ = _shoot_many(model, ConnectionKind.DUAL, bases, targets, cfg, node_times=node_times)
-    if want_primal:
-        if primal_chart is not None:
-            Pi = _flat_transport(primal_chart, bases, targets, Vp)
-        else:
-            dual_curves = _curves_from_initial(model, ConnectionKind.DUAL, bases, Vd, cfg)
-            Pi = _transport_many(model, ConnectionKind.PRIMAL, dual_curves, Vp, cfg)
+    if primal_chart is not None:
+        Pi = _flat_transport(primal_chart, bases, targets, Vp)
+    else:
+        dual_curves = _curves_from_initial(model, ConnectionKind.DUAL, bases, Vd, cfg)
+        Pi = _transport_many(model, ConnectionKind.PRIMAL, dual_curves, Vp, cfg)
     if want_dual:
         if dual_chart is not None:
             PiStar = _flat_transport(dual_chart, bases, targets, Vd)
@@ -240,9 +234,7 @@ def _canonical_many(model, P, Q, cfg) -> np.ndarray:
     bases = np.repeat(P, k, axis=0)
     targets = xs.reshape(-1, n)
     times = np.tile(t_nodes, P.shape[0])
-    Pi, _ = _pi_many(
-        model, bases, targets, cfg, want_primal=True, want_dual=False, node_times=times
-    )
+    Pi, _ = _pi_many(model, bases, targets, cfg, want_dual=False, node_times=times)
     integrand = _metric_pairing(model, targets, Pi, vs.reshape(-1, n)).reshape(-1, k)
     if not np.all(np.isfinite(integrand)):
         raise QuadratureFailure("non-finite integrand at a quadrature node")

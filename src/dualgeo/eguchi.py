@@ -30,7 +30,7 @@ sample points, the covariant derivative of the curvature included.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -71,12 +71,15 @@ class ClassificationReport:
 
     The verdict is decided by thresholding in the order SelfDual, DuallyFlat,
     Symmetric, General; raw residuals are always included so the verdict is
-    auditable.
+    auditable. `plane_curvatures[x, p]` is the primal sectional curvature at
+    sample point x on coordinate plane p, the planes (i, j) with i < j in
+    np.triu_indices order; `to_dict` leaves it out.
     """
 
     self_dual_residual: float
     flatness_residual: float
     symmetry_residuals: tuple
+    plane_curvatures: np.ndarray = field(compare=False)
     verdict: str
     threshold: float = CLASSIFY_THRESHOLD
 
@@ -365,6 +368,11 @@ def classify_manifold(
     Y, Xt = (V / np.sqrt(V[..., None, :] @ gs[:, None] @ V[..., None])[..., 0] for V in (Y, Xt))
     vals = np.einsum("xijkl,xpi,xpj,xpk,xpl->xp", low, Y, Xt, Xt, Xt) / s[..., 0]
     probe_res = float(np.abs(vals).max())
+    # K = R_ijji / det g|ij on every coordinate plane, taken on g/s and low/s
+    i, j = np.triu_indices(n, 1)
+    plane = np.stack([i, j], axis=1)
+    det = np.linalg.det(gs[:, plane[:, :, None], plane[:, None, :]])
+    plane_curvatures = low[:, i, j, j, i] / det / s[..., 0]
 
     thr = CLASSIFY_THRESHOLD
     if self_dual <= thr:
@@ -379,6 +387,7 @@ def classify_manifold(
         self_dual_residual=self_dual,
         flatness_residual=flatness,
         symmetry_residuals=(nabla_res, probe_res),
+        plane_curvatures=plane_curvatures,
         verdict=verdict,
     )
 

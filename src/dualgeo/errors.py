@@ -40,10 +40,12 @@ class ShootingNoConvergence(DualGeoError):
     to be guaranteed), not necessarily a bug.
     """
 
-    def __init__(self, message, failed_times=None):
+    def __init__(self, message, failed_times=None, residuals=None):
         super().__init__(message)
         # quadrature/path parameter values whose two-point solve failed
         self.failed_times = list(failed_times) if failed_times is not None else []
+        # each failed member's best endpoint error, in chart coordinates
+        self.residuals = list(residuals) if residuals is not None else []
 
 
 class QuadratureFailure(DualGeoError):

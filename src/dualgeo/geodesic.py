@@ -24,8 +24,9 @@ The geodesic equation is integrated as it stands, with no cap on speed or
 acceleration. A Newton trial shot that runs away in finite time has one
 defence: `_rk45` raises IntegrationFailure when the step size collapses or the
 state goes non-finite, `_endpoints_resilient` bisects the batch until the
-runaway member stands alone and flags it, and `_shoot_many` pulls that
-member's velocity back toward zero.
+runaway member stands alone and flags it, and `_shoot_many` rejects that
+trial as it rejects any that does not cut the member's best error, halving
+the step from its best shot (at first the zero shot).
 One type, `Curve`, holds one path or a batch of them: dense samples of shape
 (..., grid, n) on the uniform grid linspace(0, 1, grid), read between samples
 by one cubic Hermite interpolant (`_hermite_value`, `_hermite_slope`), at one
@@ -577,11 +578,18 @@ def _shoot_many(
 
     The Jacobian of the endpoint map is taken by central finite differences of
     step cfg.fd_step; each sweep integrates the center shot and all stencil
-    columns as one stacked system. Members whose error grows are damped by
-    step halving; members whose trial shot blows up are pulled back toward the
-    zero velocity. One extra Newton update is applied after the convergence
-    test passes, which keeps the solved map smooth in Q at well below the
-    convergence threshold (third-derivative recovery relies on this).
+    columns as one stacked system. One rule globalizes the iteration: each
+    member keeps its best shot b, that shot's endpoint error e_b and Newton
+    step d_b, and its next trial is b - lam d_b inside a trust region. A trial
+    that integrates and cuts e_b by at least 3% becomes the new best with
+    lam = 1; any other trial halves lam. The best shot starts as the zero
+    shot with d_b = -(chart guess), so a first trial that blows up is pulled
+    back toward zero by the same rule. A member whose lam falls below 1/64,
+    after 7 rejections in a row, is hopeless and stays at b. Converged members
+    keep polishing at full steps, and one extra Newton update is applied once
+    every member passes the convergence test, which keeps the solved map
+    smooth in Q at well below the convergence threshold (third-derivative
+    recovery relies on this).
 
     Returns (V, converged_mask).
     """
@@ -592,26 +600,22 @@ def _shoot_many(
         return _from_affine_components(chart, P, dE), np.ones(m, dtype=bool)
 
     h = cfg.fd_step
-    v = _chart_log_guess(model, P, Q)
-    lam = np.ones(m)
-    prev_err = np.full(m, np.inf)
-    converged = np.zeros(m, dtype=bool)
     cols = 2 * n + 1
     eye = np.eye(n)
     # trust region far above any in-basin log magnitude; keeps hopeless trials
     # from wandering into wildly oscillatory territory
     trust = 12.0 * np.maximum(1.0, np.linalg.norm(Q - P, axis=1))
-    stall = np.zeros(m, dtype=int)
-    hopeless = np.zeros(m, dtype=bool)
 
     def clamp(vcur):
         norms = np.linalg.norm(vcur, axis=1)
         scale = np.where(norms > trust, trust / np.maximum(norms, 1.0), 1.0)
         return vcur * scale[:, None]
 
-    v = clamp(v)
+    v = clamp(_chart_log_guess(model, P, Q))
+    best, best_err, best_step = np.zeros((m, n)), np.full(m, np.inf), -v
+    lam = np.ones(m)
     Xs = np.repeat(P, cols, axis=0)
-    for _ in range(cfg.shoot_max_iter):
+    for sweeps in range(1, cfg.shoot_max_iter + 1):
         # the center shot first, then the Jacobian columns' stencil
         stencil, difference = _central_stencil(v, h)
         Vs = np.concatenate([v[:, None, :], stencil.reshape(m, 2 * n, n)], axis=1)
@@ -620,11 +624,7 @@ def _shoot_many(
         ok = okE.reshape(m, cols).all(axis=1) & np.isfinite(E).all(axis=(1, 2))
         F = E[:, 0, :] - Q
         err = np.where(ok, np.abs(F).max(axis=1), np.inf)
-        err = np.where(np.isfinite(err), err, np.inf)
         done = err <= cfg.shoot_tol
-        improving = err <= 0.97 * prev_err
-        stall = np.where(done | improving, 0, stall + 1)
-        hopeless |= stall >= 6
         J = np.swapaxes(difference(E[:, 1:, :].reshape(m, n, 2, n)), 1, 2)
         J = np.where(ok[:, None, None], J, eye[None, :, :])
         F_safe = np.where(ok[:, None], F, 0.0)
@@ -634,35 +634,29 @@ def _shoot_many(
             dv = np.stack([np.linalg.lstsq(J[i], F_safe[i], rcond=None)[0] for i in range(m)])
         dv = np.where(np.isfinite(dv), dv, 0.0)
         if done.all():
-            v = v - dv  # polishing update from already-converged data
-            return v, np.ones(m, dtype=bool)
+            return v - dv, done  # polishing update from already-converged data
+        # converged members are always accepted: they polish at full steps
+        accept = done | (ok & (err <= 0.97 * best_err))
+        best[accept], best_err[accept], best_step[accept] = v[accept], err[accept], dv[accept]
+        lam = np.where(accept, 1.0, 0.5 * lam)
+        hopeless = lam < 1.0 / 64.0
         if (done | hopeless).all():
-            converged = done
             break
-        worse = ok & (err > prev_err)
-        lam = np.where(worse, np.maximum(lam * 0.5, 1.0 / 64.0), np.minimum(lam * 2.0, 1.0))
-        prev_err = err
-        converged = done
-        step = lam[:, None] * dv
-        step[done] = dv[done]  # converged members keep polishing at full steps
-        step[hopeless] = 0.0
-        v_new = v - step
-        v_new[~ok] = 0.6 * v[~ok]  # rescue: pull exploded trials toward zero
-        v = clamp(v_new)
+        v = clamp(best - np.where(hopeless, 0.0, lam)[:, None] * best_step)
 
-    failed = np.where(~converged)[0]
-    if failed.size:
-        times = None
-        if node_times is not None:
-            times = np.asarray(node_times, dtype=float)[failed].tolist()
-        detail = f" at path parameters {times}" if times else ""
-        raise ShootingNoConvergence(
-            f"two-point solve on {model.spec_string} ({kind.value}) failed for "
-            f"{failed.size}/{m} members after {cfg.shoot_max_iter} iterations{detail}; "
-            f"the pair may lie outside the shooting basin",
-            failed_times=times,
-        )
-    return v, converged
+    failed = np.where(~done)[0]
+    residuals = best_err[failed].tolist()
+    times = None
+    if node_times is not None:
+        times = np.asarray(node_times, dtype=float)[failed].tolist()
+    detail = f" at path parameters {times}" if times else ""
+    raise ShootingNoConvergence(
+        f"two-point solve on {model.spec_string} ({kind.value}) failed for "
+        f"{failed.size}/{m} members after {sweeps} sweeps{detail}; best residuals "
+        f"{residuals[:8]}; the pair may lie outside the shooting basin",
+        failed_times=times,
+        residuals=residuals,
+    )
 
 
 def log_map(

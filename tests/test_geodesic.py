@@ -24,6 +24,7 @@ from dualgeo import (
     parse_model_spec,
     sample_pairs,
 )
+from dualgeo import geodesic
 from dualgeo.errors import IntegrationFailure
 from dualgeo.geodesic import (
     _contract,
@@ -551,6 +552,50 @@ def test_a_runaway_member_is_flagged_and_its_batch_mates_kept(models, cfg, kerne
     alone, ok_alone = _endpoints_resilient(toy, P_KIND, X0[ok], V0[ok], cfg)
     assert ok_alone.all()
     assert np.allclose(E[ok], alone, rtol=1e-6, atol=1e-9)
+
+
+def _count_sweeps(monkeypatch, rows):
+    """Record the ok flags of each `_endpoints_resilient` call made on `rows`
+    rows: one per Newton sweep, since its bisection halves make fewer."""
+    sweeps = []
+    inner = geodesic._endpoints_resilient
+
+    def counted(model, kind, X0, V0, cfg):
+        E, ok = inner(model, kind, X0, V0, cfg)
+        if X0.shape[0] == rows:
+            sweeps.append(ok)
+        return E, ok
+
+    monkeypatch.setattr(geodesic, "_endpoints_resilient", counted)
+    return sweeps
+
+
+def test_an_out_of_basin_pair_is_given_up_early_with_its_residual(cfg, monkeypatch):
+    # the chart segment between these corners of the simplex hugs the boundary;
+    # once seven trials in a row fail to cut the best error the member is hopeless
+    model = parse_model_spec("alpha_categorical:2:0.9")
+    sweeps = _count_sweeps(monkeypatch, 5)  # one member, center shot and 4 columns
+    with pytest.raises(ShootingNoConvergence, match="failed for 1/1 members") as info:
+        log_map(model, P_KIND, model.point([0.0015, 0.9]), model.point([0.9, 0.0015]), cfg)
+    assert 0 < len(sweeps) <= 12
+    assert f"after {len(sweeps)} sweeps" in str(info.value)
+    assert len(info.value.residuals) == 1
+    assert all(np.isfinite(r) and r > cfg.shoot_tol for r in info.value.residuals)
+
+
+def test_a_first_trial_that_blows_up_is_pulled_back_and_converges(models, cfg, monkeypatch):
+    # v' = v^2 componentwise, so exp_x(v) = x - log(1 - v) and the log map is
+    # 1 - exp(-(q - p)). The first member's chart guess (0, 2) blows up at
+    # t = 1/2; halving back from the zero shot brings it into range
+    square = {k: lambda X, U, W: U * W for k in KINDS}
+    toy = dataclasses.replace(models["sphere"], contraction_fns=square)
+    P = np.array([[1.2, 0.3], [1.3, -0.2]])
+    Q = P + np.array([[0.0, 2.0], [0.05, 0.1]])
+    sweeps = _count_sweeps(monkeypatch, 10)
+    V, ok = _shoot_many(toy, P_KIND, P, Q, cfg)
+    assert ok.all()
+    assert np.allclose(V, 1.0 - np.exp(-(Q - P)), rtol=0.0, atol=1e-8)
+    assert not sweeps[0][:5].any() and sweeps[0][5:].all()
 
 
 def test_importing_dualgeo_loads_no_scipy():
