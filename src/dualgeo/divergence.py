@@ -18,8 +18,10 @@ connections:
                              finite differences
     oracle_divergence        closed-form reference value on models that carry one
 
-All quadratures are fixed-order Gauss-Legendre on [0, 1]; each node requires
-its own two-point solve, so nodes are batched and solved as stacked systems.
+All quadratures are fixed-order Gauss-Legendre on [0, 1], with the nodes
+batched as stacked systems. A path-functional node costs two two-point solves
+(both logs); a canonical node costs one, the dual log that tracks transport,
+since its primal log is t V on the primal geodesic from p with velocity V.
 Every computation runs batched; each public function is a batch of one, with
 no path of its own: each divergence kind goes through `divergence_value` into
 `_divergence_many`, `pi_field` into `_pi_many`, `path_functional` into
@@ -44,10 +46,11 @@ builtins every kind still integrates, but over closed-form pieces, since each
 connection has an affine chart (see `geodesic`). Geodesics and log vectors
 then come without ODE or Newton iteration, and a transported difference
 vector is J(target)^{-1} J(base) V, which needs no track geodesic, so
-`_pi_many` builds neither the other log nor its dense curves. A copy of the
-model with no charts, `dataclasses.replace(model, affine_charts={})`, sends
-every pair off the diagonal down the integration and shooting route. The
-closed-form oracle kind is never guarded.
+`_pi_many` builds no dense curves, and for a canonical kind, whose primal
+logs it is given, shoots no log. A copy of the model with no charts,
+`dataclasses.replace(model, affine_charts={})`, sends every pair off the
+diagonal down the integration and shooting route. The closed-form oracle
+kind is never guarded.
 
 Every value `_divergence_many` returns is finite; a non-finite one, from any
 route (an overflowing quadratic form on huge coordinates, say), raises
@@ -131,13 +134,6 @@ def _check_inside(model: ManifoldModel, X: np.ndarray, label: str):
         )
 
 
-def _quadratic_form(model: ManifoldModel, P, Q, half: bool) -> np.ndarray:
-    d = Q - P
-    g = model.metric_batch(P)
-    vals = np.einsum("mi,mij,mj->m", d, g, d)
-    return 0.5 * vals if half else vals
-
-
 def _metric_pairing(model: ManifoldModel, X, U, V) -> np.ndarray:
     g = model.metric_batch(X)
     return np.einsum("mi,mij,mj->m", U, g, V)
@@ -153,38 +149,36 @@ def _pi_many(
     bases: np.ndarray,
     targets: np.ndarray,
     cfg: ToleranceConfig,
-    want_dual: bool = True,
+    primal_logs: Optional[np.ndarray] = None,
     node_times: Optional[np.ndarray] = None,
 ):
     """Batched transported difference vectors at the targets.
 
-    The primal field is the primal-transport, along the dual geodesic from
-    base to target, of the primal log vector; the dual field swaps the roles.
-    A connection with an affine chart transports as J(target)^{-1} J(base) V,
-    which needs no track geodesic. Returns (Pi, PiStar); PiStar is None unless
-    the dual field is wanted.
+    Each field is its connection's log vector from base to target, carried
+    there by that connection's transport. One rule builds both: a connection
+    with an affine chart transports as J(target)^{-1} J(base) V, which needs
+    no track; any other transports along the other connection's geodesic.
+    Each log is shot at most once, the primal before the dual. Returns (Pi,
+    PiStar). A caller that knows the primal logs passes them and gets (Pi,
+    None): the dual log is then shot only as the track, and not at all when
+    the primal connection has an affine chart.
     """
-    PiStar = Vd = None
-    primal_chart = model.affine_charts.get(ConnectionKind.PRIMAL)
-    dual_chart = model.affine_charts.get(ConnectionKind.DUAL)
-    # the dual log is needed for the dual field itself and, unless the primal
-    # connection has an affine chart (flat transport needs no track), as the
-    # transport track for the primal field
-    Vp, _ = _shoot_many(model, ConnectionKind.PRIMAL, bases, targets, cfg, node_times=node_times)
-    if want_dual or primal_chart is None:
-        Vd, _ = _shoot_many(model, ConnectionKind.DUAL, bases, targets, cfg, node_times=node_times)
-    if primal_chart is not None:
-        Pi = _flat_transport(primal_chart, bases, targets, Vp)
-    else:
-        dual_curves = _curves_from_initial(model, ConnectionKind.DUAL, bases, Vd, cfg)
-        Pi = _transport_many(model, ConnectionKind.PRIMAL, dual_curves, Vp, cfg)
-    if want_dual:
-        if dual_chart is not None:
-            PiStar = _flat_transport(dual_chart, bases, targets, Vd)
-        else:
-            primal_curves = _curves_from_initial(model, ConnectionKind.PRIMAL, bases, Vp, cfg)
-            PiStar = _transport_many(model, ConnectionKind.DUAL, primal_curves, Vd, cfg)
-    return Pi, PiStar
+    logs = {ConnectionKind.PRIMAL: primal_logs, ConnectionKind.DUAL: None}
+
+    def log(kind):
+        if logs[kind] is None:
+            logs[kind], _ = _shoot_many(model, kind, bases, targets, cfg, node_times=node_times)
+        return logs[kind]
+
+    def field(kind):
+        V, chart = log(kind), model.affine_charts.get(kind)
+        if chart is not None:
+            return _flat_transport(chart, bases, targets, V)
+        track = _curves_from_initial(model, kind.dual, bases, log(kind.dual), cfg)
+        return _transport_many(model, kind, track, V, cfg)
+
+    Pi = field(ConnectionKind.PRIMAL)
+    return Pi, None if primal_logs is not None else field(ConnectionKind.DUAL)
 
 
 def pi_field(
@@ -229,12 +223,15 @@ def _canonical_many(model, P, Q, cfg) -> np.ndarray:
     n = P.shape[1]
     t_nodes, w = _gauss_legendre(cfg.quad_nodes)
     k = t_nodes.shape[0]
-    curves = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg)
+    V, _ = _shoot_many(model, ConnectionKind.PRIMAL, P, Q, cfg)
+    curves = _curves_from_initial(model, ConnectionKind.PRIMAL, P, V, cfg)
     xs, vs = curves.position(t_nodes), curves.velocity(t_nodes)  # (m, k, n)
     bases = np.repeat(P, k, axis=0)
     targets = xs.reshape(-1, n)
     times = np.tile(t_nodes, P.shape[0])
-    Pi, _ = _pi_many(model, bases, targets, cfg, want_dual=False, node_times=times)
+    # the primal log from p to the geodesic's node at t is t V, exactly
+    logs = (t_nodes[None, :, None] * V[:, None, :]).reshape(-1, n)
+    Pi, _ = _pi_many(model, bases, targets, cfg, primal_logs=logs, node_times=times)
     integrand = _metric_pairing(model, targets, Pi, vs.reshape(-1, n)).reshape(-1, k)
     if not np.all(np.isfinite(integrand)):
         raise QuadratureFailure("non-finite integrand at a quadrature node")
@@ -295,9 +292,10 @@ def _evaluate_many(model, kind, P, Q, cfg) -> np.ndarray:
     doubly_flat = model.is_flat(ConnectionKind.PRIMAL) and model.is_flat(ConnectionKind.DUAL)
     exact = doubly_flat | (np.linalg.norm(Q - P, axis=1) < NEAR_DIAGONAL)
     out = np.empty(P.shape[0])
+    d = Q[exact] - P[exact]
+    form = _metric_pairing(model, P[exact], d, d)
     # the second-order limit of the log pairing carries no 1/2
-    half = kind is not DivergenceKind.PSEUDO_NORM
-    out[exact] = _quadratic_form(model, P[exact], Q[exact], half)
+    out[exact] = form if kind is DivergenceKind.PSEUDO_NORM else 0.5 * form
     if not exact.all():
         out[~exact] = evaluate(model, P[~exact], Q[~exact], cfg)
     return out

@@ -28,7 +28,9 @@ from dualgeo import (
     pseudo_norm,
     sample_pairs,
 )
-from dualgeo.divergence import _divergence_many, _path_functional_many
+import dualgeo.divergence as divergence_module
+from dualgeo.divergence import _divergence_many, _gauss_legendre, _path_functional_many
+from dualgeo.geodesic import _curves_from_initial, _shoot_many
 
 # frozen closed-form values for the Bernoulli pair p=(0.5,0.5), q=(0.9,0.1):
 # sum_i p_i log(p_i/q_i) and sum_i q_i log(q_i/p_i)
@@ -357,6 +359,14 @@ def test_dual_pair_whose_legendre_line_leaves_the_domain(models, cfg):
             _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
 
 
+def _tighter(cfg, factor):
+    return cfg.with_(
+        ode_rel_tol=cfg.ode_rel_tol / factor,
+        ode_abs_tol=cfg.ode_abs_tol / factor,
+        shoot_tol=cfg.shoot_tol / factor,
+    )
+
+
 @pytest.mark.parametrize("tighter", [1.0, 100.0], ids=["default-tolerances", "100x-tighter"])
 def test_reversal_asymmetry_off_a_dually_flat_structure(cfg, tighter):
     # off a dually flat structure D*(p, q) = D(q, p) need not hold; on this
@@ -367,10 +377,70 @@ def test_reversal_asymmetry_off_a_dually_flat_structure(cfg, tighter):
     model = parse_model_spec("alpha_categorical:2:0.5")
     P, Q = sample_pairs(model, 6, np.random.default_rng(3), shrink=0.85)
     p, q = Point(P[4]), Point(Q[4])
-    cfg = cfg.with_(
-        ode_rel_tol=cfg.ode_rel_tol / tighter,
-        ode_abs_tol=cfg.ode_abs_tol / tighter,
-        shoot_tol=cfg.shoot_tol / tighter,
-    )
+    cfg = _tighter(cfg, tighter)
     residual = dual_canonical_divergence(model, p, q, cfg) - canonical_divergence(model, q, p, cfg)
     assert 2.7e-8 <= residual <= 2.8e-8, residual
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [DivergenceKind.AY, DivergenceKind.CANONICAL, DivergenceKind.CANONICAL_DUAL, DivergenceKind.PSEUDO_NORM],
+    ids=lambda kind: kind.value,
+)
+@pytest.mark.parametrize("spec", ["sphere:2", "alpha_categorical:2:0.5"])
+def test_accuracy_ledger_against_100x_tighter_tolerances(cfg, spec, kind):
+    # the accuracy ledger: on the two 2-D models of the ODE route, each kind
+    # stays within 1e-9 relative of its value at 100x tighter ODE and shooting
+    # tolerances (worst entry about 3e-11), so a change that loses a digit
+    # anywhere in the pipeline fails here long before verify's 1e-6 does
+    model = parse_model_spec(spec)
+    P, Q = sample_pairs(model, 4, np.random.default_rng(1))
+    default = _divergence_many(model, kind, P, Q, cfg)
+    reference = _divergence_many(model, kind, P, Q, _tighter(cfg, 100.0))
+    gap = np.abs(default - reference) / np.abs(reference)
+    assert gap.max() <= 1e-9, gap
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec, dual_track", [("alpha_categorical:2:0.5", True), ("categorical:2", False)]
+)
+def test_canonical_quadrature_shoots_no_primal_log_at_its_nodes(cfg, monkeypatch, spec, dual_track):
+    # one primal shot per pair for the main curve; at the nodes only the dual
+    # log that tracks the transport, and none when the primal connection has
+    # an affine chart (categorical:2), since flat transport needs no track
+    model = parse_model_spec(spec)
+    P, Q = sample_pairs(model, 2, np.random.default_rng(1))
+    asked = []
+    shoot = divergence_module._shoot_many
+
+    def counting(model, kind, P, Q, *args, **kwargs):
+        asked.append(P.shape[0])
+        return shoot(model, kind, P, Q, *args, **kwargs)
+
+    monkeypatch.setattr(divergence_module, "_shoot_many", counting)
+    _divergence_many(model, DivergenceKind.CANONICAL, P, Q, cfg)
+    assert sum(asked) == 2 + (2 * cfg.quad_nodes if dual_track else 0), asked
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec, dual",
+    [("sphere:2", False), ("alpha_categorical:2:0.5", False), ("alpha_categorical:2:0.5", True)],
+    ids=["sphere:2", "alpha_categorical:2:0.5", "alpha_categorical:2:0.5-dualized"],
+)
+def test_node_logs_of_the_primal_geodesic_are_t_times_its_velocity(cfg, spec, dual):
+    # the identity the canonical quadrature rests on: the primal log from p
+    # to the node at t of the primal geodesic with velocity V is t V
+    model = parse_model_spec(spec)
+    model = model.dualized() if dual else model
+    P, Q = sample_pairs(model, 4, np.random.default_rng(1))
+    n = P.shape[1]
+    t, _ = _gauss_legendre(cfg.quad_nodes)
+    V, _ = _shoot_many(model, ConnectionKind.PRIMAL, P, Q, cfg)
+    nodes = _curves_from_initial(model, ConnectionKind.PRIMAL, P, V, cfg).position(t)
+    bases = np.repeat(P, t.shape[0], axis=0)
+    shot, ok = _shoot_many(model, ConnectionKind.PRIMAL, bases, nodes.reshape(-1, n), cfg)
+    assert ok.all()
+    exact = (t[None, :, None] * V[:, None, :]).reshape(-1, n)
+    assert np.abs(shot - exact).max() <= 1e-9
