@@ -19,9 +19,12 @@ connections:
     oracle_divergence        closed-form reference value on models that carry one
 
 All quadratures are fixed-order Gauss-Legendre on [0, 1], with the nodes
-batched as stacked systems. A path-functional node costs two two-point solves
-(both logs); a canonical node costs one, the dual log that tracks transport,
-since its primal log is t V on the primal geodesic from p with velocity V.
+batched as stacked systems. The ay and canonical kinds read their nodes on
+the geodesic from p to q off the integrator (`_main_nodes`), so they are
+exact on the affine-chart route. A path-functional node costs two two-point
+solves (both logs); a canonical node costs one, the dual log that tracks
+transport, since its primal log is t V on the primal geodesic from p with
+velocity V.
 Every computation runs batched; each public function is a batch of one, with
 no path of its own: each divergence kind goes through `divergence_value` into
 `_divergence_many`, `pi_field` into `_pi_many`, `path_functional` into
@@ -73,6 +76,7 @@ from .geodesic import (
     _central_stencil,
     _curves_from_initial,
     _flat_transport,
+    _geodesic_states,
     _shoot_many,
     _transport_many,
 )
@@ -201,18 +205,22 @@ def pi_field(
 # ---------------------------------------------------------------------------
 
 
-def _main_curves(model, kind, P, Q, cfg) -> Curve:
+def _main_nodes(model, kind, P, Q, t, cfg):
+    """The main geodesics from P to Q of the connection: their log vectors V,
+    shape (m, n), and their positions and velocities at the times t, each of
+    shape (m, len(t), n), read from the integrator."""
+    n = P.shape[1]
     V, _ = _shoot_many(model, kind, P, Q, cfg)
-    return _curves_from_initial(model, kind, P, V, cfg)
+    states = np.swapaxes(_geodesic_states(model, kind, P, V, cfg, t), 0, 1)
+    return V, states[..., :n], states[..., n:]
 
 
 def _ay_many(model, P, Q, cfg) -> np.ndarray:
     n = P.shape[1]
     t_nodes, w = _gauss_legendre(cfg.quad_nodes)
-    curves = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg)
-    xs, vs = curves.position(t_nodes), curves.velocity(t_nodes)  # (m, k, n)
-    flat_x = xs.reshape(-1, n)
-    speed2 = _metric_pairing(model, flat_x, vs.reshape(-1, n), vs.reshape(-1, n))
+    _, xs, vs = _main_nodes(model, ConnectionKind.PRIMAL, P, Q, t_nodes, cfg)
+    flat_v = vs.reshape(-1, n)
+    speed2 = _metric_pairing(model, xs.reshape(-1, n), flat_v, flat_v)
     speed2 = speed2.reshape(-1, t_nodes.shape[0])
     if not np.all(np.isfinite(speed2)):
         raise QuadratureFailure("non-finite integrand at a quadrature node")
@@ -223,9 +231,7 @@ def _canonical_many(model, P, Q, cfg) -> np.ndarray:
     n = P.shape[1]
     t_nodes, w = _gauss_legendre(cfg.quad_nodes)
     k = t_nodes.shape[0]
-    V, _ = _shoot_many(model, ConnectionKind.PRIMAL, P, Q, cfg)
-    curves = _curves_from_initial(model, ConnectionKind.PRIMAL, P, V, cfg)
-    xs, vs = curves.position(t_nodes), curves.velocity(t_nodes)  # (m, k, n)
+    V, xs, vs = _main_nodes(model, ConnectionKind.PRIMAL, P, Q, t_nodes, cfg)
     bases = np.repeat(P, k, axis=0)
     targets = xs.reshape(-1, n)
     times = np.tile(t_nodes, P.shape[0])
@@ -362,7 +368,7 @@ def _piecewise_nodes(cfg: ToleranceConfig, breaks) -> tuple:
 
 
 def _path_functional_many(model: ManifoldModel, P: np.ndarray, paths: Curve, cfg: ToleranceConfig):
-    """Both line integrals of (Pi, Pi*) along paths of shape (..., grid, n),
+    """Both line integrals of (Pi, Pi*) along paths sampled (..., grid, n),
     from base points P that broadcast to (..., n); two arrays of shape (...).
 
     All paths' quadrature nodes go through one `_pi_many` call, and each

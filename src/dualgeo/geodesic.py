@@ -27,10 +27,14 @@ state goes non-finite, `_endpoints_resilient` bisects the batch until the
 runaway member stands alone and flags it, and `_shoot_many` rejects that
 trial as it rejects any that does not cut the member's best error, halving
 the step from its best shot (at first the zero shot).
-One type, `Curve`, holds one path or a batch of them: dense samples of shape
+One type, `Curve`, holds one path or a batch of them: samples of shape
 (..., grid, n) on the uniform grid linspace(0, 1, grid), read between samples
 by one cubic Hermite interpolant (`_hermite_value`, `_hermite_slope`), at one
-time or a vector of times. The single-item API is a view of the batched core:
+time or a vector of times. An integrated curve has cfg.curve_grid samples; a
+waypoint path is stored on its knots, where the interpolant is the path. A
+state wanted at known times (a quadrature node, an end velocity) is read
+off the integrator by `_geodesic_states`, never through the interpolant.
+The single-item API is a view of the batched core:
 `integrate_geodesic` and `parallel_transport` hand their one curve to
 `_curves_from_initial` and `_transport_many`, which take leading axes, and
 `log_map` solves a batch of one. One central-difference stencil,
@@ -50,7 +54,7 @@ in closed form by one code path, with J = d eta / dx the chart's Jacobian:
                  does not depend on the path
 
 In the working chart J is the identity and these are straight chart lines
-and component-preserving transport. Dense curves are still checked against
+and component-preserving transport. Geodesic states are still checked against
 the domain on every grid sample, so an eta-line that leaves the domain raises
 DomainExit as the integrated geodesic does. A copy of the model with no
 charts, `dataclasses.replace(model, affine_charts={})`, takes the ODE route
@@ -87,23 +91,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _hermite_weights(s: np.ndarray):
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return h00, h10, h01, h11
-
-
-def _hermite_dweights(s: np.ndarray):
-    s2 = s * s
-    d00 = 6.0 * s2 - 6.0 * s
-    d10 = 3.0 * s2 - 4.0 * s + 1.0
-    d01 = -6.0 * s2 + 6.0 * s
-    d11 = 3.0 * s2 - 2.0 * s
-    return d00, d10, d01, d11
+def _hermite_cell(ts: np.ndarray, t):
+    """The cell of the uniform grid ts holding each time t, the offset s in
+    [0, 1] within it (with a trailing axis), and the cell width."""
+    t = np.asarray(t, dtype=float)
+    steps = ts.shape[0] - 1
+    cell = np.clip((t * steps).astype(int), 0, steps - 1)
+    return cell, (t * steps - cell)[..., None], ts[1] - ts[0]
 
 
 def _hermite_value(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
@@ -112,31 +106,26 @@ def _hermite_value(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
     Both are sampled on the uniform grid `ts`, shape (..., grid, n). A scalar
     t gives (..., n); a vector of k times gives (..., k, n).
     """
-    t = np.asarray(t, dtype=float)
-    steps = ts.shape[0] - 1
-    cell = np.clip((t * steps).astype(int), 0, steps - 1)
-    h00, h10, h01, h11 = (h[..., None] for h in _hermite_weights(t * steps - cell))
-    dt = ts[1] - ts[0]
+    cell, s, dt = _hermite_cell(ts, t)
+    s2 = s * s
+    s3 = s2 * s
     return (
-        h00 * values[..., cell, :]
-        + h10 * dt * derivs[..., cell, :]
-        + h01 * values[..., cell + 1, :]
-        + h11 * dt * derivs[..., cell + 1, :]
+        (2.0 * s3 - 3.0 * s2 + 1.0) * values[..., cell, :]
+        + (s3 - 2.0 * s2 + s) * dt * derivs[..., cell, :]
+        + (-2.0 * s3 + 3.0 * s2) * values[..., cell + 1, :]
+        + (s3 - s2) * dt * derivs[..., cell + 1, :]
     )
 
 
 def _hermite_slope(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
     """Exact t-derivative of `_hermite_value`, with the same shapes."""
-    t = np.asarray(t, dtype=float)
-    steps = ts.shape[0] - 1
-    cell = np.clip((t * steps).astype(int), 0, steps - 1)
-    d00, d10, d01, d11 = (d[..., None] for d in _hermite_dweights(t * steps - cell))
-    dt = ts[1] - ts[0]
+    cell, s, dt = _hermite_cell(ts, t)
+    s2 = s * s
     return (
-        d00 * values[..., cell, :] / dt
-        + d10 * derivs[..., cell, :]
-        + d01 * values[..., cell + 1, :] / dt
-        + d11 * derivs[..., cell + 1, :]
+        (6.0 * s2 - 6.0 * s) * values[..., cell, :] / dt
+        + (3.0 * s2 - 4.0 * s + 1.0) * derivs[..., cell, :]
+        + (-6.0 * s2 + 6.0 * s) * values[..., cell + 1, :] / dt
+        + (3.0 * s2 - 2.0 * s) * derivs[..., cell + 1, :]
     )
 
 
@@ -145,7 +134,8 @@ class Curve:
     """Paths t in [0, 1] -> M sampled on the uniform grid linspace(0, 1, len(ts)).
 
     `xs` and `vs` have shape (..., grid, n): one path, or a batch of paths in
-    leading axes that share the grid. A scalar t gives (..., n); a vector of
+    leading axes that share the grid: cfg.curve_grid samples when integrated,
+    the K knots of a waypoint path. A scalar t gives (..., n); a vector of
     k times gives (..., k, n).
 
     `velocity` is the exact derivative of the position interpolant when no
@@ -196,21 +186,13 @@ class Curve:
     def end_point(self) -> Point:
         return Point(self.xs[..., -1, :].copy())
 
-    def start_tangent(self) -> Tangent:
-        return Tangent(self.start_point(), self.vs[..., 0, :].copy())
-
-    def end_tangent(self) -> Tangent:
-        return Tangent(self.end_point(), self.vs[..., -1, :].copy())
-
     @staticmethod
-    def from_waypoints(waypoints, grid: int = DEFAULT_CONFIG.curve_grid) -> "Curve":
-        """C1 paths through waypoints of shape (..., K, n) (Catmull-Rom
-        tangents, uniform knots); the paths have shape (..., grid', n).
-
-        The fine grid is aligned with the knots so resampling reproduces the
-        piecewise cubic exactly; velocity is the exact path derivative.
-        """
-        W = np.asarray(waypoints, dtype=float)
+    def from_waypoints(waypoints) -> "Curve":
+        """C1 paths through waypoints of shape (..., K, n): Catmull-Rom
+        tangents on uniform knots, stored on the knots, where the Hermite
+        interpolant is the piecewise cubic itself; velocity is its exact
+        derivative. The waypoints are copied."""
+        W = np.array(waypoints, dtype=float)
         if W.ndim < 2 or W.shape[-2] < 2:
             raise ValueError("need at least two waypoints")
         K = W.shape[-2]
@@ -220,13 +202,8 @@ class Curve:
         M[..., -1, :] = (W[..., -1, :] - W[..., -2, :]) / du
         if K > 2:
             M[..., 1:-1, :] = (W[..., 2:, :] - W[..., :-2, :]) / (2.0 * du)
-        per_cell = max(1, int(np.ceil((grid - 1) / (K - 1))))
-        G = (K - 1) * per_cell + 1
-        ts = np.linspace(0.0, 1.0, G)
         knots = np.linspace(0.0, 1.0, K)
-        xs = _hermite_value(knots, W, M, ts)
-        vs = _hermite_slope(knots, W, M, ts)
-        return Curve(ts=ts, xs=xs, vs=vs, accs=None, breaks=knots[1:-1].copy())
+        return Curve(ts=knots, xs=W, vs=M, breaks=knots[1:-1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +435,27 @@ def _grid(cfg: ToleranceConfig) -> np.ndarray:
     return np.linspace(0.0, 1.0, cfg.curve_grid)
 
 
+def _geodesic_states(model, kind, X0, V0, cfg, t) -> np.ndarray:
+    """States of the m geodesics with initial data X0, V0 of shape (m, n) at
+    the increasing times t, shape (len(t), m, 2n), read where the integrator
+    gives them. One integration runs on the grid and t together, so DomainExit
+    is raised when a sample of either lies outside the domain."""
+    n = X0.shape[-1]
+    # the sorted union of the grid and t; np.union1d would import numpy.ma
+    # (about 1 MB of resident memory) on its first call
+    ts = np.sort(np.concatenate([_grid(cfg), t]))
+    ts = ts[np.append(True, ts[1:] > ts[:-1])]
+    states = _integrate_states(model, kind, X0, V0, cfg, ts)
+    inside = model.contains_batch(states[:, :, :n].reshape(-1, n)).reshape(states.shape[:2])
+    if not inside.all():
+        bad = np.where(~inside.all(axis=0))[0]
+        raise DomainExit(
+            f"geodesic left the domain of {model.spec_string} "
+            f"(members {bad[:8].tolist()})"
+        )
+    return states[np.searchsorted(ts, t)]
+
+
 def _curves_from_initial(model, kind, X0, V0, cfg) -> Curve:
     """Dense integration of the geodesics with initial data X0, V0 of shape
     (..., n) into curves of shape (..., grid, n); DomainExit when a grid
@@ -465,18 +463,10 @@ def _curves_from_initial(model, kind, X0, V0, cfg) -> Curve:
     n = X0.shape[-1]
     ts = _grid(cfg)
     shape = X0.shape[:-1] + (ts.shape[0], n)
-    states = _integrate_states(model, kind, X0.reshape(-1, n), V0.reshape(-1, n), cfg, ts)
+    states = _geodesic_states(model, kind, X0.reshape(-1, n), V0.reshape(-1, n), cfg, ts)
     xs = np.swapaxes(states[:, :, :n], 0, 1).copy()
     vs = np.swapaxes(states[:, :, n:], 0, 1).copy()
-    flat_x = xs.reshape(-1, n)
-    inside = model.contains_batch(flat_x)
-    if not inside.all():
-        bad = np.where(~inside.reshape(xs.shape[0], -1).all(axis=1))[0]
-        raise DomainExit(
-            f"geodesic left the domain of {model.spec_string} "
-            f"(members {bad[:8].tolist()})"
-        )
-    accs = _geodesic_accel(model, kind, flat_x, vs.reshape(-1, n))
+    accs = _geodesic_accel(model, kind, xs.reshape(-1, n), vs.reshape(-1, n))
     return Curve(ts=ts, xs=xs.reshape(shape), vs=vs.reshape(shape), accs=accs.reshape(shape))
 
 

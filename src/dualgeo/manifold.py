@@ -400,14 +400,16 @@ def _mixture_full_probs(eta: np.ndarray) -> np.ndarray:
 _MIN_PROB = 1e-3  # simplex margin keeping the Fisher metric well conditioned
 
 
+def _zero_gamma(X):
+    """Symbols of a connection flat in the working chart."""
+    return np.zeros((X.shape[0],) + X.shape[1:] * 3)
+
+
 def _make_euclidean(n: int) -> ManifoldModel:
     eye = np.eye(n)
 
     def metric(X):
         return np.broadcast_to(eye, (X.shape[0], n, n)).copy()
-
-    def zero_gamma(X):
-        return np.zeros((X.shape[0], n, n, n))
 
     def domain(X):
         return np.ones(X.shape[0], dtype=bool)
@@ -423,7 +425,7 @@ def _make_euclidean(n: int) -> ManifoldModel:
         spec_string=f"euclidean:{n}",
         chart="Cartesian coordinates on R^n",
         metric_fn=metric,
-        christoffel_fns={ConnectionKind.PRIMAL: zero_gamma, ConnectionKind.DUAL: zero_gamma},
+        christoffel_fns={ConnectionKind.PRIMAL: _zero_gamma, ConnectionKind.DUAL: _zero_gamma},
         domain_fn=domain,
         safe_box=np.array([[-1.0, 1.0]] * n),
         oracle_fn=oracle,
@@ -517,9 +519,6 @@ def _make_categorical(n: int) -> ManifoldModel:
         P = head_probs(X)
         return np.einsum("mi,ij->mij", P, np.eye(n)) - np.einsum("mi,mj->mij", P, P)
 
-    def zero_gamma(X):
-        return np.zeros((X.shape[0], n, n, n))
-
     def gamma_star(X):
         return _categorical_third_derivative(head_probs(X))
 
@@ -548,7 +547,7 @@ def _make_categorical(n: int) -> ManifoldModel:
         spec_string=f"categorical:{n}",
         chart="natural (log-ratio) coordinates theta",
         metric_fn=metric,
-        christoffel_fns={ConnectionKind.PRIMAL: zero_gamma, ConnectionKind.DUAL: gamma_star},
+        christoffel_fns={ConnectionKind.PRIMAL: _zero_gamma, ConnectionKind.DUAL: gamma_star},
         domain_fn=domain,
         safe_box=np.array([[-1.5, 1.5]] * n),
         oracle_fn=oracle,
@@ -584,9 +583,6 @@ def _make_gaussian1d() -> ManifoldModel:
         g[:, 0, 1] = g[:, 1, 0] = t1 / (2.0 * t2 * t2)
         g[:, 1, 1] = -(t1 * t1) / (2.0 * t2**3) + 1.0 / (2.0 * t2 * t2)
         return g
-
-    def zero_gamma(X):
-        return np.zeros((X.shape[0], 2, 2, 2))
 
     def gamma_star(X):
         # third derivatives of the Gaussian log-partition
@@ -638,7 +634,7 @@ def _make_gaussian1d() -> ManifoldModel:
         spec_string="gaussian1d:2",
         chart="natural parameters (theta1, theta2), theta2 < 0",
         metric_fn=metric,
-        christoffel_fns={ConnectionKind.PRIMAL: zero_gamma, ConnectionKind.DUAL: gamma_star},
+        christoffel_fns={ConnectionKind.PRIMAL: _zero_gamma, ConnectionKind.DUAL: gamma_star},
         domain_fn=domain,
         safe_box=np.array([[-1.0, 1.0], [-1.0, -0.4]]),
         oracle_fn=oracle,

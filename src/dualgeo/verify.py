@@ -29,7 +29,7 @@ from .divergence import (
     DivergenceKind,
     _divergence_many,
     _gradient_many,
-    _main_curves,
+    _main_nodes,
     _path_functional_many,
     _pi_many,
 )
@@ -126,9 +126,10 @@ def suite_eguchi(model, samples, rng, cfg) -> List[CheckRecord]:
     return out
 
 
-def _random_paths(model, P, Q, rng, n_paths, cfg) -> Curve:
+def _random_paths(model, P, Q, rng, n_paths) -> Curve:
     """C1 waypoint paths from each P to its Q jittered inside the safe box:
-    one batch of shape (m, n_paths, grid, n), drawn pair by pair, path by path."""
+    one batch of shape (m, n_paths, 4, n) on the four knots, drawn pair by
+    pair, path by path."""
     box = model.safe_box
     span = box[:, 1] - box[:, 0]
     jitter = rng.uniform(-0.06, 0.06, (P.shape[0], n_paths, 2, P.shape[1])) * span
@@ -136,7 +137,7 @@ def _random_paths(model, P, Q, rng, n_paths, cfg) -> Curve:
     w1 = np.clip(P + (Q - P) * 0.33 + jitter[:, :, 0], box[:, 0], box[:, 1])
     w2 = np.clip(P + (Q - P) * 0.66 + jitter[:, :, 1], box[:, 0], box[:, 1])
     W = np.stack(np.broadcast_arrays(P, w1, w2, Q), axis=2)
-    return Curve.from_waypoints(W, grid=cfg.curve_grid)
+    return Curve.from_waypoints(W)
 
 
 def suite_pathindep(model, samples, rng, cfg) -> List[CheckRecord]:
@@ -144,7 +145,7 @@ def suite_pathindep(model, samples, rng, cfg) -> List[CheckRecord]:
     P, Q = sample_pairs(model, samples, rng, shrink=0.85)
     n_paths = 5
     r = _divergence_many(model, DivergenceKind.PSEUDO_NORM, P, Q, cfg)[:, None]
-    paths = _random_paths(model, P, Q, rng, n_paths, cfg)
+    paths = _random_paths(model, P, Q, rng, n_paths)
     primal, dual = _path_functional_many(model, P[:, None, :], paths, cfg)
     sums = primal + dual
     spread = np.ptp(sums, axis=1) / (1.0 + np.abs(sums).max(axis=1))
@@ -171,13 +172,15 @@ def suite_gradient(model, samples, rng, cfg) -> List[CheckRecord]:
     grad_r = _gradient_many(model, DivergenceKind.PSEUDO_NORM, P, Q, cfg)
     ident_err = float(_norms(g, Pi + PiStar - grad_r).max())
 
-    sig_dot = _main_curves(model, ConnectionKind.PRIMAL, P, Q, cfg).velocity(1.0)
+    # the end velocities of the main geodesics, read off the integrator
+    end = np.array([1.0])
+    sig_dot = _main_nodes(model, ConnectionKind.PRIMAL, P, Q, end, cfg)[2][:, 0]
     grad_D = _gradient_many(model, DivergenceKind.CANONICAL, P, Q, cfg)
     num = np.abs(_pairing(g, Pi - grad_D, sig_dot))
     den = np.maximum(_norms(g, Pi) * _norms(g, sig_dot), 1e-30)
     orth_p_err = float((num / den).max())
 
-    sig_star_dot = _main_curves(model, ConnectionKind.DUAL, P, Q, cfg).velocity(1.0)
+    sig_star_dot = _main_nodes(model, ConnectionKind.DUAL, P, Q, end, cfg)[2][:, 0]
     grad_Dstar = _gradient_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
     num = np.abs(_pairing(g, PiStar - grad_Dstar, sig_star_dot))
     den = np.maximum(_norms(g, PiStar) * _norms(g, sig_star_dot), 1e-30)

@@ -25,7 +25,7 @@ from dualgeo import (
     symmetry_probe,
 )
 from dualgeo.config import DEFAULT_CONFIG as CFG
-from dualgeo.divergence import _divergence_many, _gradient_many, _main_curves, _pi_many
+from dualgeo.divergence import _divergence_many, _gradient_many, _main_nodes, _pi_many
 from dualgeo.verify import suite_pathindep
 
 ALL = ["euclidean", "sphere", "categorical", "gaussian1d", "alpha_categorical"]
@@ -117,17 +117,18 @@ def test_criterion_5_gradient_identity(models):
 def test_criterion_6_orthogonal_decomposition(models):
     orth_worst = 0.0
     align_worst = 0.0
+    end = np.array([1.0])
     for name in ALL:
         model = models[name]
         P, Q = sample_pairs(model, 20, rng_for(6), shrink=0.8)
         g = model.metric_batch(Q)
         Pi, PiStar = _pi_many(model, P, Q, CFG)
-        sig_dot = _main_curves(model, ConnectionKind.PRIMAL, P, Q, CFG).velocity(1.0)
+        sig_dot = _main_nodes(model, ConnectionKind.PRIMAL, P, Q, end, CFG)[2][:, 0]
         grad_D = _gradient_many(model, DivergenceKind.CANONICAL, P, Q, CFG)
         num = np.abs(pairing(g, Pi - grad_D, sig_dot))
         den = np.maximum(norms(g, Pi) * norms(g, sig_dot), 1e-30)
         orth_worst = max(orth_worst, float((num / den).max()))
-        sig_star_dot = _main_curves(model, ConnectionKind.DUAL, P, Q, CFG).velocity(1.0)
+        sig_star_dot = _main_nodes(model, ConnectionKind.DUAL, P, Q, end, CFG)[2][:, 0]
         grad_Ds = _gradient_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, CFG)
         num = np.abs(pairing(g, PiStar - grad_Ds, sig_star_dot))
         den = np.maximum(norms(g, PiStar) * norms(g, sig_star_dot), 1e-30)

@@ -444,3 +444,32 @@ def test_node_logs_of_the_primal_geodesic_are_t_times_its_velocity(cfg, spec, du
     assert ok.all()
     exact = (t[None, :, None] * V[:, None, :]).reshape(-1, n)
     assert np.abs(shot - exact).max() <= 1e-9
+
+
+@pytest.mark.parametrize("spec", ["categorical:2", "gaussian1d", "categorical:3"])
+def test_dual_kind_is_exact_on_the_affine_chart_route(cfg, spec):
+    # every piece of the dual kind is closed-form here: the main geodesic's
+    # nodes come from the integrator at the node times, not from an
+    # interpolant of its grid samples, so the value is the oracle D(q, p)
+    # to rounding
+    model = parse_model_spec(spec)
+    P, Q = sample_pairs(model, 64, np.random.default_rng(1))
+    dual = _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
+    oracle = _divergence_many(model, DivergenceKind.ORACLE_KL, Q, P, cfg)
+    assert np.abs(dual / oracle - 1.0).max() <= 1e-12
+
+
+def test_dual_geodesic_that_leaves_the_domain_between_nodes_still_raises(models, cfg):
+    # mu = -2 and 2, sigma^2 = 16.005: the dual geodesic is the Legendre line
+    # eta2 = 20.005, whose sigma^2 = 20.005 - (4t - 2)^2 reaches the domain's
+    # bound 20 only for t in 0.5 +- 0.018. No Gauss-Legendre node lies there,
+    # but the grid sample t = 0.5 does
+    ga = models["gaussian1d"]
+    var = 16.005
+    P = np.array([[-2.0 / var, -0.5 / var]])
+    Q = np.array([[2.0 / var, -0.5 / var]])
+    t, _ = _gauss_legendre(cfg.quad_nodes)
+    assert np.abs(t - 0.5).min() > 0.018
+    for model in (ga, dataclasses.replace(ga, affine_charts={})):
+        with pytest.raises(DomainExit):
+            _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)

@@ -288,14 +288,18 @@ def test_curve_from_waypoints_interpolates(rng):
     fd = (c.position(t + h) - c.position(t - h)) / (2 * h)
     assert np.abs(c.velocity(t) - fd).max() < 1e-7
     assert c.breaks is not None and len(c.breaks) == 2
+    # the path is stored on its knots, as a copy of the caller's waypoints
+    assert np.array_equal(c.ts, np.linspace(0, 1, 4)) and np.array_equal(c.xs, W)
+    W[1] = 9.0
+    assert np.abs(c.position(1 / 3) - [0.4, 0.6]).max() < 1e-12
 
 
 @pytest.mark.parametrize("batch,K", [((3,), 2), ((2, 3), 4), ((5,), 3)])
 def test_curve_from_waypoints_batch_equals_its_single_paths(rng, batch, K):
     W = rng.uniform(-1.0, 1.0, batch + (K, 2))
-    batched = Curve.from_waypoints(W, grid=33)
+    batched = Curve.from_waypoints(W)
     for idx in np.ndindex(*batch):
-        single = Curve.from_waypoints(W[idx], grid=33)
+        single = Curve.from_waypoints(W[idx])
         assert np.array_equal(batched.ts, single.ts)
         assert np.array_equal(batched.xs[idx], single.xs)
         assert np.array_equal(batched.vs[idx], single.vs)
@@ -380,7 +384,7 @@ def test_legendre_chart_route_matches_ode_route(cfg, spec, dual):
     # geodesic. The chart gives the exact value; at the default tolerances the
     # transport ODE is 1.6e-9 off on categorical:3, so it is solved tighter here
     mid = 0.5 * (P[0] + Q[0]) + 0.05 * (P[1] - P[2])
-    path = Curve.from_waypoints([P[0], mid, Q[0]], grid=cfg.curve_grid)
+    path = Curve.from_waypoints([P[0], mid, Q[0]])
     u = model.tangent(p, [1.0, -0.5, 0.25][: model.dim])
     moved_chart = parallel_transport(model, kind, path, u, cfg)
     tight = cfg.with_(ode_rel_tol=1e-12, ode_abs_tol=1e-14)
