@@ -74,7 +74,6 @@ def _tolerances(args) -> ToleranceConfig:
     updates = {}
     if args.tol_ode is not None:
         updates["ode_rel_tol"] = args.tol_ode
-        updates["ode_abs_tol"] = args.tol_ode * 1e-2
     if args.tol_shoot is not None:
         updates["shoot_tol"] = args.tol_shoot
     if args.quad_nodes is not None:

@@ -9,34 +9,28 @@ from dataclasses import dataclass, replace
 class ToleranceConfig:
     """All numerical knobs in one immutable record.
 
-    ode_rel_tol / ode_abs_tol   adaptive Runge-Kutta tolerances
+    ode_rel_tol                 Runge-Kutta relative tolerance (absolute: 1/100 of it)
     shoot_tol                   chart-coordinate convergence threshold for
                                 the two-point (log map) Newton iteration
     shoot_max_iter              Newton iteration cap before ShootingNoConvergence
     quad_nodes                  Gauss-Legendre node count on [0, 1]
     fd_step                     base finite-difference step
-    curve_grid                  sample count of the dense curve grid backing
-                                cubic Hermite interpolation
     """
 
     ode_rel_tol: float = 1e-10
-    ode_abs_tol: float = 1e-12
     shoot_tol: float = 1e-9
     shoot_max_iter: int = 50
     quad_nodes: int = 32
     fd_step: float = 1e-4
-    curve_grid: int = 257
 
     def __post_init__(self):
-        for name in ("ode_rel_tol", "ode_abs_tol", "shoot_tol", "fd_step"):
+        for name in ("ode_rel_tol", "shoot_tol", "fd_step"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         if self.shoot_max_iter < 1:
             raise ValueError("shoot_max_iter must be >= 1")
         if self.quad_nodes < 1:
             raise ValueError("quad_nodes must be >= 1")
-        if self.curve_grid < 3:
-            raise ValueError("curve_grid must be >= 3")
 
     def with_(self, **kwargs) -> "ToleranceConfig":
         """Copy with selected fields replaced."""

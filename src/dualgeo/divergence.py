@@ -24,7 +24,7 @@ the geodesic from p to q off the integrator (`_main_nodes`), so they are
 exact on the affine-chart route. A path-functional node costs two two-point
 solves (both logs); a canonical node costs one, the dual log that tracks
 transport, since its primal log is t V on the primal geodesic from p with
-velocity V.
+velocity V. A log vector is transported in its track's own integration.
 Every computation runs batched; each public function is a batch of one, with
 no path of its own: each divergence kind goes through `divergence_value` into
 `_divergence_many`, `pi_field` into `_pi_many`, `path_functional` into
@@ -49,8 +49,8 @@ builtins every kind still integrates, but over closed-form pieces, since each
 connection has an affine chart (see `geodesic`). Geodesics and log vectors
 then come without ODE or Newton iteration, and a transported difference
 vector is J(target)^{-1} J(base) V, which needs no track geodesic, so
-`_pi_many` builds no dense curves, and for a canonical kind, whose primal
-logs it is given, shoots no log. A copy of the model with no charts,
+`_pi_many` integrates no track, and for a canonical kind, whose primal logs
+it is given, shoots no log. A copy of the model with no charts,
 `dataclasses.replace(model, affine_charts={})`, sends every pair off the
 diagonal down the integration and shooting route. The closed-form oracle
 kind is never guarded.
@@ -74,11 +74,9 @@ from .errors import OracleUnavailable, PointOutOfDomain, QuadratureFailure
 from .geodesic import (
     Curve,
     _central_stencil,
-    _curves_from_initial,
     _flat_transport,
     _geodesic_states,
     _shoot_many,
-    _transport_many,
 )
 from .manifold import ConnectionKind, ManifoldModel, Point, Tangent
 
@@ -161,7 +159,8 @@ def _pi_many(
     Each field is its connection's log vector from base to target, carried
     there by that connection's transport. One rule builds both: a connection
     with an affine chart transports as J(target)^{-1} J(base) V, which needs
-    no track; any other transports along the other connection's geodesic.
+    no track; any other carries V in the integration of its track, the other
+    connection's geodesic, and reads it at t = 1.
     Each log is shot at most once, the primal before the dual. Returns (Pi,
     PiStar). A caller that knows the primal logs passes them and gets (Pi,
     None): the dual log is then shot only as the track, and not at all when
@@ -178,8 +177,8 @@ def _pi_many(
         V, chart = log(kind), model.affine_charts.get(kind)
         if chart is not None:
             return _flat_transport(chart, bases, targets, V)
-        track = _curves_from_initial(model, kind.dual, bases, log(kind.dual), cfg)
-        return _transport_many(model, kind, track, V, cfg)
+        states = _geodesic_states(model, kind.dual, bases, log(kind.dual), cfg, [1.0], (kind, V))
+        return states[0, :, 2 * bases.shape[1] :]
 
     Pi = field(ConnectionKind.PRIMAL)
     return Pi, None if primal_logs is not None else field(ConnectionKind.DUAL)
@@ -253,7 +252,7 @@ def _pseudo_norm_many(model, P, Q, cfg) -> np.ndarray:
 def _oracle_many(model, P, Q) -> np.ndarray:
     if model.oracle_fn is None:
         raise OracleUnavailable(f"{model.spec_string} has no closed-form divergence")
-    return np.array([model.oracle_fn(p, q) for p, q in zip(P, Q)])
+    return model.oracle_fn(P, Q)
 
 
 def _divergence_many(

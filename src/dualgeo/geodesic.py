@@ -11,11 +11,13 @@ of thousands of tiny ones:
 
 Each numerical piece has one copy. Both ODEs take their right-hand side from
 `_contract`, the raised symbol contraction -g^{-1} Gamma(u, w): at (v, v) for
-a geodesic, at (x', V) for a transported vector. `_contract` runs the model's
-closed-form kernel for the connection, `model.contraction_fns[kind]`, when it
-has one, and otherwise the generic reference: the symbols contracted by one
-einsum and solved against the metric. `dualized()` swaps the kernels with the
-symbols, a copy with `affine_charts={}` keeps them, and a copy with
+a geodesic, at (x', V) for a transported vector, which rides in its track's
+integration as the state (x, v, w); only `parallel_transport` integrates it
+alone, along a `Curve`'s interpolant (`_transport_many`). `_contract` runs the
+model's closed-form kernel for the connection, `model.contraction_fns[kind]`,
+when it has one, and otherwise the generic reference: the symbols contracted
+by one einsum and solved against the metric. `dualized()` swaps the kernels
+with the symbols, a copy with `affine_charts={}` keeps them, and a copy with
 `contraction_fns={}` runs the generic reference, which is how the kernels are
 cross-checked. Both ODEs are solved by `_rk45`, an in-tree Dormand-Prince
 5(4) integrator whose arithmetic is that of the solve_ivp(method="RK45") call
@@ -30,7 +32,7 @@ the step from its best shot (at first the zero shot).
 One type, `Curve`, holds one path or a batch of them: samples of shape
 (..., grid, n) on the uniform grid linspace(0, 1, grid), read between samples
 by one cubic Hermite interpolant (`_hermite_value`, `_hermite_slope`), at one
-time or a vector of times. An integrated curve has cfg.curve_grid samples; a
+time or a vector of times. An integrated curve has _CURVE_GRID samples; a
 waypoint path is stored on its knots, where the interpolant is the path. A
 state wanted at known times (a quadrature node, an end velocity) is read
 off the integrator by `_geodesic_states`, never through the interpolant.
@@ -56,8 +58,9 @@ in closed form by one code path, with J = d eta / dx the chart's Jacobian:
 In the working chart J is the identity and these are straight chart lines
 and component-preserving transport. Geodesic states are still checked against
 the domain on every grid sample, so an eta-line that leaves the domain raises
-DomainExit as the integrated geodesic does. A copy of the model with no
-charts, `dataclasses.replace(model, affine_charts={})`, takes the ODE route
+DomainExit as the integrated geodesic does. A geodesic that carries a vector
+is integrated even when its connection has a chart. A copy of the model with
+no charts, `dataclasses.replace(model, affine_charts={})`, takes the ODE route
 everywhere, which is how the closed forms are cross-checked.
 """
 
@@ -134,7 +137,7 @@ class Curve:
     """Paths t in [0, 1] -> M sampled on the uniform grid linspace(0, 1, len(ts)).
 
     `xs` and `vs` have shape (..., grid, n): one path, or a batch of paths in
-    leading axes that share the grid: cfg.curve_grid samples when integrated,
+    leading axes that share the grid: _CURVE_GRID samples when integrated,
     the K knots of a waypoint path. A scalar t gives (..., n); a vector of
     k times gives (..., k, n).
 
@@ -154,14 +157,16 @@ class Curve:
     breaks: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # the interpolant finds a time's cell as t * (grid - 1). Every batched
-        # integration builds a Curve, so this is a plain max-abs test:
-        # np.allclose costs four times as much on the default grid
+        # the interpolant finds a time's cell as t * (grid - 1) and reads its
+        # row of each sample array, which must have one row per grid time
         ts = np.asarray(self.ts, dtype=float)
         if ts.ndim != 1 or ts.shape[0] < 2 or not (
             np.abs(ts - np.linspace(0.0, 1.0, ts.shape[0])).max() <= 1e-12
         ):
             raise ValueError("curve parameter samples must be linspace(0, 1, len(ts))")
+        for name, samples in (("xs", self.xs), ("vs", self.vs), ("accs", self.accs)):
+            if samples is not None and np.shape(samples)[-2:-1] != ts.shape:
+                raise ValueError(f"{name} needs one row per time of ts on its axis -2")
 
     @property
     def dim(self) -> int:
@@ -331,16 +336,16 @@ def _rk45(rhs, y0: np.ndarray, t_eval: np.ndarray, cfg: ToleranceConfig, what: s
     reports what they would.
 
     The whole state shares one step, whose local error estimate is held to
-    atol + rtol |y| in the root-mean-square norm over all components. The
-    arithmetic is that of solve_ivp(method="RK45"), so the states match it
-    bit for bit.
+    atol + rtol |y|, atol a hundredth of rtol = cfg.ode_rel_tol, in the
+    root-mean-square norm over all components. The arithmetic is that of
+    solve_ivp(method="RK45"), so the states match it bit for bit.
     """
     y = np.asarray(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
     # a relative tolerance near the float resolution would never be met
     rtol = max(cfg.ode_rel_tol, 100 * np.finfo(float).eps)
-    atol = cfg.ode_abs_tol
+    atol = cfg.ode_rel_tol * 1e-2
     t_eval = np.asarray(t_eval, dtype=float)
     t = 0.0
     f = rhs(t, y)
@@ -403,49 +408,56 @@ def _integrate_states(
     V0: np.ndarray,
     cfg: ToleranceConfig,
     t_eval: np.ndarray,
+    carried=None,
 ) -> np.ndarray:
     """Integrate m geodesic initial value problems, in closed form when the
-    connection has an affine chart; returns (len(t_eval), m, 2n)."""
+    connection has an affine chart; returns (len(t_eval), m, 2n). With carried
+    = (connection, W0), the same system, then always integrated, transports W0
+    (m, n) along the geodesics by that connection; the rows are (x, v, w)."""
     m, n = X0.shape
     T = np.asarray(t_eval, dtype=float)
     chart = model.affine_charts.get(kind)
-    if chart is not None:
+    if chart is not None and carried is None:
         E0 = chart.to_affine(X0)
         dE = _to_affine_components(chart, X0, V0)
         E = E0[None, :, :] + T[:, None, None] * dE[None, :, :]
         X = chart.from_affine(E.reshape(-1, n))
         dEs = np.broadcast_to(dE[None, :, :], E.shape).reshape(-1, n)
-        out = np.empty((T.shape[0], m, 2 * n))
-        out[:, :, :n] = X.reshape(T.shape[0], m, n)
-        out[:, :, n:] = _from_affine_components(chart, X, dEs).reshape(T.shape[0], m, n)
-        return out
+        V = _from_affine_components(chart, X, dEs)
+        return np.concatenate([X, V], axis=1).reshape(T.shape[0], m, 2 * n)
+
+    y0 = np.concatenate([X0, V0] if carried is None else [X0, V0, carried[1]], axis=1)
+    x, v, w, width = slice(0, n), slice(n, 2 * n), slice(2 * n, None), y0.shape[1]
 
     def rhs(t, y):
-        Y = y.reshape(m, 2 * n)
+        Y = y.reshape(m, width)
         out = np.empty_like(Y)
-        out[:, :n] = Y[:, n:]
-        out[:, n:] = _geodesic_accel(model, kind, Y[:, :n], Y[:, n:])
+        out[:, x] = Y[:, v]
+        out[:, v] = _geodesic_accel(model, kind, Y[:, x], Y[:, v])
+        if carried is not None:
+            out[:, w] = _contract(model, carried[0], Y[:, x], Y[:, v], Y[:, w])
         return out.ravel()
 
-    y0 = np.concatenate([X0, V0], axis=1).ravel()
-    return _rk45(rhs, y0, T, cfg, "geodesic integration").reshape(T.shape[0], m, 2 * n)
+    return _rk45(rhs, y0.ravel(), T, cfg, "geodesic integration").reshape(T.shape[0], m, width)
 
 
-def _grid(cfg: ToleranceConfig) -> np.ndarray:
-    return np.linspace(0.0, 1.0, cfg.curve_grid)
+# samples of an integrated curve, and the times at which every geodesic is
+# checked against the domain; `_rk45` does not step by them
+_CURVE_GRID = 257
 
 
-def _geodesic_states(model, kind, X0, V0, cfg, t) -> np.ndarray:
+def _geodesic_states(model, kind, X0, V0, cfg, t, carried=None) -> np.ndarray:
     """States of the m geodesics with initial data X0, V0 of shape (m, n) at
-    the increasing times t, shape (len(t), m, 2n), read where the integrator
-    gives them. One integration runs on the grid and t together, so DomainExit
-    is raised when a sample of either lies outside the domain."""
+    the increasing times t, shape (len(t), m, 2n) or, `carried` as in
+    `_integrate_states`, (len(t), m, 3n), read where the integrator gives
+    them. One integration runs on the grid and t together, so DomainExit is
+    raised when a sample of either lies outside the domain."""
     n = X0.shape[-1]
     # the sorted union of the grid and t; np.union1d would import numpy.ma
     # (about 1 MB of resident memory) on its first call
-    ts = np.sort(np.concatenate([_grid(cfg), t]))
+    ts = np.sort(np.concatenate([np.linspace(0.0, 1.0, _CURVE_GRID), t]))
     ts = ts[np.append(True, ts[1:] > ts[:-1])]
-    states = _integrate_states(model, kind, X0, V0, cfg, ts)
+    states = _integrate_states(model, kind, X0, V0, cfg, ts, carried)
     inside = model.contains_batch(states[:, :, :n].reshape(-1, n)).reshape(states.shape[:2])
     if not inside.all():
         bad = np.where(~inside.all(axis=0))[0]
@@ -461,7 +473,7 @@ def _curves_from_initial(model, kind, X0, V0, cfg) -> Curve:
     (..., n) into curves of shape (..., grid, n); DomainExit when a grid
     sample lies outside the domain."""
     n = X0.shape[-1]
-    ts = _grid(cfg)
+    ts = np.linspace(0.0, 1.0, _CURVE_GRID)
     shape = X0.shape[:-1] + (ts.shape[0], n)
     states = _geodesic_states(model, kind, X0.reshape(-1, n), V0.reshape(-1, n), cfg, ts)
     xs = np.swapaxes(states[:, :, :n], 0, 1).copy()

@@ -216,7 +216,7 @@ class ManifoldModel:
     christoffel_fns[kind]   (m, n)    -> (m, n, n, n) lower-index symbols,
                                          symmetric in the first two slots
     domain_fn(X)            (m, n)    -> (m,) bool
-    oracle_fn(p, q)         closed-form reference divergence or None
+    oracle_fn(P, Q)         (..., n) pairs -> (...) closed-form reference, or None
     affine_charts[kind]     the chart where that connection is flat, if the
                             model knows one; WORKING_CHART when its symbols
                             vanish in the working chart
@@ -238,7 +238,7 @@ class ManifoldModel:
     christoffel_fns: dict
     domain_fn: Callable[[np.ndarray], np.ndarray]
     safe_box: np.ndarray
-    oracle_fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    oracle_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     affine_charts: dict = field(default_factory=dict)
     contraction_fns: dict = field(default_factory=dict)
     coord_converters: dict = field(default_factory=dict)
@@ -379,12 +379,11 @@ def mixture_to_natural(probs_head: np.ndarray) -> np.ndarray:
 
 
 def _full_probs_batch(theta: np.ndarray) -> np.ndarray:
-    """(m, n) natural coordinates -> (m, n+1) probability vectors, stably."""
-    m, n = theta.shape
-    z = np.concatenate([theta, np.zeros((m, 1))], axis=1)
-    z = z - z.max(axis=1, keepdims=True)
+    """(..., n) natural coordinates -> (..., n+1) probability vectors, stably."""
+    z = np.concatenate([theta, np.zeros(theta.shape[:-1] + (1,))], axis=-1)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _mixture_full_probs(eta: np.ndarray) -> np.ndarray:
@@ -416,7 +415,7 @@ def _make_euclidean(n: int) -> ManifoldModel:
 
     def oracle(p, q):
         d = q - p
-        return 0.5 * float(d @ d)
+        return 0.5 * np.vecdot(d, d)
 
     return ManifoldModel(
         name="euclidean",
@@ -536,9 +535,8 @@ def _make_categorical(n: int) -> ManifoldModel:
     def oracle(theta_p, theta_q):
         # reference divergence oriented to match the primal canonical
         # divergence from p to q in this chart (see module docstring)
-        pp = _full_probs_batch(theta_p[None, :])[0]
-        pq = _full_probs_batch(theta_q[None, :])[0]
-        return float(np.sum(pq * (np.log(pq) - np.log(pp))))
+        pp, pq = _full_probs_batch(theta_p), _full_probs_batch(theta_q)
+        return np.sum(pq * (np.log(pq) - np.log(pp)), axis=-1)
 
     return ManifoldModel(
         name="categorical",
@@ -614,18 +612,16 @@ def _make_gaussian1d() -> ManifoldModel:
             return np.stack([E[:, 0] / var, -0.5 / var], axis=1)
 
     def moments(theta):
-        mu = -theta[0] / (2.0 * theta[1])
-        var = -1.0 / (2.0 * theta[1])
+        mu = -theta[..., 0] / (2.0 * theta[..., 1])
+        var = -1.0 / (2.0 * theta[..., 1])
         return mu, var
 
     def oracle(theta_p, theta_q):
         mu_p, var_p = moments(theta_p)
         mu_q, var_q = moments(theta_q)
-        return float(
-            0.5 * math.log(var_p / var_q)
-            + (var_q + (mu_q - mu_p) ** 2) / (2.0 * var_p)
-            - 0.5
-        )
+        # d * d: a numpy scalar's d ** 2 can differ from a batch row's
+        d = mu_q - mu_p
+        return 0.5 * np.log(var_p / var_q) + (var_q + d * d) / (2.0 * var_p) - 0.5
 
     return ManifoldModel(
         name="gaussian1d",
