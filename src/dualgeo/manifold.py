@@ -415,7 +415,7 @@ def _make_euclidean(n: int) -> ManifoldModel:
 
     def oracle(p, q):
         d = q - p
-        return 0.5 * np.vecdot(d, d)
+        return 0.5 * (d[..., None, :] @ d[..., :, None])[..., 0, 0]  # d @ d's BLAS dot, stacked
 
     return ManifoldModel(
         name="euclidean",

@@ -277,6 +277,13 @@ def test_batched_oracle_equals_its_single_pairs(cfg, spec, dual):
     assert np.array_equal(_divergence_many(model, DivergenceKind.ORACLE_KL, P, Q, cfg), batched)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_batched_euclidean_oracle_is_half_the_dot_product_bit_for_bit(n):
+    model = parse_model_spec(f"euclidean:{n}")
+    P, Q = sample_pairs(model, 256, np.random.default_rng(4))
+    assert np.array_equal(model.oracle_fn(P, Q), [0.5 * float((q - p) @ (q - p)) for p, q in zip(P, Q)])
+
+
 def test_oracle_unavailable(models):
     sp = models["sphere"]
     with pytest.raises(OracleUnavailable):
