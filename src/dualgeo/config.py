@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -12,23 +13,21 @@ class ToleranceConfig:
     ode_rel_tol                 Runge-Kutta relative tolerance (absolute: 1/100 of it)
     shoot_tol                   chart-coordinate convergence threshold for
                                 the two-point (log map) Newton iteration
-    shoot_max_iter              Newton iteration cap before ShootingNoConvergence
     quad_nodes                  Gauss-Legendre node count on [0, 1]
     fd_step                     base finite-difference step
+
+    The real knobs must be finite and positive; the sweep cap is `geodesic._MAX_SWEEPS`.
     """
 
     ode_rel_tol: float = 1e-10
     shoot_tol: float = 1e-9
-    shoot_max_iter: int = 50
     quad_nodes: int = 32
     fd_step: float = 1e-4
 
     def __post_init__(self):
         for name in ("ode_rel_tol", "shoot_tol", "fd_step"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be positive")
-        if self.shoot_max_iter < 1:
-            raise ValueError("shoot_max_iter must be >= 1")
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and positive")
         if self.quad_nodes < 1:
             raise ValueError("quad_nodes must be >= 1")
 

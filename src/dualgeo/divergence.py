@@ -55,9 +55,9 @@ it is given, shoots no log. A copy of the model with no charts,
 diagonal down the integration and shooting route. The closed-form oracle
 kind is never guarded.
 
-Every value `_divergence_many` returns is finite; a non-finite one, from any
-route (an overflowing quadratic form on huge coordinates, say), raises
-QuadratureFailure, and the CLI flags its row.
+Every value `_divergence_many` or `_path_functional_many` returns is finite
+(`_finite`); a non-finite one, from any route (an overflowing quadratic form
+on huge coordinates, say), raises QuadratureFailure, and the CLI flags its row.
 """
 
 from __future__ import annotations
@@ -134,6 +134,25 @@ def _check_inside(model: ManifoldModel, X: np.ndarray, label: str):
             f"{label} outside the domain of {model.spec_string} "
             f"(first offender: {X[np.argmin(ok)]!r})"
         )
+
+
+def _near_diagonal(P, Q) -> np.ndarray:
+    """Pairs closer than NEAR_DIAGONAL in the chart; one that overflows is not."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(Q - P, axis=1) < NEAR_DIAGONAL
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _finite(what: str, evaluate, *args):
+    """evaluate(*args), an array or a tuple of arrays, if all of it is finite;
+    else QuadratureFailure. numpy's floating-point warnings are off inside,
+    since the check reports what they would."""
+    out = evaluate(*args)
+    for values in out if isinstance(out, tuple) else (out,):
+        bad = ~np.isfinite(values).ravel()
+        if bad.any():
+            raise QuadratureFailure(f"{what} is not finite (first offender: pair {bad.argmax()})")
+    return out
 
 
 def _metric_pairing(model: ManifoldModel, X, U, V) -> np.ndarray:
@@ -220,10 +239,7 @@ def _ay_many(model, P, Q, cfg) -> np.ndarray:
     _, xs, vs = _main_nodes(model, ConnectionKind.PRIMAL, P, Q, t_nodes, cfg)
     flat_v = vs.reshape(-1, n)
     speed2 = _metric_pairing(model, xs.reshape(-1, n), flat_v, flat_v)
-    speed2 = speed2.reshape(-1, t_nodes.shape[0])
-    if not np.all(np.isfinite(speed2)):
-        raise QuadratureFailure("non-finite integrand at a quadrature node")
-    return (speed2 * (w * t_nodes)).sum(axis=1)
+    return (speed2.reshape(-1, t_nodes.shape[0]) * (w * t_nodes)).sum(axis=1)
 
 
 def _canonical_many(model, P, Q, cfg) -> np.ndarray:
@@ -238,8 +254,6 @@ def _canonical_many(model, P, Q, cfg) -> np.ndarray:
     logs = (t_nodes[None, :, None] * V[:, None, :]).reshape(-1, n)
     Pi, _ = _pi_many(model, bases, targets, cfg, primal_logs=logs, node_times=times)
     integrand = _metric_pairing(model, targets, Pi, vs.reshape(-1, n)).reshape(-1, k)
-    if not np.all(np.isfinite(integrand)):
-        raise QuadratureFailure("non-finite integrand at a quadrature node")
     return (integrand * w).sum(axis=1)
 
 
@@ -266,20 +280,11 @@ def _divergence_many(
 
     Pairs near the diagonal, and every pair of a doubly flat model, get the
     quadratic form (see the module docstring); the evaluator sees the rest.
-    Every value is finite: a route that overflows raises QuadratureFailure
-    instead of returning it, and numpy's floating-point warnings are off
-    inside, since the check reports what they would.
-    """
+    Every value is finite (`_finite`)."""
     _check_inside(model, P, "first argument")
     _check_inside(model, Q, "second argument")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _evaluate_many(model, kind, P, Q, cfg)
-    if not np.all(np.isfinite(out)):
-        raise QuadratureFailure(
-            f"{kind.value} divergence on {model.spec_string} is not finite "
-            f"(first offender: pair {int(np.argmin(np.isfinite(out)))})"
-        )
-    return out
+    what = f"{kind.value} divergence on {model.spec_string}"
+    return _finite(what, _evaluate_many, model, kind, P, Q, cfg)
 
 
 def _evaluate_many(model, kind, P, Q, cfg) -> np.ndarray:
@@ -295,7 +300,7 @@ def _evaluate_many(model, kind, P, Q, cfg) -> np.ndarray:
     if evaluate is None:
         raise ValueError(f"unknown divergence kind {kind!r}")
     doubly_flat = model.is_flat(ConnectionKind.PRIMAL) and model.is_flat(ConnectionKind.DUAL)
-    exact = doubly_flat | (np.linalg.norm(Q - P, axis=1) < NEAR_DIAGONAL)
+    exact = doubly_flat | _near_diagonal(P, Q)
     out = np.empty(P.shape[0])
     d = Q[exact] - P[exact]
     form = _metric_pairing(model, P[exact], d, d)
@@ -367,12 +372,13 @@ def _piecewise_nodes(cfg: ToleranceConfig, breaks) -> tuple:
 
 
 def _path_functional_many(model: ManifoldModel, P: np.ndarray, paths: Curve, cfg: ToleranceConfig):
-    """Both line integrals of (Pi, Pi*) along paths sampled (..., grid, n),
-    from base points P that broadcast to (..., n); two arrays of shape (...).
+    """Both line integrals of (Pi, Pi*) along paths sampled (..., grid, n), from
+    base points P that broadcast to (..., n): two finite arrays of shape (...)."""
+    return _finite(f"path functional on {model.spec_string}", _path_integrals, model, P, paths, cfg)
 
-    All paths' quadrature nodes go through one `_pi_many` call, and each
-    path's weighted sum is taken on its own row.
-    """
+
+def _path_integrals(model, P, paths, cfg):
+    """`_path_functional_many` unguarded: one `_pi_many` call, a sum per row."""
     n = paths.dim
     t_nodes, w = _piecewise_nodes(cfg, paths.breaks)
     xs = paths.position(t_nodes)  # (..., k, n)

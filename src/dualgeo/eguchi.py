@@ -37,6 +37,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .divergence import NEAR_DIAGONAL, DivergenceKind, _check_inside, _divergence_many
+from .divergence import _near_diagonal
 from .errors import InvalidModelSpec, QuadratureFailure, ShootingNoConvergence, StencilOutOfDomain
 from .geodesic import _central_stencil
 from .manifold import ConnectionKind, ManifoldModel, Point
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 CLASSIFY_THRESHOLD = 1e-5
+TANGENT_PROBES, PROBE_SEED = 20, 0  # the sectional probe's draws per point, and their seed
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ class _StencilEvaluator:
                 f"of {self.model.spec_string}"
             )
         # there the quadratic form answers, which holds the metric exactly
-        if ((A != B).any(axis=1) & (np.linalg.norm(B - A, axis=1) < NEAR_DIAGONAL)).any():
+        if ((A != B).any(axis=1) & _near_diagonal(A, B)).any():
             raise InvalidModelSpec(
                 f"finite-difference step {self.cfg.fd_step!r} puts stencil pairs closer than "
                 f"{NEAR_DIAGONAL!r}, where the divergence is replaced by its quadratic form"
@@ -342,14 +344,12 @@ def classify_manifold(
     model: ManifoldModel,
     sample_points: Sequence[Point],
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    tangent_probes: int = 20,
-    seed: int = 0,
 ) -> ClassificationReport:
     """Threshold the structural residuals at sampled points, in catalog order.
 
-    The sectional probe draws random unit tangent pairs (Y, X) and measures
-    the pairing of R(Y, X)X with X, matching the quantifier structure of the
-    symmetric-manifold condition at bounded cost.
+    The sectional probe draws TANGENT_PROBES unit tangent pairs (Y, X) per point,
+    seeded by PROBE_SEED, and measures the pairing of R(Y, X)X with X, matching
+    the quantifier structure of the symmetric-manifold condition at bounded cost.
     """
     if len(sample_points) < 1:
         raise ValueError("need at least one sample point")
@@ -364,7 +364,8 @@ def classify_manifold(
     gs, low, s = _scaled_curvature(model.metric_batch(X), R)
     # drawn point by point, probe by probe, Y before X; unit in g/s, they come
     # out sqrt(s) times too long, so low/s pairs them to s times the value
-    Y, Xt = np.moveaxis(np.random.default_rng(seed).standard_normal((m, tangent_probes, 2, n)), 2, 0)
+    rng = np.random.default_rng(PROBE_SEED)
+    Y, Xt = np.moveaxis(rng.standard_normal((m, TANGENT_PROBES, 2, n)), 2, 0)
     Y, Xt = (V / np.sqrt(V[..., None, :] @ gs[:, None] @ V[..., None])[..., 0] for V in (Y, Xt))
     vals = np.einsum("xijkl,xpi,xpj,xpk,xpl->xp", low, Y, Xt, Xt, Xt) / s[..., 0]
     probe_res = float(np.abs(vals).max())

@@ -556,6 +556,9 @@ def _endpoints_resilient(model, kind, X0, V0, cfg):
         return np.vstack([E1, E2]), np.concatenate([ok1, ok2])
 
 
+_MAX_SWEEPS = 50  # Newton sweeps before a two-point solve raises ShootingNoConvergence
+
+
 def _chart_log_guess(model, P, Q) -> np.ndarray:
     """Initial shooting guess: chart difference pulled back through the metric.
 
@@ -617,7 +620,7 @@ def _shoot_many(
     best, best_err, best_step = np.zeros((m, n)), np.full(m, np.inf), -v
     lam = np.ones(m)
     Xs = np.repeat(P, cols, axis=0)
-    for sweeps in range(1, cfg.shoot_max_iter + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         # the center shot first, then the Jacobian columns' stencil
         stencil, difference = _central_stencil(v, h)
         Vs = np.concatenate([v[:, None, :], stencil.reshape(m, 2 * n, n)], axis=1)

@@ -362,11 +362,7 @@ class ManifoldModel:
 
 def natural_to_mixture(theta: np.ndarray) -> np.ndarray:
     """Head probabilities (p_1..p_n) of the categorical natural chart."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    z = np.concatenate([theta, [0.0]])
-    z = z - z.max()
-    e = np.exp(z)
-    return (e / e.sum())[:-1]
+    return _full_probs_batch(np.atleast_1d(np.asarray(theta, dtype=float)))[:-1]
 
 
 def mixture_to_natural(probs_head: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from .manifold import ManifoldModel, RoundSphere, spherical_to_unit
 __all__ = ["sample_points", "sample_pairs", "great_circle_angle"]
 
 SPHERE_MAX_ANGLE = 1.0
+MIN_SEPARATION = 1e-3  # chart distance below which a pair is redrawn
 
 
 def great_circle_angle(x, y) -> float:
@@ -37,21 +38,15 @@ def sample_points(
     return X
 
 
-def sample_pairs(
-    model: ManifoldModel,
-    count: int,
-    rng: np.random.Generator,
-    min_separation: float = 1e-3,
-    shrink: float = 1.0,
-):
-    """Seeded in-basin pairs; redraws pairs that are nearly coincident and, on
-    a round sphere, pairs separated by more than a unit great-circle angle."""
+def sample_pairs(model: ManifoldModel, count: int, rng: np.random.Generator, shrink: float = 1.0):
+    """Seeded in-basin pairs; redraws pairs closer than MIN_SEPARATION in the chart
+    and, on a round sphere, pairs whose great-circle angle exceeds SPHERE_MAX_ANGLE."""
     sphere = model.round_sphere
     P = sample_points(model, count, rng, shrink)
     Q = sample_points(model, count, rng, shrink)
     for i in range(count):
         for _ in range(200):
-            sep_ok = np.linalg.norm(Q[i] - P[i]) >= min_separation
+            sep_ok = np.linalg.norm(Q[i] - P[i]) >= MIN_SEPARATION
             angle_ok = sphere is None or sphere.angle(P[i], Q[i]) <= SPHERE_MAX_ANGLE
             if sep_ok and angle_ok:
                 break

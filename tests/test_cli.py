@@ -186,6 +186,9 @@ def test_div_invalid_model_exit_2(capsys):
         ["div", "--model", "sphere:nan", "-p", "1,0", "-q", "1,1"],
         ["div", "--model", '{"name": "euclidean", "params": 2}', "-p", "0,0", "-q", "3,4"],
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--tol-ode", "nan"],
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--tol-ode", "inf"],
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--tol-shoot", "inf"],
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--fd-step", "inf"],
         ["div", "--model", '{"name": "euclidean", "params": "2"}', "-p", "0,0", "-q", "3,4"],
         ["probe-f", "--model", "euclidean:2", "--samples", "10", "-p=nan,0"],
         ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p=nan,0", "--grid", "0:1:2,0:1:2"],
@@ -220,6 +223,9 @@ def test_div_invalid_model_exit_2(capsys):
         "nan-dimension",
         "json-params",
         "nan-tolerance",
+        "inf-ode-tolerance",
+        "inf-shoot-tolerance",
+        "inf-fd-step",
         "json-params-string",
         "probe-f-point-outside",
         "sweep-point-outside",
@@ -266,6 +272,16 @@ def test_non_finite_value_is_a_failure_exit_3(capsys, argv):
         assert err == ""
     else:
         assert err.splitlines() == ["error: symmetry probe skipped 10/10 targets (> 20%)"]
+
+
+def test_recovery_stencil_overflow_is_a_failure_exit_1(capsys):
+    # the stencil's distances and values overflow: the near-diagonal check
+    # stays quiet, and the value is an error, never a numpy warning
+    argv = ["verify", "--model", "euclidean:1", "--suite", "eguchi", "--fd-step", "1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 def test_div_failed_pair_flagged_exit_3(capsys):

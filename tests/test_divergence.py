@@ -13,6 +13,7 @@ from dualgeo import (
     OracleUnavailable,
     Point,
     PointOutOfDomain,
+    QuadratureFailure,
     ay_divergence,
     canonical_divergence,
     divergence_gradient,
@@ -228,6 +229,15 @@ def test_path_functional_many_equals_per_path(models, cfg, rng, name, tol):
         res = path_functional(model, Point(P[i]), Curve.from_waypoints(W[i, j]), cfg)
         assert abs(primal[i, j] - res.primal_integral) <= tol
         assert abs(dual[i, j] - res.dual_integral) <= tol
+
+
+def test_path_functional_overflow_is_a_quadrature_failure(cfg):
+    # the pseudo-norm of the same endpoints raises; so does its line integral
+    eu = make_builtin("euclidean", [2])
+    p = eu.point([1e200, 1e200])
+    path = Curve.from_waypoints([(1e200, 1e200), (0.0, 0.0), (-1e200, -1e200)])
+    with pytest.raises(QuadratureFailure, match="path functional on euclidean:2 is not finite"):
+        path_functional(eu, p, path, cfg)
 
 
 def test_gradient_euclidean(models, cfg):
