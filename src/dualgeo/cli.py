@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import sys
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .config import DEFAULT_CONFIG, MAX_QUAD_NODES, ToleranceConfig
 from .divergence import DivergenceKind, _divergence_many
 from .eguchi import symmetry_probe
 from .errors import DualGeoError, InvalidModelSpec, ShootingNoConvergence
@@ -34,6 +36,11 @@ from .sampling import sample_points
 from .verify import default_models, run_suites
 
 KIND_NAMES = {k.value: k for k in DivergenceKind}
+
+# Bounds on the counts a command line sets, checked before anything is allocated: the
+# symmetry probe pairs its m targets, m(m - 1)/2 pairs, and a sweep has a row per grid cell.
+MAX_SAMPLES = 1000
+MAX_GRID_CELLS = 100_000
 
 
 def _f17(x) -> str:
@@ -70,18 +77,13 @@ class _Output:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    cfg = DEFAULT_CONFIG
-    updates = {}
-    if args.tol_ode is not None:
-        updates["ode_rel_tol"] = args.tol_ode
-    if args.tol_shoot is not None:
-        updates["shoot_tol"] = args.tol_shoot
-    if args.quad_nodes is not None:
-        updates["quad_nodes"] = args.quad_nodes
-    if args.fd_step is not None:
-        updates["fd_step"] = args.fd_step
+    if args.quad_nodes is not None and args.quad_nodes > MAX_QUAD_NODES:
+        raise InvalidModelSpec(f"--quad-nodes must be at most {MAX_QUAD_NODES}")
+    flags = {"ode_rel_tol": args.tol_ode, "shoot_tol": args.tol_shoot,
+             "quad_nodes": args.quad_nodes, "fd_step": args.fd_step}
+    updates = {name: value for name, value in flags.items() if value is not None}
     try:
-        return cfg.with_(**updates) if updates else cfg
+        return DEFAULT_CONFIG.with_(**updates) if updates else DEFAULT_CONFIG
     except ValueError as exc:
         raise InvalidModelSpec(str(exc)) from None
 
@@ -112,8 +114,7 @@ def _fixed_point(model: ManifoldModel, text: str, coords: str) -> np.ndarray:
     """The -p that every row of `sweep` and `probe-f` shares: outside the
     domain it is bad input, not a failed row."""
     p = _parse_point(model, text, coords)
-    if not model.contains(p):
-        raise InvalidModelSpec(f"point {text!r} is outside the domain of {model.spec_string}")
+    model.require_inside(p, f"point {text!r}", InvalidModelSpec)
     return p
 
 
@@ -229,8 +230,8 @@ def cmd_div(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _tolerances(args)
-    if args.samples < 1:
-        raise InvalidModelSpec("verify needs at least 1 sample")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise InvalidModelSpec(f"verify needs between 1 and {MAX_SAMPLES} samples")
     models = [_load_model(args.model)] if args.model else default_models()
     out = _Output(args.output)
     report = run_suites(models, args.suite, samples=args.samples, seed=args.seed, cfg=cfg)
@@ -241,8 +242,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_grid(model: ManifoldModel, spec: str) -> List[np.ndarray]:
-    axes = []
+def _parse_grid(model: ManifoldModel, spec: str) -> np.ndarray:
+    """The grid's cells as rows (cells, dim), the last axis varying fastest."""
+    bounds = []
     for part in spec.split(","):
         toks = part.split(":")
         if len(toks) != 3:
@@ -255,10 +257,13 @@ def _parse_grid(model: ManifoldModel, spec: str) -> List[np.ndarray]:
             raise InvalidModelSpec("grid count must be >= 1")
         if not np.isfinite(hi - lo):
             raise InvalidModelSpec(f"grid axis {part!r} needs finite bounds with a finite span")
-        axes.append(np.linspace(lo, hi, cnt))
-    if len(axes) != model.dim:
-        raise InvalidModelSpec(f"grid needs {model.dim} axes, got {len(axes)}")
-    return axes
+        bounds.append((lo, hi, cnt))
+    if len(bounds) != model.dim:
+        raise InvalidModelSpec(f"grid needs {model.dim} axes, got {len(bounds)}")
+    if math.prod(cnt for *_, cnt in bounds) > MAX_GRID_CELLS:
+        raise InvalidModelSpec(f"grid has more than {MAX_GRID_CELLS} cells")
+    # itertools, not np.meshgrid, which takes at most 32 axes
+    return np.array(list(itertools.product(*(np.linspace(*b) for b in bounds))))
 
 
 def cmd_sweep(args) -> int:
@@ -266,9 +271,7 @@ def cmd_sweep(args) -> int:
     cfg = _tolerances(args)
     kinds = [KIND_NAMES[k] for k in args.kind]
     p = _fixed_point(model, args.p, args.coords)
-    axes = _parse_grid(model, args.grid)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Q = np.stack([m.ravel() for m in mesh], axis=1)
+    Q = _parse_grid(model, args.grid)
 
     out = _Output(args.output)
     values, oks = _pool_map(model, kinds, np.repeat(p[None, :], Q.shape[0], axis=0), Q, cfg)
@@ -292,8 +295,8 @@ def cmd_sweep(args) -> int:
 def cmd_probe_f(args) -> int:
     model = _load_model(args.model)
     cfg = _tolerances(args)
-    if args.samples < 10:
-        raise InvalidModelSpec("probe-f needs at least 10 samples")
+    if not 10 <= args.samples <= MAX_SAMPLES:
+        raise InvalidModelSpec(f"probe-f needs between 10 and {MAX_SAMPLES} samples")
     rng = np.random.default_rng(args.seed)
     if args.p is not None:
         p = Point(_fixed_point(model, args.p, args.coords))

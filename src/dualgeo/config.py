@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+# The most Gauss-Legendre nodes a command line sets (leggauss(n) solves an n x n
+# eigenproblem); a config takes twice this, which verify's node-doubling check asks for.
+MAX_QUAD_NODES = 1024
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -13,7 +17,7 @@ class ToleranceConfig:
     ode_rel_tol                 Runge-Kutta relative tolerance (absolute: 1/100 of it)
     shoot_tol                   chart-coordinate convergence threshold for
                                 the two-point (log map) Newton iteration
-    quad_nodes                  Gauss-Legendre node count on [0, 1]
+    quad_nodes                  Gauss-Legendre node count on [0, 1], <= 2 * MAX_QUAD_NODES
     fd_step                     base finite-difference step
 
     The real knobs must be finite and positive; the sweep cap is `geodesic._MAX_SWEEPS`.
@@ -28,8 +32,8 @@ class ToleranceConfig:
         for name in ("ode_rel_tol", "shoot_tol", "fd_step"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and positive")
-        if self.quad_nodes < 1:
-            raise ValueError("quad_nodes must be >= 1")
+        if not 1 <= self.quad_nodes <= 2 * MAX_QUAD_NODES:
+            raise ValueError(f"quad_nodes must be between 1 and {2 * MAX_QUAD_NODES}")
 
     def with_(self, **kwargs) -> "ToleranceConfig":
         """Copy with selected fields replaced."""

@@ -70,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .errors import OracleUnavailable, PointOutOfDomain, QuadratureFailure
+from .errors import OracleUnavailable, QuadratureFailure
 from .geodesic import (
     Curve,
     _central_stencil,
@@ -125,15 +125,6 @@ def _gauss_legendre(nodes: int):
     t, w = (x + 1.0) / 2.0, w / 2.0
     t.flags.writeable = w.flags.writeable = False
     return t, w
-
-
-def _check_inside(model: ManifoldModel, X: np.ndarray, label: str):
-    ok = model.contains_batch(X)
-    if not ok.all():
-        raise PointOutOfDomain(
-            f"{label} outside the domain of {model.spec_string} "
-            f"(first offender: {X[np.argmin(ok)]!r})"
-        )
 
 
 def _near_diagonal(P, Q) -> np.ndarray:
@@ -213,6 +204,7 @@ def pi_field(
     """The pair of transported difference vectors at gamma(t), based there."""
     model.require_inside(p)
     x = np.atleast_1d(gamma.position(float(t)))
+    model.require_inside(x, "curve point")
     Pi, PiStar = _pi_many(model, p.coords[None, :], x[None, :], cfg, node_times=np.array([t]))
     at = Point(x)
     return Tangent(at, Pi[0]), Tangent(at, PiStar[0])
@@ -281,8 +273,8 @@ def _divergence_many(
     Pairs near the diagonal, and every pair of a doubly flat model, get the
     quadratic form (see the module docstring); the evaluator sees the rest.
     Every value is finite (`_finite`)."""
-    _check_inside(model, P, "first argument")
-    _check_inside(model, Q, "second argument")
+    model.require_inside(P, "first argument")
+    model.require_inside(Q, "second argument")
     what = f"{kind.value} divergence on {model.spec_string}"
     return _finite(what, _evaluate_many, model, kind, P, Q, cfg)
 
@@ -382,10 +374,10 @@ def _path_integrals(model, P, paths, cfg):
     n = paths.dim
     t_nodes, w = _piecewise_nodes(cfg, paths.breaks)
     xs = paths.position(t_nodes)  # (..., k, n)
+    model.require_inside(xs.reshape(-1, n), "path node")
     vs = paths.velocity(t_nodes).reshape(-1, n)
     bases = np.broadcast_to(P[..., None, :], xs.shape).reshape(-1, n)
     xs = xs.reshape(bases.shape)
-    _check_inside(model, xs, "path node")
     times = np.tile(t_nodes, bases.shape[0] // t_nodes.shape[0])
     Pi, PiStar = _pi_many(model, bases, xs, cfg, node_times=times)
     shape = paths.xs.shape[:-2] + t_nodes.shape

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .divergence import NEAR_DIAGONAL, DivergenceKind, _check_inside, _divergence_many
+from .divergence import NEAR_DIAGONAL, DivergenceKind, _divergence_many
 from .divergence import _near_diagonal
 from .errors import InvalidModelSpec, QuadratureFailure, ShootingNoConvergence, StencilOutOfDomain
 from .geodesic import _central_stencil
@@ -141,12 +141,7 @@ class _StencilEvaluator:
         keys = list(self._requests)
         A = np.array([self.p + np.asarray(k[0]) for k in keys])
         B = np.array([self.p + np.asarray(k[1]) for k in keys])
-        inside = self.model.contains_batch(A) & self.model.contains_batch(B)
-        if not inside.all():
-            raise StencilOutOfDomain(
-                f"finite-difference stencil around {self.p!r} leaves the domain "
-                f"of {self.model.spec_string}"
-            )
+        self.model.require_inside(np.concatenate([A, B]), "stencil point", StencilOutOfDomain)
         # there the quadratic form answers, which holds the metric exactly
         if ((A != B).any(axis=1) & _near_diagonal(A, B)).any():
             raise InvalidModelSpec(
@@ -277,15 +272,10 @@ def _curvature_many(model, kind, X, h) -> np.ndarray:
     """Coordinate curvature tensors R^l_{ijk} at points X of shape (m, n),
     indexed (m, l, i, j, k), from one batched evaluation of the raised symbols
     at the points and their central-difference stencil of step h."""
-    _check_inside(model, X, "curvature point")
+    model.require_inside(X, "curvature point")
     m, n = X.shape
     stencil, difference = _central_stencil(X, h)
-    inside = model.contains_batch(stencil.reshape(-1, n)).reshape(m, -1).all(axis=1)
-    if not inside.all():
-        raise StencilOutOfDomain(
-            f"curvature stencil around {X[np.argmin(inside)]!r} leaves the domain of "
-            f"{model.spec_string}"
-        )
+    model.require_inside(stencil.reshape(-1, n), "curvature stencil point", StencilOutOfDomain)
     raised = _raised_gamma(model, np.concatenate([stencil.reshape(-1, n), X]), kind)
     dG = difference(raised[:-m].reshape(m, n, 2, n, n, n))  # [m, i, l, j, k] = d_i Gamma^l_{jk}
     G0 = raised[-m:]
@@ -353,6 +343,8 @@ def classify_manifold(
     """
     if len(sample_points) < 1:
         raise ValueError("need at least one sample point")
+    for p in sample_points:
+        model.require_inside(p)
     X = np.array([p.coords for p in sample_points])
     m, n = X.shape
     Gp, Gd = (model.christoffel_batch(X, kind) for kind in ConnectionKind)
@@ -415,7 +407,8 @@ def symmetry_probe(
     pairs. Targets whose solve does not converge or whose value is not finite
     are skipped and reported; more than 20% skipped raises.
     """
-    model.require_inside(p)
+    for x in (p, *sample_qs):
+        model.require_inside(x)
     qs = np.array([q.coords for q in sample_qs])
     m = qs.shape[0]
     P = np.repeat(p.coords[None, :], m, axis=0)

@@ -720,6 +720,7 @@ def parallel_transport(
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> Tangent:
     """Solution at t = 1 of the transport equation for v along the curve."""
+    model.require_inside(curve.xs.reshape(-1, curve.dim), "curve sample")
     if not np.allclose(v.base.coords, curve.xs[0], rtol=0.0, atol=1e-12):
         raise BaseMismatch("transported vector must be based at the curve start")
     out = _transport_many(model, kind, curve, v.components, cfg)

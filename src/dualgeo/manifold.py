@@ -25,6 +25,10 @@ All field evaluators are vectorized: they take an (m, dim) array of chart
 points and return stacked tensors. The scalar accessors `metric_at` and
 `christoffel_at` wrap the batch forms.
 
+The model owns the domain rule, `contains_batch`: a row is outside when it is
+not finite, not of width `dim` or fails `domain_fn`. Every entry point checks
+its points with it, through `require_inside`, which names the first row outside.
+
 A model may carry, per connection, an `AffineChart`: coordinates in which that
 connection is flat, so that its geodesics are straight lines there and its
 parallel transport keeps the components fixed. `WORKING_CHART` says the
@@ -247,22 +251,26 @@ class ManifoldModel:
     # -- domain ---------------------------------------------------------
 
     def contains(self, point) -> bool:
-        x = np.asarray(point.coords if isinstance(point, Point) else point, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        return bool(self.contains_batch(x[None, :])[0])
+        x = point.coords if isinstance(point, Point) else point
+        return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
+        """(m,) bool for the rows of X, (m, width) or one point: inside means `dim`
+        finite coordinates that satisfy `domain_fn`, so a row of the wrong width is out."""
         X = _as_batch(X)
-        inside = np.isfinite(X).all(axis=1)
-        # the domain predicates are only asked about finite points
+        inside = np.isfinite(X).all(axis=1) & (X.shape[1] == self.dim)
+        # the domain predicates are only asked about finite points of the model's width
         inside[inside] = self.domain_fn(X[inside])
         return inside
 
-    def require_inside(self, point):
-        if not self.contains(point):
-            coords = point.coords if isinstance(point, Point) else point
-            raise PointOutOfDomain(f"{coords!r} is outside the domain of {self.spec_string}")
+    def require_inside(self, X, what: str = "point", error=PointOutOfDomain):
+        """Raise `error` naming the first row of X outside the domain; X is a
+        Point, one point's coordinates or an (m, width) batch."""
+        X = _as_batch(X.coords if isinstance(X, Point) else X)
+        inside = self.contains_batch(X)
+        if not inside.all():
+            bad = X[np.argmin(inside)]
+            raise error(f"{what} outside the domain of {self.spec_string} (first offender: {bad!r})")
 
     # -- fields ---------------------------------------------------------
 
@@ -342,7 +350,7 @@ class ManifoldModel:
     def convert_coords(self, coords, system: str) -> np.ndarray:
         """Convert externally supplied coordinates into the working chart."""
         coords = np.asarray(coords, dtype=float)
-        if system in ("chart", "default"):
+        if system == "chart":
             return coords
         try:
             return self.coord_converters[system](coords)
@@ -595,11 +603,6 @@ def _make_gaussian1d() -> ManifoldModel:
         t2_ok = (_GAUSS_T2_MIN < X[:, 1]) & (X[:, 1] < _GAUSS_T2_MAX)
         return t2_ok & (np.abs(X[:, 0]) < _GAUSS_T1_MAX)
 
-    def expectation(X):
-        mu = -X[:, 0] / (2.0 * X[:, 1])
-        var = -1.0 / (2.0 * X[:, 1])
-        return np.stack([mu, mu * mu + var], axis=1)
-
     def natural(E):
         # a variance that is not positive maps to theta2 >= 0 or to a
         # non-finite point: outside the domain
@@ -611,6 +614,10 @@ def _make_gaussian1d() -> ManifoldModel:
         mu = -theta[..., 0] / (2.0 * theta[..., 1])
         var = -1.0 / (2.0 * theta[..., 1])
         return mu, var
+
+    def expectation(X):
+        mu, var = moments(X)
+        return np.stack([mu, mu * mu + var], axis=1)
 
     def oracle(theta_p, theta_q):
         mu_p, var_p = moments(theta_p)

@@ -32,9 +32,7 @@ def sample_points(
     center = 0.5 * (box[:, 0] + box[:, 1])
     half = 0.5 * (box[:, 1] - box[:, 0]) * shrink
     X = rng.uniform(center - half, center + half, size=(count, model.dim))
-    inside = model.contains_batch(X)
-    if not inside.all():
-        raise RuntimeError(f"safe box of {model.spec_string} produced out-of-domain samples")
+    model.require_inside(X, "safe-box sample", RuntimeError)
     return X
 
 

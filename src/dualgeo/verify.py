@@ -30,6 +30,7 @@ from .divergence import (
     _divergence_many,
     _gradient_many,
     _main_nodes,
+    _metric_pairing,
     _path_functional_many,
     _pi_many,
 )
@@ -156,41 +157,36 @@ def suite_pathindep(model, samples, rng, cfg) -> List[CheckRecord]:
     ]
 
 
-def _pairing(g, U, V):
-    return np.einsum("mi,mij,mj->m", U, g, V)
-
-
-def _norms(g, U):
-    return np.sqrt(np.maximum(_pairing(g, U, U), 0.0))
+def _norms(model, X, U):
+    return np.sqrt(np.maximum(_metric_pairing(model, X, U, U), 0.0))
 
 
 def suite_gradient(model, samples, rng, cfg) -> List[CheckRecord]:
     """Gradient identity for the pseudo-norm and the orthogonal decompositions."""
     P, Q = sample_pairs(model, samples, rng, shrink=0.8)
-    g = model.metric_batch(Q)
     Pi, PiStar = _pi_many(model, P, Q, cfg)
     grad_r = _gradient_many(model, DivergenceKind.PSEUDO_NORM, P, Q, cfg)
-    ident_err = float(_norms(g, Pi + PiStar - grad_r).max())
+    ident_err = float(_norms(model, Q, Pi + PiStar - grad_r).max())
 
     # the end velocities of the main geodesics, read off the integrator
     end = np.array([1.0])
     sig_dot = _main_nodes(model, ConnectionKind.PRIMAL, P, Q, end, cfg)[2][:, 0]
     grad_D = _gradient_many(model, DivergenceKind.CANONICAL, P, Q, cfg)
-    num = np.abs(_pairing(g, Pi - grad_D, sig_dot))
-    den = np.maximum(_norms(g, Pi) * _norms(g, sig_dot), 1e-30)
+    num = np.abs(_metric_pairing(model, Q, Pi - grad_D, sig_dot))
+    den = np.maximum(_norms(model, Q, Pi) * _norms(model, Q, sig_dot), 1e-30)
     orth_p_err = float((num / den).max())
 
     sig_star_dot = _main_nodes(model, ConnectionKind.DUAL, P, Q, end, cfg)[2][:, 0]
     grad_Dstar = _gradient_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
-    num = np.abs(_pairing(g, PiStar - grad_Dstar, sig_star_dot))
-    den = np.maximum(_norms(g, PiStar) * _norms(g, sig_star_dot), 1e-30)
+    num = np.abs(_metric_pairing(model, Q, PiStar - grad_Dstar, sig_star_dot))
+    den = np.maximum(_norms(model, Q, PiStar) * _norms(model, Q, sig_star_dot), 1e-30)
     orth_d_err = float((num / den).max())
 
     # the angle as atan2 of the components across and along the unit tangent:
     # an arccos of the cosine cannot read below arccos(1 - 2^-53) ~ 1.5e-8
-    unit = sig_dot / np.maximum(_norms(g, sig_dot), 1e-30)[:, None]
-    along = _pairing(g, grad_D, unit)
-    across = _norms(g, grad_D - along[:, None] * unit)
+    unit = sig_dot / np.maximum(_norms(model, Q, sig_dot), 1e-30)[:, None]
+    along = _metric_pairing(model, Q, grad_D, unit)
+    across = _norms(model, Q, grad_D - along[:, None] * unit)
     align_err = float(np.arctan2(across, along).max())
     return [
         _rec("pseudo_norm_gradient_identity", ident_err, 1e-4, samples),
@@ -227,7 +223,7 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
         )
     if all(map(model.is_flat, ConnectionKind)):
         # the metric is constant; at q it is not the form _divergence_many takes at p
-        closed = 0.5 * _pairing(model.metric_batch(Q), Q - P, Q - P)
+        closed = 0.5 * _metric_pairing(model, Q, Q - P, Q - P)
         out.append(_rec("flat_quadratic_oracle", float(np.abs(canon - closed).max()), 1e-8, samples))
         out.append(_rec("flat_quadratic_oracle_ay", float(np.abs(ay - closed).max()), 1e-8, samples))
     sphere = model.round_sphere

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from dualgeo.cli import build_parser, main
+from dualgeo.config import MAX_QUAD_NODES
 
 KL_FORWARD = 0.5108256237659907
 
@@ -212,6 +213,18 @@ def test_div_invalid_model_exit_2(capsys):
         ["verify", "--output", "/nonexistent/x.json"],
         ["verify", "--model", "categorical:2", "--suite", "eguchi", "--samples", "1",
          "--fd-step", "1e-12"],
+        # counts over their bounds, all rejected before anything is allocated
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", str(10**11)],
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", "1025"],
+        ["verify", "--model", "euclidean:2", "--suite", "collapse", "--quad-nodes", str(10**11)],
+        ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0",
+         "--grid", f"0:1:{10**11},0:1:1"],
+        ["sweep", "--model", "euclidean:2", "--kind", "ay", "-p", "0,0",
+         "--grid", "0:1:1000,0:1:1000"],
+        ["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", str(10**11)],
+        ["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "1001"],
+        ["probe-f", "--model", "euclidean:2", "--samples", str(10**11)],
+        ["probe-f", "--model", "euclidean:2", "--samples", "1001"],
     ],
     ids=[
         "div-number",
@@ -245,6 +258,15 @@ def test_div_invalid_model_exit_2(capsys):
         "probe-f-output-is-a-directory",
         "verify-output-missing-directory",
         "verify-fd-step-below-near-diagonal",
+        "div-quad-nodes-huge",
+        "div-quad-nodes-above-bound",
+        "verify-quad-nodes-huge",
+        "sweep-grid-count-huge",
+        "sweep-grid-cells-above-bound",
+        "verify-samples-huge",
+        "verify-samples-above-bound",
+        "probe-f-samples-huge",
+        "probe-f-samples-above-bound",
     ],
 )
 def test_malformed_input_exits_2_with_message(capsys, argv):
@@ -313,6 +335,26 @@ def test_sweep_single_cell_matches_div(capsys):
     row = lines[1].split(",")
     assert float(row[2]) == 12.5
     assert row[3] == "True"
+
+
+@pytest.mark.parametrize("dim", [33, 100])
+def test_sweep_takes_every_dimension_a_model_may_have(capsys, dim):
+    # more grid axes than np.meshgrid takes
+    zeros = ",".join(["0"] * dim)
+    grid = ",".join(["0:1:1"] * dim)
+    assert main(["sweep", "--model", f"euclidean:{dim}", "--kind", "ay", "-p", zeros,
+                 "--grid", grid]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1] == zeros + ",0,True"
+
+
+def test_quad_nodes_at_the_bound_takes_the_node_doubling_check(capsys):
+    # verify's collapse suite doubles the nodes: the bound leaves room for it
+    argv = ["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "1",
+            "--quad-nodes", str(MAX_QUAD_NODES)]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "quadrature_node_doubling" in [c["check_id"] for c in report["checks"]]
 
 
 def test_sweep_grid_shape_and_boundary_flagging(capsys):

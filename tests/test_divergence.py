@@ -14,8 +14,11 @@ from dualgeo import (
     Point,
     PointOutOfDomain,
     QuadratureFailure,
+    Tangent,
     ay_divergence,
     canonical_divergence,
+    classify_manifold,
+    curvature_tensor,
     divergence_gradient,
     dual_canonical_divergence,
     integrate_geodesic,
@@ -23,11 +26,14 @@ from dualgeo import (
     make_builtin,
     mixture_to_natural,
     oracle_divergence,
+    parallel_transport,
     parse_model_spec,
     path_functional,
     pi_field,
     pseudo_norm,
+    recover_structure,
     sample_pairs,
+    symmetry_probe,
 )
 import dualgeo.divergence as divergence_module
 from dualgeo.divergence import _divergence_many, _gauss_legendre, _path_functional_many, _pi_many
@@ -365,6 +371,50 @@ def test_non_finite_point_is_out_of_domain(models, cfg):
         log_map(eu, ConnectionKind.PRIMAL, Point(P[0]), Point(np.ones(3)), cfg)
     with pytest.raises(PointOutOfDomain):
         log_map(sp, ConnectionKind.PRIMAL, Point([1.5, np.nan]), Point([1.5, 0.2]), cfg)
+
+
+# every public entry on categorical:2, given a point x of the wrong width; the
+# curve entries take a path through x and x + 0.1
+_GOOD, _OTHER = [0.1, -0.2], [0.3, 0.2]
+_WRONG_WIDTH_ENTRIES = {
+    "canonical_divergence": lambda m, x: canonical_divergence(m, x, m.point(_OTHER)),
+    "dual_canonical_divergence": lambda m, x: dual_canonical_divergence(m, m.point(_GOOD), x),
+    "pseudo_norm": lambda m, x: pseudo_norm(m, x, m.point(_OTHER)),
+    "oracle_divergence": lambda m, x: oracle_divergence(m, x, x),
+    "symmetry_probe_target": lambda m, x: symmetry_probe(
+        m, m.point(_GOOD), [m.point(_OTHER)] * 9 + [x]
+    ),
+    "curvature_tensor": lambda m, x: curvature_tensor(m, ConnectionKind.DUAL, x),
+    "classify_manifold": lambda m, x: classify_manifold(m, [x]),
+    "pi_field": lambda m, x: pi_field(
+        m, m.point(_GOOD), Curve.from_waypoints([x.coords, x.coords + 0.1]), 0.5
+    ),
+    "path_functional": lambda m, x: path_functional(
+        m, m.point(_GOOD), Curve.from_waypoints([x.coords, x.coords + 0.1])
+    ),
+    "log_map": lambda m, x: log_map(m, ConnectionKind.PRIMAL, m.point(_GOOD), x),
+    "integrate_geodesic": lambda m, x: integrate_geodesic(
+        m, ConnectionKind.PRIMAL, x, Tangent(x, np.full(x.dim, 0.1))
+    ),
+    "divergence_gradient": lambda m, x: divergence_gradient(
+        m, DivergenceKind.CANONICAL, m.point(_GOOD), x
+    ),
+    "recover_structure": lambda m, x: recover_structure(m, DivergenceKind.CANONICAL, x),
+    "parallel_transport": lambda m, x: parallel_transport(
+        m, ConnectionKind.DUAL, Curve.from_waypoints([x.coords, x.coords]), Tangent(x, x.coords)
+    ),
+    "metric_at": lambda m, x: m.metric_at(x),
+}
+
+
+@pytest.mark.parametrize("coords", [[0.1], [0.1, -0.2, 0.3]], ids=["short", "long"])
+@pytest.mark.parametrize("entry", list(_WRONG_WIDTH_ENTRIES))
+def test_point_of_the_wrong_width_is_out_of_domain(entry, coords):
+    # a point whose dimension is not the model's lies outside every domain,
+    # whether the entry checks it alone or in a batch
+    model = parse_model_spec("categorical:2")
+    with pytest.raises(PointOutOfDomain, match="outside the domain of categorical:2"):
+        _WRONG_WIDTH_ENTRIES[entry](model, Point(coords))
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])

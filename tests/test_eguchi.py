@@ -8,9 +8,12 @@ from dualgeo import (
     DivergenceKind,
     InvalidModelSpec,
     Point,
+    PointOutOfDomain,
     StencilOutOfDomain,
+    canonical_divergence,
     classify_manifold,
     curvature_tensor,
+    dual_canonical_divergence,
     make_builtin,
     recover_structure,
     sample_points,
@@ -187,6 +190,32 @@ def test_symmetry_probe_rank_agreement_counts_pairs_as_a_loop(monkeypatch, model
     pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
     concordant = sum((dual[i] - dual[j]) * (rev[i] - rev[j]) > 0 for i, j in pairs)
     assert 0.0 < res.rank_agreement == concordant / len(pairs) < 1.0
+
+
+def _ten_targets(eu2, bad):
+    qs = [eu2.point(x) for x in np.random.default_rng(1).uniform(-1.0, 1.0, (10, 2))]
+    qs[3] = bad
+    return qs
+
+
+def test_symmetry_probe_skips_only_the_target_that_fails(cfg):
+    eu2 = make_builtin("euclidean", [2])
+    p = eu2.point([0.0, 0.0])
+    qs = _ten_targets(eu2, eu2.point([1e200, 0.0]))  # its divergence overflows
+    res = symmetry_probe(eu2, p, qs, cfg)
+    assert res.skipped == [3]
+    alone = [
+        [dual_canonical_divergence(eu2, p, q, cfg), canonical_divergence(eu2, q, p, cfg)]
+        for i, q in enumerate(qs)
+        if i != 3
+    ]
+    assert res.pairs.tolist() == alone  # bit for bit, in target order
+
+
+def test_symmetry_probe_target_of_the_wrong_width_raises_and_is_not_skipped(cfg):
+    eu2 = make_builtin("euclidean", [2])
+    with pytest.raises(PointOutOfDomain, match="first offender: array\\(\\[0.5, 0. , 0. \\]\\)"):
+        symmetry_probe(eu2, eu2.point([0.0, 0.0]), _ten_targets(eu2, Point([0.5, 0.0, 0.0])), cfg)
 
 
 def test_stencil_out_of_domain(models, cfg):

@@ -13,6 +13,7 @@ from dualgeo import (
     Curve,
     DomainExit,
     Point,
+    PointOutOfDomain,
     ShootingNoConvergence,
     Tangent,
     exp_map,
@@ -197,6 +198,14 @@ def test_transport_identity_on_euclidean(models, cfg):
     c = integrate_geodesic(eu, P_KIND, p, eu.tangent(p, [0.5, 0.5, 0.5]), cfg)
     out = parallel_transport(eu, P_KIND, c, v, cfg)
     assert np.array_equal(out.components, v.components)
+
+
+def test_transport_along_a_curve_that_leaves_the_domain_is_refused(models, cfg):
+    cat = models["categorical"]
+    p = cat.point([0.1, 0.2])
+    path = Curve.from_waypoints([p.coords, [9.0, 0.1]])  # its end has a probability below 1e-3
+    with pytest.raises(PointOutOfDomain, match=r"first offender: array\(\[9. , 0.1\]\)"):
+        parallel_transport(cat, D_KIND, path, cat.tangent(p, [1.0, 0.0]), cfg)
 
 
 def test_transport_zero_vector(models, cfg):

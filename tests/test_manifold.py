@@ -111,6 +111,28 @@ def test_inner_product_base_mismatch(models):
         eu.inner_product(p, u, w)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_batch_of_the_wrong_width_is_outside(models, width):
+    cat = models["categorical"]
+    assert not cat.contains_batch(np.zeros((4, width))).any()
+    assert not cat.contains(np.zeros(width))
+    assert cat.contains_batch(np.zeros((4, 2))).all()
+    with pytest.raises(PointOutOfDomain, match=r"first offender: array\(\[0\."):
+        cat.require_inside(np.zeros((4, width)))
+
+
+def test_require_inside_names_the_first_offender_and_raises_the_asked_error(models):
+    sp = models["sphere"]
+    X = np.array([[1.5, 0.0], [0.05, 0.1], [0.02, 0.2]])
+    with pytest.raises(PointOutOfDomain, match=r"^point outside the domain of sphere:2:1 "
+                       r"\(first offender: array\(\[0.05, 0.1 \]\)\)$"):
+        sp.require_inside(X)
+    with pytest.raises(RuntimeError, match="^sample outside"):
+        sp.require_inside(Point(X[2]), "sample", RuntimeError)
+    sp.require_inside(X[:1])
+    sp.require_inside(Point(X[0]))
+
+
 def test_point_out_of_domain(models):
     sp = models["sphere"]
     with pytest.raises(PointOutOfDomain):
