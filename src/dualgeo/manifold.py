@@ -251,22 +251,23 @@ class ManifoldModel:
     # -- domain ---------------------------------------------------------
 
     def contains(self, point) -> bool:
-        x = point.coords if isinstance(point, Point) else point
-        return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
+        x = np.asarray(point.coords if isinstance(point, Point) else point, dtype=float)
+        return x.ndim == 1 and bool(self.contains_batch(x)[0])
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
-        """(m,) bool for the rows of X, (m, width) or one point: inside means `dim`
-        finite coordinates that satisfy `domain_fn`, so a row of the wrong width is out."""
+        """(m,) bool for the rows of X, (m, width) or one point: inside means `dim` finite
+        coordinates that satisfy `domain_fn`; rows of another width are out, unasked."""
         X = _as_batch(X)
-        inside = np.isfinite(X).all(axis=1) & (X.shape[1] == self.dim)
-        # the domain predicates are only asked about finite points of the model's width
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            return np.zeros(len(X), dtype=bool)
+        inside = np.isfinite(X).all(axis=1)
         inside[inside] = self.domain_fn(X[inside])
         return inside
 
     def require_inside(self, X, what: str = "point", error=PointOutOfDomain):
-        """Raise `error` naming the first row of X outside the domain; X is a
-        Point, one point's coordinates or an (m, width) batch."""
-        X = _as_batch(X.coords if isinstance(X, Point) else X)
+        """Raise `error` naming the first row of X outside the domain; X is a Point
+        (one row: coords that are not a vector are out), one point or a batch."""
+        X = _as_batch(X.coords[None] if isinstance(X, Point) else X)
         inside = self.contains_batch(X)
         if not inside.all():
             bad = X[np.argmin(inside)]

@@ -24,7 +24,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .config import DEFAULT_CONFIG, MAX_QUAD_NODES, ToleranceConfig
 from .divergence import (
     DivergenceKind,
     _divergence_many,
@@ -333,6 +333,8 @@ def run_suites(
         raise InvalidModelSpec(
             f"unknown suite {suite!r}; choose from {', '.join(list(SUITES) + ['all'])}"
         )
+    if "collapse" in names and cfg.quad_nodes > MAX_QUAD_NODES:  # a config takes twice this
+        raise InvalidModelSpec(f"the collapse suite doubles quad_nodes: at most {MAX_QUAD_NODES}")
     report = VerificationReport(
         suite=suite, models=[m.spec_string for m in models], seed=seed, samples=samples
     )

@@ -1,6 +1,7 @@
 """The divergence family against closed-form oracles and structural identities."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dualgeo import (
     QuadratureFailure,
     Tangent,
     ay_divergence,
+    builtin_names,
     canonical_divergence,
     classify_manifold,
     curvature_tensor,
@@ -373,31 +375,36 @@ def test_non_finite_point_is_out_of_domain(models, cfg):
         log_map(sp, ConnectionKind.PRIMAL, Point([1.5, np.nan]), Point([1.5, 0.2]), cfg)
 
 
-# every public entry on categorical:2, given a point x of the wrong width; the
-# curve entries take a path through x and x + 0.1
-_GOOD, _OTHER = [0.1, -0.2], [0.3, 0.2]
+# every public entry, given a point x of the wrong width; the other arguments
+# are points well inside, and the curve entries take a path through x and x + 0.1
+def _good(m):
+    return m.point(m.safe_box.mean(axis=1))
+
+
+def _other(m):
+    return m.point(m.safe_box.mean(axis=1) + 0.25 * np.ptp(m.safe_box, axis=1))
+
+
 _WRONG_WIDTH_ENTRIES = {
-    "canonical_divergence": lambda m, x: canonical_divergence(m, x, m.point(_OTHER)),
-    "dual_canonical_divergence": lambda m, x: dual_canonical_divergence(m, m.point(_GOOD), x),
-    "pseudo_norm": lambda m, x: pseudo_norm(m, x, m.point(_OTHER)),
+    "canonical_divergence": lambda m, x: canonical_divergence(m, x, _other(m)),
+    "dual_canonical_divergence": lambda m, x: dual_canonical_divergence(m, _good(m), x),
+    "pseudo_norm": lambda m, x: pseudo_norm(m, x, _other(m)),
     "oracle_divergence": lambda m, x: oracle_divergence(m, x, x),
-    "symmetry_probe_target": lambda m, x: symmetry_probe(
-        m, m.point(_GOOD), [m.point(_OTHER)] * 9 + [x]
-    ),
+    "symmetry_probe_target": lambda m, x: symmetry_probe(m, _good(m), [_other(m)] * 9 + [x]),
     "curvature_tensor": lambda m, x: curvature_tensor(m, ConnectionKind.DUAL, x),
     "classify_manifold": lambda m, x: classify_manifold(m, [x]),
     "pi_field": lambda m, x: pi_field(
-        m, m.point(_GOOD), Curve.from_waypoints([x.coords, x.coords + 0.1]), 0.5
+        m, _good(m), Curve.from_waypoints([x.coords, x.coords + 0.1]), 0.5
     ),
     "path_functional": lambda m, x: path_functional(
-        m, m.point(_GOOD), Curve.from_waypoints([x.coords, x.coords + 0.1])
+        m, _good(m), Curve.from_waypoints([x.coords, x.coords + 0.1])
     ),
-    "log_map": lambda m, x: log_map(m, ConnectionKind.PRIMAL, m.point(_GOOD), x),
+    "log_map": lambda m, x: log_map(m, ConnectionKind.PRIMAL, _good(m), x),
     "integrate_geodesic": lambda m, x: integrate_geodesic(
         m, ConnectionKind.PRIMAL, x, Tangent(x, np.full(x.dim, 0.1))
     ),
     "divergence_gradient": lambda m, x: divergence_gradient(
-        m, DivergenceKind.CANONICAL, m.point(_GOOD), x
+        m, DivergenceKind.CANONICAL, _good(m), x
     ),
     "recover_structure": lambda m, x: recover_structure(m, DivergenceKind.CANONICAL, x),
     "parallel_transport": lambda m, x: parallel_transport(
@@ -405,16 +412,28 @@ _WRONG_WIDTH_ENTRIES = {
     ),
     "metric_at": lambda m, x: m.metric_at(x),
 }
+_WRONG_WIDTHS = {
+    "short": lambda c: c[:-1],
+    "long": lambda c: np.append(c, 0.1),
+    "row": lambda c: c[None],  # a Point is one vector, not a one-row batch
+}
+# these take x only as curve waypoints, where a row is a batch of curves
+_CURVE_ENTRIES = {"pi_field", "path_functional", "parallel_transport"}
 
 
-@pytest.mark.parametrize("coords", [[0.1], [0.1, -0.2, 0.3]], ids=["short", "long"])
-@pytest.mark.parametrize("entry", list(_WRONG_WIDTH_ENTRIES))
-def test_point_of_the_wrong_width_is_out_of_domain(entry, coords):
+@pytest.mark.parametrize(
+    "entry,width",
+    [(e, w) for e in _WRONG_WIDTH_ENTRIES for w in _WRONG_WIDTHS
+     if w != "row" or e not in _CURVE_ENTRIES],
+)
+@pytest.mark.parametrize("name", builtin_names())
+def test_point_of_the_wrong_width_is_out_of_domain(models, name, entry, width):
     # a point whose dimension is not the model's lies outside every domain,
     # whether the entry checks it alone or in a batch
-    model = parse_model_spec("categorical:2")
-    with pytest.raises(PointOutOfDomain, match="outside the domain of categorical:2"):
-        _WRONG_WIDTH_ENTRIES[entry](model, Point(coords))
+    model = models[name]
+    x = Point(_WRONG_WIDTHS[width](_good(model).coords))
+    with pytest.raises(PointOutOfDomain, match=f"outside the domain of {re.escape(model.spec_string)}"):
+        _WRONG_WIDTH_ENTRIES[entry](model, x)
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])

@@ -111,14 +111,21 @@ def test_inner_product_base_mismatch(models):
         eu.inner_product(p, u, w)
 
 
-@pytest.mark.parametrize("width", [1, 3])
-def test_batch_of_the_wrong_width_is_outside(models, width):
-    cat = models["categorical"]
-    assert not cat.contains_batch(np.zeros((4, width))).any()
-    assert not cat.contains(np.zeros(width))
-    assert cat.contains_batch(np.zeros((4, 2))).all()
-    with pytest.raises(PointOutOfDomain, match=r"first offender: array\(\[0\."):
-        cat.require_inside(np.zeros((4, width)))
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("name", builtin_names())
+def test_batch_of_the_wrong_width_is_outside(models, name, extra):
+    model = models[name]
+    X = np.tile(model.safe_box.mean(axis=1), (4, 1))
+    wrong = X[:, :-1] if extra < 0 else np.hstack([X, X[:, :1]])
+    assert model.contains_batch(X).all() and model.contains(X[0])
+    assert not model.contains_batch(wrong).any()
+    assert not model.contains(wrong[0]) and not model.contains(Point(wrong[0]))
+    with pytest.raises(PointOutOfDomain, match=r"first offender: array\(\[ *-?\d"):
+        model.require_inside(wrong)
+    # a Point is one vector: coordinates of another shape are out
+    assert not model.contains(Point(X[:1])) and not model.contains(X[:1])
+    with pytest.raises(PointOutOfDomain, match=r"first offender: array\(\[\["):
+        model.require_inside(Point(X[:1]))
 
 
 def test_require_inside_names_the_first_offender_and_raises_the_asked_error(models):

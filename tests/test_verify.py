@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dualgeo import parse_model_spec, run_suites, sample_pairs
+from dualgeo import InvalidModelSpec, ToleranceConfig, parse_model_spec, run_suites, sample_pairs
+from dualgeo.config import MAX_QUAD_NODES
 
 
 def checks(model, suite, samples=1, seed=3):
@@ -66,3 +67,14 @@ def test_classification_of_an_extreme_sphere_stays_in_the_float_range(radius, pa
     assert found["verdict_is_SelfDual"].passed
     if passes:
         assert found["sectional_curvature_error"].passed, found["sectional_curvature_error"]
+
+
+@pytest.mark.parametrize("suite", ["collapse", "all"])
+def test_a_config_without_room_to_double_its_nodes_is_refused_before_any_work(suite):
+    # a config takes up to 2 * MAX_QUAD_NODES nodes; the collapse suite doubles them
+    model = parse_model_spec("euclidean:2")
+    cfg = ToleranceConfig(quad_nodes=2 * MAX_QUAD_NODES)
+    with pytest.raises(InvalidModelSpec, match=f"at most {MAX_QUAD_NODES}$"):
+        run_suites([model], suite, samples=1, cfg=cfg)
+    found = run_suites([model], "collapse", samples=1, cfg=cfg.with_(quad_nodes=MAX_QUAD_NODES))
+    assert "quadrature_node_doubling" in [c.check_id for c in found.checks]
