@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, MAX_QUAD_NODES, ToleranceConfig
 from .divergence import DivergenceKind, _divergence_many
-from .eguchi import symmetry_probe
+from .eguchi import MAX_SKIPPED_FRACTION, symmetry_probe
 from .errors import DualGeoError, InvalidModelSpec, ShootingNoConvergence
 from .manifold import ManifoldModel, Point, builtin_schemas, parse_model_spec
 from .sampling import sample_points
@@ -327,7 +327,7 @@ def cmd_probe_f(args) -> int:
         f"rank_agreement={res.rank_agreement:.6f} skipped={len(res.skipped)}/{args.samples}",
         file=sys.stderr,
     )
-    return 0
+    return 3 if len(res.skipped) / args.samples > MAX_SKIPPED_FRACTION else 0
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,6 @@ def _pi_many(
     targets: np.ndarray,
     cfg: ToleranceConfig,
     primal_logs: Optional[np.ndarray] = None,
-    node_times: Optional[np.ndarray] = None,
 ):
     """Batched transported difference vectors at the targets.
 
@@ -180,7 +179,7 @@ def _pi_many(
 
     def log(kind):
         if logs[kind] is None:
-            logs[kind], _ = _shoot_many(model, kind, bases, targets, cfg, node_times=node_times)
+            logs[kind], _ = _shoot_many(model, kind, bases, targets, cfg)
         return logs[kind]
 
     def field(kind):
@@ -205,7 +204,7 @@ def pi_field(
     model.require_inside(p)
     x = np.atleast_1d(gamma.position(float(t)))
     model.require_inside(x, "curve point")
-    Pi, PiStar = _pi_many(model, p.coords[None, :], x[None, :], cfg, node_times=np.array([t]))
+    Pi, PiStar = _pi_many(model, p.coords[None, :], x[None, :], cfg)
     at = Point(x)
     return Tangent(at, Pi[0]), Tangent(at, PiStar[0])
 
@@ -241,10 +240,9 @@ def _canonical_many(model, P, Q, cfg) -> np.ndarray:
     V, xs, vs = _main_nodes(model, ConnectionKind.PRIMAL, P, Q, t_nodes, cfg)
     bases = np.repeat(P, k, axis=0)
     targets = xs.reshape(-1, n)
-    times = np.tile(t_nodes, P.shape[0])
     # the primal log from p to the geodesic's node at t is t V, exactly
     logs = (t_nodes[None, :, None] * V[:, None, :]).reshape(-1, n)
-    Pi, _ = _pi_many(model, bases, targets, cfg, primal_logs=logs, node_times=times)
+    Pi, _ = _pi_many(model, bases, targets, cfg, primal_logs=logs)
     integrand = _metric_pairing(model, targets, Pi, vs.reshape(-1, n)).reshape(-1, k)
     return (integrand * w).sum(axis=1)
 
@@ -378,8 +376,7 @@ def _path_integrals(model, P, paths, cfg):
     vs = paths.velocity(t_nodes).reshape(-1, n)
     bases = np.broadcast_to(P[..., None, :], xs.shape).reshape(-1, n)
     xs = xs.reshape(bases.shape)
-    times = np.tile(t_nodes, bases.shape[0] // t_nodes.shape[0])
-    Pi, PiStar = _pi_many(model, bases, xs, cfg, node_times=times)
+    Pi, PiStar = _pi_many(model, bases, xs, cfg)
     shape = paths.xs.shape[:-2] + t_nodes.shape
     primal = (_metric_pairing(model, xs, Pi, vs).reshape(shape) * w).sum(axis=-1)
     dual = (_metric_pairing(model, xs, PiStar, vs).reshape(shape) * w).sum(axis=-1)

@@ -37,14 +37,13 @@ class ShootingNoConvergence(DualGeoError):
 
     This is a legitimate outcome outside the shooting basin (the chart-straight
     segment between the endpoints must stay inside the domain for convergence
-    to be guaranteed), not necessarily a bug.
+    to be guaranteed), not necessarily a bug. The message names the failed
+    members' batch indices and the sweeps run; `residuals` holds each failed
+    member's best endpoint error, in chart coordinates.
     """
 
-    def __init__(self, message, failed_times=None, residuals=None):
+    def __init__(self, message, residuals=None):
         super().__init__(message)
-        # quadrature/path parameter values whose two-point solve failed
-        self.failed_times = list(failed_times) if failed_times is not None else []
-        # each failed member's best endpoint error, in chart coordinates
         self.residuals = list(residuals) if residuals is not None else []
 
 

@@ -576,7 +576,6 @@ def _shoot_many(
     P: np.ndarray,
     Q: np.ndarray,
     cfg: ToleranceConfig,
-    node_times: Optional[np.ndarray] = None,
 ):
     """Solve m two-point problems exp_{P_i}(v_i) = Q_i by Newton iteration,
     or in closed form when the connection has an affine chart.
@@ -651,15 +650,10 @@ def _shoot_many(
 
     failed = np.where(~done)[0]
     residuals = best_err[failed].tolist()
-    times = None
-    if node_times is not None:
-        times = np.asarray(node_times, dtype=float)[failed].tolist()
-    detail = f" at path parameters {times}" if times else ""
     raise ShootingNoConvergence(
         f"two-point solve on {model.spec_string} ({kind.value}) failed for "
-        f"{failed.size}/{m} members after {sweeps} sweeps{detail}; best residuals "
-        f"{residuals[:8]}; the pair may lie outside the shooting basin",
-        failed_times=times,
+        f"{failed.size}/{m} members {failed[:8].tolist()} after {sweeps} sweeps; best "
+        f"residuals {residuals[:8]}; the pair may lie outside the shooting basin",
         residuals=residuals,
     )
 

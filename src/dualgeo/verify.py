@@ -34,7 +34,7 @@ from .divergence import (
     _path_functional_many,
     _pi_many,
 )
-from .eguchi import classify_manifold, recover_structure, symmetry_probe
+from .eguchi import MAX_SKIPPED_FRACTION, classify_manifold, recover_structure, symmetry_probe
 from .errors import InvalidModelSpec
 from .geodesic import Curve, _central_stencil
 from .manifold import ConnectionKind, ManifoldModel, Point, make_builtin
@@ -257,9 +257,8 @@ def suite_symmetry(model, samples, rng, cfg) -> List[CheckRecord]:
     qs = [Point(x) for x in sample_points(model, max(samples, 10), rng, shrink=0.85)]
     probe = symmetry_probe(model, p, qs, cfg)
     out.append(_rec("rank_agreement_deficit", 1.0 - probe.rank_agreement, 0.0, len(qs)))
-    out.append(
-        _rec("probe_skipped_fraction", len(probe.skipped) / len(qs), 0.2, len(qs))
-    )
+    skipped = len(probe.skipped) / len(qs)
+    out.append(_rec("probe_skipped_fraction", skipped, MAX_SKIPPED_FRACTION, len(qs)))
     if model.flat_kinds:
         out.append(
             _rec("probe_pointwise_equality_rel", probe.max_equality_error, 1e-6, len(qs))

@@ -212,6 +212,28 @@ def test_symmetry_probe_skips_only_the_target_that_fails(cfg):
     assert res.pairs.tolist() == alone  # bit for bit, in target order
 
 
+def test_symmetry_probe_skips_a_target_whose_dual_geodesic_leaves_the_domain(cfg):
+    # the dual geodesic from p to the first target reaches sigma^2 = 23 at its
+    # midpoint, outside the domain; the div command flags that row the same way
+    g = make_builtin("gaussian1d", [])
+    p = g.point([-2 / 19, -1 / 38])
+    qs = [g.point([2 / 19, -1 / 38])] + [Point(x) for x in sample_points(g, 9, np.random.default_rng(1))]
+    res = symmetry_probe(g, p, qs, cfg)
+    assert res.skipped == [0]
+    alone = [[dual_canonical_divergence(g, p, q, cfg), canonical_divergence(g, q, p, cfg)] for q in qs[1:]]
+    assert res.pairs.tolist() == alone  # bit for bit, in target order
+
+
+def test_symmetry_probe_reports_skips_past_the_quota_and_does_not_raise(cfg):
+    eu2 = make_builtin("euclidean", [2])
+    qs = _ten_targets(eu2, eu2.point([1e200, 0.0]))
+    qs[1] = qs[7] = qs[3]
+    res = symmetry_probe(eu2, eu2.point([0.0, 0.0]), qs, cfg)
+    assert res.skipped == [1, 3, 7]
+    assert len(res.skipped) / len(qs) > eguchi.MAX_SKIPPED_FRACTION
+    assert res.pairs.shape == (7, 2)
+
+
 def test_symmetry_probe_target_of_the_wrong_width_raises_and_is_not_skipped(cfg):
     eu2 = make_builtin("euclidean", [2])
     with pytest.raises(PointOutOfDomain, match="first offender: array\\(\\[0.5, 0. , 0. \\]\\)"):

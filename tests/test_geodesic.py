@@ -626,7 +626,7 @@ def test_an_out_of_basin_pair_is_given_up_early_with_its_residual(cfg, monkeypat
     # once seven trials in a row fail to cut the best error the member is hopeless
     model = parse_model_spec("alpha_categorical:2:0.9")
     sweeps = _count_sweeps(monkeypatch, 5)  # one member, center shot and 4 columns
-    with pytest.raises(ShootingNoConvergence, match="failed for 1/1 members") as info:
+    with pytest.raises(ShootingNoConvergence, match=r"failed for 1/1 members \[0\]") as info:
         log_map(model, P_KIND, model.point([0.0015, 0.9]), model.point([0.9, 0.0015]), cfg)
     assert 0 < len(sweeps) <= 12
     assert f"after {len(sweeps)} sweeps" in str(info.value)

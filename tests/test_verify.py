@@ -1,6 +1,7 @@
 """Verification suites: which checks a model gets follows from its structure."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -78,3 +79,29 @@ def test_a_config_without_room_to_double_its_nodes_is_refused_before_any_work(su
         run_suites([model], suite, samples=1, cfg=cfg)
     found = run_suites([model], "collapse", samples=1, cfg=cfg.with_(quad_nodes=MAX_QUAD_NODES))
     assert "quadrature_node_doubling" in [c.check_id for c in found.checks]
+
+
+def test_a_probe_past_its_skip_quota_fails_the_check_not_the_run(monkeypatch, capsys):
+    # the probe only reports its skips; the quota is verify's check, so the
+    # report is written and verify exits 1
+    from dualgeo import eguchi
+    from dualgeo.cli import main
+    from dualgeo.divergence import DivergenceKind
+    from dualgeo.errors import DomainExit
+
+    inner, singles = eguchi._divergence_many, []
+
+    def failing(model, kind, P, Q, cfg):
+        if kind is DivergenceKind.CANONICAL_DUAL and P.shape[0] == 1:
+            singles.append(len(singles))
+        if P.shape[0] > 1 or (kind is DivergenceKind.CANONICAL_DUAL and singles[-1] in (2, 5, 9)):
+            raise DomainExit("geodesic left the domain")
+        return inner(model, kind, P, Q, cfg)
+
+    monkeypatch.setattr(eguchi, "_divergence_many", failing)
+    assert main(["verify", "--model", "euclidean:2", "--suite", "symmetry", "--samples", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    found = {c["check_id"]: c for c in doc["checks"]}
+    assert found["probe_skipped_fraction"]["max_error"] == 0.3
+    assert not found["probe_skipped_fraction"]["passed"]
+    assert doc["overall_pass"] is False
