@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualgeo import ConnectionKind, DivergenceKind
+from dualgeo import ConnectionKind, DivergenceKind, sample_pairs
 from dualgeo.cli import _load_model, main
 from dualgeo.divergence import _divergence_many
 from dualgeo.errors import InvalidModelSpec
@@ -83,6 +83,36 @@ MODEL = st.one_of(
 # models whose every kind is closed form: euclidean answers all kinds exactly;
 # on the dually flat families one connection is flat in the working chart and
 # the other in the expectation chart
+def closed_form_kinds(model):
+    """The kinds a model answers without shooting or integrating: every
+    geodesic-integral kind when both connections have affine charts, and the
+    oracle when the model carries one."""
+    charted = len(model.affine_charts) == len(ConnectionKind)
+    oracle = model.oracle_fn is not None
+    return [k for k in DivergenceKind if (oracle if k is DivergenceKind.ORACLE_KL else charted)]
+
+
+BUILTIN_SPECS = ["euclidean:1", "euclidean:3", "sphere:2", "categorical:2", "categorical:5",
+                 "gaussian1d", "alpha_categorical:2:0.5", "alpha_categorical:3:0"]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    spec=st.sampled_from(BUILTIN_SPECS),
+    kind=st.sampled_from(list(DivergenceKind)),
+    seed=st.integers(0, 2**32 - 1),
+    # rows into a pool of six pairs: any batch size and order, with duplicates
+    rows=st.lists(st.integers(0, 5), min_size=1, max_size=24),
+)
+def test_a_closed_form_value_does_not_depend_on_the_batch(cfg, spec, kind, seed, rows):
+    model = _load_model(spec)
+    assume(kind in closed_form_kinds(model))
+    P, Q = sample_pairs(model, 6, np.random.default_rng(seed))
+    batch = _divergence_many(model, kind, P[rows], Q[rows], cfg)
+    alone = np.array([_divergence_many(model, kind, P[i : i + 1], Q[i : i + 1], cfg)[0] for i in rows])
+    assert batch.view(np.uint64).tolist() == alone.view(np.uint64).tolist()  # bit for bit
+
+
 CLOSED_FORM = ("euclidean:2", "categorical:2", "gaussian1d")
 QUAD = st.one_of(st.integers(-3, 40).map(str), st.text(max_size=4))
 
