@@ -30,7 +30,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, MAX_QUAD_NODES, ToleranceConfig
 from .divergence import DivergenceKind, _divergence_many
 from .eguchi import MAX_SKIPPED_FRACTION, symmetry_probe
-from .errors import DualGeoError, InvalidModelSpec, ShootingNoConvergence
+from .errors import DualGeoError, InvalidModelSpec
 from .manifold import ManifoldModel, Point, builtin_schemas, parse_model_spec
 from .sampling import sample_points
 from .verify import default_models, run_suites
@@ -414,9 +414,6 @@ def main(argv=None) -> int:
     except InvalidModelSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ShootingNoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except DualGeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

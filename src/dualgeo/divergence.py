@@ -29,13 +29,11 @@ Every computation runs batched; each public function is a batch of one, with
 no path of its own: each divergence kind goes through `divergence_value` into
 `_divergence_many`, `pi_field` into `_pi_many`, `path_functional` into
 `_path_functional_many` and `divergence_gradient` into `_gradient_many`.
-The weighted sum over the nodes and the metric pairing at each node
-(`_metric_pairing`) are taken row by row, so a pair's value never depends on
-the BLAS kernel. On the closed-form routes (every kind on a model with both
-affine charts, and the oracle) it depends only on that pair, bit for bit,
-whatever the batch's size, order or duplicates; on the ODE routes a stacked
-system shares one adaptive step, so its last bits depend on the rest of the
-batch.
+The weighted sum over the nodes and each metric pairing are taken row by
+row, so a pair's value never depends on the BLAS kernel. On the closed-form
+routes it depends only on that pair, bit for bit, in any batch; on the ODE
+routes a stacked system shares one adaptive step, so its last bits depend on
+the rest of the batch.
 
 `_divergence_many` decides in one place which pairs of a geodesic-integral
 kind are answered by the quadratic form d.g(p).d (halved for every kind but
@@ -150,8 +148,7 @@ def _finite(what: str, evaluate, *args):
 
 
 def _metric_pairing(model: ManifoldModel, X, U, V) -> np.ndarray:
-    """U_i g_ij(X) V_j per row, summed row by row: a three-operand einsum's
-    last bits depend on the batch it runs over."""
+    # row by row: a three-operand einsum's last bits depend on the batch
     g = model.metric_batch(X)
     return (U * np.matmul(g, V[..., None])[..., 0]).sum(axis=-1)
 

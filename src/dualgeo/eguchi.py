@@ -402,11 +402,9 @@ def symmetry_probe(
 
     A strictly monotone relation between the two implies identical rankings of
     the sampled targets; rank agreement is the fraction of concordant target
-    pairs. Every target must lie in the domain (`PointOutOfDomain` otherwise).
-    A target whose own evaluation raises any `DualGeoError` (no converged
-    solve, a geodesic leaving the domain, a value that is not finite) is
-    skipped and listed in `skipped`, and never raises; how many skips are too
-    many is the caller's rule (`MAX_SKIPPED_FRACTION` in verify and probe-f).
+    pairs. Every target must lie in the domain. A target whose own evaluation
+    raises any DualGeoError is skipped and listed, never raised; how many skips
+    are too many is its callers' rule (MAX_SKIPPED_FRACTION).
     """
     for x in (p, *sample_qs):
         model.require_inside(x)
@@ -414,30 +412,28 @@ def symmetry_probe(
     m = qs.shape[0]
     P = np.repeat(p.coords[None, :], m, axis=0)
 
-    dual_vals = np.full(m, np.nan)
-    rev_vals = np.full(m, np.nan)
+    def scatter(rows):  # [dual(p, q), canonical(q, p)] on the targets in rows
+        dual = _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P[rows], qs[rows], cfg)
+        rev = _divergence_many(model, DivergenceKind.CANONICAL, qs[rows], P[rows], cfg)
+        return np.column_stack([dual, rev])
+
     skipped = []
     try:
-        dual_vals = _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, qs, cfg)
-        rev_vals = _divergence_many(model, DivergenceKind.CANONICAL, qs, P, cfg)
-    except DualGeoError:
+        pairs = scatter(slice(None))
+    except DualGeoError:  # then each target alone
+        pairs = np.full((m, 2), np.nan)
         for i in range(m):
             try:
-                dual_vals[i] = _divergence_many(
-                    model, DivergenceKind.CANONICAL_DUAL, P[i : i + 1], qs[i : i + 1], cfg
-                )[0]
-                rev_vals[i] = _divergence_many(
-                    model, DivergenceKind.CANONICAL, qs[i : i + 1], P[i : i + 1], cfg
-                )[0]
+                pairs[i] = scatter(slice(i, i + 1))[0]
             except DualGeoError:
                 skipped.append(i)
     keep = np.setdiff1d(np.arange(m), np.array(skipped, dtype=int))
-    d, r = dual_vals[keep], rev_vals[keep]
+    d, r = pairs[keep].T
     i, j = np.triu_indices(keep.shape[0], 1)  # every pair of kept targets
     agreement = float(np.mean((d[i] - d[j]) * (r[i] - r[j]) > 0)) if i.size else 1.0
     eq_err = float(np.max(np.abs(d - r) / (1.0 + np.abs(r)))) if keep.size else 0.0
     return SymmetryProbeResult(
-        pairs=np.column_stack([d, r]),
+        pairs=pairs[keep],
         skipped=skipped,
         rank_agreement=agreement,
         max_equality_error=eq_err,

@@ -42,6 +42,10 @@ from .sampling import sample_pairs, sample_points
 
 __all__ = ["CheckRecord", "VerificationReport", "run_suites", "default_models", "SUITES"]
 
+# the eguchi and classification suites' memory grows as n^4 and n^5: at n = 16
+# and 10 samples their peaks are 290 MB and 430 MB, at n = 32 several GB
+MAX_RECOVERY_DIM = 16
+
 @dataclass(frozen=True)
 class CheckRecord:
     check_id: str
@@ -323,7 +327,10 @@ def run_suites(
     seed: int = 0,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> VerificationReport:
-    """Run one named suite (or 'all') over the given models."""
+    """Run one named suite (or 'all') over the given models. An unknown suite, a
+    collapse suite without room to double its nodes, and an eguchi or
+    classification suite above MAX_RECOVERY_DIM are InvalidModelSpec, before
+    any work; a symmetry probe past MAX_SKIPPED_FRACTION fails its check."""
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
@@ -334,6 +341,10 @@ def run_suites(
         )
     if "collapse" in names and cfg.quad_nodes > MAX_QUAD_NODES:  # a config takes twice this
         raise InvalidModelSpec(f"the collapse suite doubles quad_nodes: at most {MAX_QUAD_NODES}")
+    big = [m.spec_string for m in models if m.dim > MAX_RECOVERY_DIM]
+    if big and {"eguchi", "classification"} & set(names):
+        limit = f"dimension at most {MAX_RECOVERY_DIM}, not {big[0]}"
+        raise InvalidModelSpec(f"the eguchi and classification suites take {limit}")
     report = VerificationReport(
         suite=suite, models=[m.spec_string for m in models], seed=seed, samples=samples
     )

@@ -11,6 +11,7 @@ from dualgeo import ConnectionKind, DivergenceKind, sample_pairs
 from dualgeo.cli import _load_model, main
 from dualgeo.divergence import _divergence_many
 from dualgeo.errors import InvalidModelSpec
+from dualgeo.verify import MAX_RECOVERY_DIM
 
 ALL = ["euclidean", "sphere", "categorical", "gaussian1d", "alpha_categorical"]
 DUALLY_FLAT = ["categorical", "gaussian1d"]
@@ -230,8 +231,12 @@ def test_probe_f_on_fuzzed_text_exits_with_a_documented_code(model, p):
 
 
 # verify's cost grows as samples x dim^5, so the fuzz keeps one sample and
-# dimensions 1-3; a dimension drawn from NUMBER could be 1e300, which parses
-DIM = mostly(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "1.5", "nan", "inf", "x", ""]))
+# dimensions 1-3, or above MAX_RECOVERY_DIM, where the classification suite is
+# refused before any work; a dimension drawn from NUMBER could be 1e300, which parses
+DIM = mostly(
+    st.integers(1, 3).map(str) | st.integers(MAX_RECOVERY_DIM + 1, 100).map(str),
+    st.sampled_from(["0", "-1", "1.5", "nan", "inf", "x", ""]),
+)
 # a mantissa and a decimal exponent: radii from 1e-320 to 1e308, spread in log
 RADIUS = st.builds("{:.3f}e{}".format, st.floats(1.0, 9.999), st.integers(-320, 307))
 VERIFY_MODEL = st.one_of(

@@ -9,6 +9,7 @@ import pytest
 
 from dualgeo import InvalidModelSpec, ToleranceConfig, parse_model_spec, run_suites, sample_pairs
 from dualgeo.config import MAX_QUAD_NODES
+from dualgeo.verify import MAX_RECOVERY_DIM
 
 
 def checks(model, suite, samples=1, seed=3):
@@ -105,3 +106,20 @@ def test_a_probe_past_its_skip_quota_fails_the_check_not_the_run(monkeypatch, ca
     assert found["probe_skipped_fraction"]["max_error"] == 0.3
     assert not found["probe_skipped_fraction"]["passed"]
     assert doc["overall_pass"] is False
+
+
+@pytest.mark.parametrize("dim", [MAX_RECOVERY_DIM + 1, 100])
+@pytest.mark.parametrize("suite", ["eguchi", "classification", "all"])
+def test_a_dimension_too_large_to_recover_is_refused_before_any_work(monkeypatch, capsys, suite, dim):
+    from dualgeo import eguchi, verify
+    from dualgeo.cli import main
+
+    def never(*args, **kwargs):
+        raise AssertionError("structure recovery or curvature ran")
+
+    monkeypatch.setattr(verify, "recover_structure", never)
+    monkeypatch.setattr(eguchi, "_curvature_many", never)
+    assert main(["verify", "--model", f"euclidean:{dim}", "--suite", suite]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: the eguchi and classification suites take dimension at most "
+                   f"{MAX_RECOVERY_DIM}, not euclidean:{dim}"]
