@@ -48,13 +48,13 @@ grid = np.linspace(0.0, 1.0, 129)
 def latitude(theta, a, b):
     xs = np.stack([np.full(129, theta), a + (b - a) * grid], axis=1)
     vs = np.stack([np.zeros(129), np.full(129, b - a)], axis=1)
-    return Curve(ts=grid, xs=xs, vs=vs)
+    return Curve(xs=xs, vs=vs)
 
 
 def meridian(phi, a, b):
     xs = np.stack([a + (b - a) * grid, np.full(129, phi)], axis=1)
     vs = np.stack([np.full(129, b - a), np.zeros(129)], axis=1)
-    return Curve(ts=grid, xs=xs, vs=vs)
+    return Curve(xs=xs, vs=vs)
 
 
 loop = [

@@ -33,14 +33,11 @@ from .eguchi import MAX_SKIPPED_FRACTION, symmetry_probe
 from .errors import DualGeoError, InvalidModelSpec
 from .manifold import ManifoldModel, Point, builtin_schemas, parse_model_spec
 from .sampling import sample_points
-from .verify import default_models, run_suites
+from .verify import MAX_SAMPLES, default_models, run_suites
 
 KIND_NAMES = {k.value: k for k in DivergenceKind}
 
-# Bounds on the counts a command line sets, checked before anything is allocated: the
-# symmetry probe pairs its m targets, m(m - 1)/2 pairs, and a sweep has a row per grid cell.
-MAX_SAMPLES = 1000
-MAX_GRID_CELLS = 100_000
+MAX_GRID_CELLS = 100_000  # a sweep's rows, one per grid cell, bounded before any is allocated
 
 
 def _f17(x) -> str:
@@ -138,6 +135,15 @@ def _pool_map(model: ManifoldModel, kinds, P: np.ndarray, Q: np.ndarray, cfg: To
     return values, ok
 
 
+def _kind(model: ManifoldModel, name: str) -> DivergenceKind:
+    """The divergence kind named on the command line: `oracle` on a model
+    without a closed form is bad input, refused before any row."""
+    kind = KIND_NAMES[name]
+    if kind is DivergenceKind.ORACLE_KL and model.oracle_fn is None:
+        raise InvalidModelSpec(f"--kind oracle: {model.spec_string} has no closed-form divergence")
+    return kind
+
+
 def _seed(text: str) -> int:
     """--seed: numpy's generators take only non-negative integers."""
     try:
@@ -184,7 +190,7 @@ def cmd_models(args) -> int:
 def cmd_div(args) -> int:
     model = _load_model(args.model)
     cfg = _tolerances(args)
-    kind = KIND_NAMES[args.kind]
+    kind = _kind(model, args.kind)
     ps = [_parse_point(model, t, args.coords) for t in args.p]
     qs = [_parse_point(model, t, args.coords) for t in args.q]
     if len(ps) == 1 and len(qs) > 1:
@@ -230,8 +236,6 @@ def cmd_div(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _tolerances(args)
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        raise InvalidModelSpec(f"verify needs between 1 and {MAX_SAMPLES} samples")
     models = [_load_model(args.model)] if args.model else default_models()
     out = _Output(args.output)
     report = run_suites(models, args.suite, samples=args.samples, seed=args.seed, cfg=cfg)
@@ -269,7 +273,7 @@ def _parse_grid(model: ManifoldModel, spec: str) -> np.ndarray:
 def cmd_sweep(args) -> int:
     model = _load_model(args.model)
     cfg = _tolerances(args)
-    kinds = [KIND_NAMES[k] for k in args.kind]
+    kinds = [_kind(model, k) for k in args.kind]
     p = _fixed_point(model, args.p, args.coords)
     Q = _parse_grid(model, args.grid)
 

@@ -71,7 +71,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .errors import OracleUnavailable, QuadratureFailure
+from .errors import OracleUnavailable, QuadratureFailure, StencilOutOfDomain
 from .geodesic import (
     Curve,
     _central_stencil,
@@ -411,8 +411,9 @@ def _gradient_many(
     """Riemannian gradients in the second slot for m pairs, one batched call."""
     m, n = Q.shape
     stencil, difference = _central_stencil(Q, cfg.fd_step)
-    bases = np.repeat(P, 2 * n, axis=0)
-    vals = _divergence_many(model, which, bases, stencil.reshape(-1, n), cfg)
+    stencil = stencil.reshape(-1, n)
+    model.require_inside(stencil, "gradient stencil point", StencilOutOfDomain)
+    vals = _divergence_many(model, which, np.repeat(P, 2 * n, axis=0), stencil, cfg)
     cov = difference(vals.reshape(m, n, 2))
     g = model.metric_batch(Q)
     return np.linalg.solve(g, cov[..., None])[..., 0]

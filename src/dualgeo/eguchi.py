@@ -71,21 +71,30 @@ class RecoveredStructure:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Residuals of the structural conditions and the resulting verdict.
+    """Residuals of the structural conditions, and the verdict they give.
 
-    The verdict is decided by thresholding in the order SelfDual, DuallyFlat,
-    Symmetric, General; raw residuals are always included so the verdict is
-    auditable. `plane_curvatures[x, p]` is the primal sectional curvature at
-    sample point x on coordinate plane p, the planes (i, j) with i < j in
-    np.triu_indices order; `to_dict` leaves it out.
+    The verdict thresholds the residuals at CLASSIFY_THRESHOLD in the order
+    SelfDual, DuallyFlat, Symmetric, General; a NaN residual fails its test.
+    `plane_curvatures[x, p]` is the primal sectional curvature at sample point
+    x on coordinate plane p, the planes (i, j) with i < j in np.triu_indices
+    order; `to_dict` leaves it out.
     """
 
     self_dual_residual: float
     flatness_residual: float
     symmetry_residuals: tuple
     plane_curvatures: np.ndarray = field(compare=False)
-    verdict: str
-    threshold: float = CLASSIFY_THRESHOLD
+
+    @property
+    def verdict(self) -> str:
+        thr = CLASSIFY_THRESHOLD
+        if self.self_dual_residual <= thr:
+            return "SelfDual"
+        if self.flatness_residual <= thr:
+            return "DuallyFlat"
+        if all(r <= thr for r in self.symmetry_residuals):
+            return "Symmetric"
+        return "General"
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +103,7 @@ class ClassificationReport:
             "covariant_curvature_derivative_residual": self.symmetry_residuals[0],
             "sectional_probe_residual": self.symmetry_residuals[1],
             "verdict": self.verdict,
-            "threshold": self.threshold,
+            "threshold": CLASSIFY_THRESHOLD,
         }
 
 
@@ -320,7 +329,9 @@ def _nabla_curvature(model, kind, X, cfg, h, R0):
     step h on the curvature."""
     m, n = X.shape
     stencil, difference = _central_stencil(X, h)
-    R = _curvature_many(model, kind, stencil.reshape(-1, n), cfg.fd_step)
+    stencil = stencil.reshape(-1, n)
+    model.require_inside(stencil, "covariant-derivative stencil point", StencilOutOfDomain)
+    R = _curvature_many(model, kind, stencil, cfg.fd_step)
     dR = difference(R.reshape((m, n, 2) + R.shape[1:]))
     G = _raised_gamma(model, X, kind)  # [x, l, j, k] = Gamma^l_{jk}
     return (
@@ -368,22 +379,11 @@ def classify_manifold(
     plane = np.stack([i, j], axis=1)
     det = np.linalg.det(gs[:, plane[:, :, None], plane[:, None, :]])
     plane_curvatures = low[:, i, j, j, i] / det / s[..., 0]
-
-    thr = CLASSIFY_THRESHOLD
-    if self_dual <= thr:
-        verdict = "SelfDual"
-    elif flatness <= thr:
-        verdict = "DuallyFlat"
-    elif nabla_res <= thr and probe_res <= thr:
-        verdict = "Symmetric"
-    else:
-        verdict = "General"
     return ClassificationReport(
         self_dual_residual=self_dual,
         flatness_residual=flatness,
         symmetry_residuals=(nabla_res, probe_res),
         plane_curvatures=plane_curvatures,
-        verdict=verdict,
     )
 
 

@@ -94,22 +94,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _hermite_cell(ts: np.ndarray, t):
-    """The cell of the uniform grid ts holding each time t, the offset s in
-    [0, 1] within it (with a trailing axis), and the cell width."""
+def _hermite_cell(K: int, t):
+    """The cell of the uniform grid linspace(0, 1, K) holding each time t, the
+    offset s in [0, 1] within it (with a trailing axis), and the cell width."""
     t = np.asarray(t, dtype=float)
-    steps = ts.shape[0] - 1
+    steps = K - 1
     cell = np.clip((t * steps).astype(int), 0, steps - 1)
-    return cell, (t * steps - cell)[..., None], ts[1] - ts[0]
+    return cell, (t * steps - cell)[..., None], 1.0 / steps
 
 
-def _hermite_value(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
+def _hermite_value(values: np.ndarray, derivs: np.ndarray, t):
     """Cubic Hermite interpolant of `values` with slopes `derivs` at t.
 
-    Both are sampled on the uniform grid `ts`, shape (..., grid, n). A scalar
+    Both are sampled on linspace(0, 1, grid), shape (..., grid, n). A scalar
     t gives (..., n); a vector of k times gives (..., k, n).
     """
-    cell, s, dt = _hermite_cell(ts, t)
+    cell, s, dt = _hermite_cell(values.shape[-2], t)
     s2 = s * s
     s3 = s2 * s
     return (
@@ -120,9 +120,9 @@ def _hermite_value(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
     )
 
 
-def _hermite_slope(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
+def _hermite_slope(values: np.ndarray, derivs: np.ndarray, t):
     """Exact t-derivative of `_hermite_value`, with the same shapes."""
-    cell, s, dt = _hermite_cell(ts, t)
+    cell, s, dt = _hermite_cell(values.shape[-2], t)
     s2 = s * s
     return (
         (6.0 * s2 - 6.0 * s) * values[..., cell, :] / dt
@@ -134,12 +134,12 @@ def _hermite_slope(ts: np.ndarray, values: np.ndarray, derivs: np.ndarray, t):
 
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """Paths t in [0, 1] -> M sampled on the uniform grid linspace(0, 1, len(ts)).
+    """Paths t in [0, 1] -> M sampled on the uniform grid linspace(0, 1, K).
 
-    `xs` and `vs` have shape (..., grid, n): one path, or a batch of paths in
+    `xs` and `vs` have shape (..., K, n): one path, or a batch of paths in
     leading axes that share the grid: _CURVE_GRID samples when integrated,
-    the K knots of a waypoint path. A scalar t gives (..., n); a vector of
-    k times gives (..., k, n).
+    the K knots of a waypoint path; `ts` reads the grid back. A scalar t
+    gives (..., n); a vector of k times gives (..., k, n).
 
     `velocity` is the exact derivative of the position interpolant when no
     acceleration samples are stored (interpolated paths), and the Hermite
@@ -150,40 +150,41 @@ class Curve:
     (waypoint knots); quadratures over the curve split there.
     """
 
-    ts: np.ndarray
     xs: np.ndarray
     vs: np.ndarray
     accs: Optional[np.ndarray] = None
     breaks: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # the interpolant finds a time's cell as t * (grid - 1) and reads its
-        # row of each sample array, which must have one row per grid time
-        ts = np.asarray(self.ts, dtype=float)
-        if ts.ndim != 1 or ts.shape[0] < 2 or not (
-            np.abs(ts - np.linspace(0.0, 1.0, ts.shape[0])).max() <= 1e-12
-        ):
-            raise ValueError("curve parameter samples must be linspace(0, 1, len(ts))")
-        for name, samples in (("xs", self.xs), ("vs", self.vs), ("accs", self.accs)):
-            if samples is not None and np.shape(samples)[-2:-1] != ts.shape:
-                raise ValueError(f"{name} needs one row per time of ts on its axis -2")
+        # the interpolant finds a time's cell as t * (K - 1) and reads its
+        # row of each sample array, which must have one row per sample of xs
+        K = np.shape(self.xs)[-2:-1]
+        if not K or K[0] < 2:
+            raise ValueError("xs needs at least two samples on its axis -2")
+        for name, samples in (("vs", self.vs), ("accs", self.accs)):
+            if samples is not None and np.shape(samples)[-2:-1] != K:
+                raise ValueError(f"{name} needs one row per sample of xs on its axis -2")
+
+    @property
+    def ts(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.xs.shape[-2])
 
     @property
     def dim(self) -> int:
         return self.xs.shape[-1]
 
     def position(self, t):
-        return _hermite_value(self.ts, self.xs, self.vs, t)
+        return _hermite_value(self.xs, self.vs, t)
 
     def velocity(self, t):
         if self.accs is None:
-            return _hermite_slope(self.ts, self.xs, self.vs, t)
-        return _hermite_value(self.ts, self.vs, self.accs, t)
+            return _hermite_slope(self.xs, self.vs, t)
+        return _hermite_value(self.vs, self.accs, t)
 
     def velocity_derivative(self, t):
         if self.accs is None:
             raise ValueError("curve carries no acceleration samples")
-        return _hermite_slope(self.ts, self.vs, self.accs, t)
+        return _hermite_slope(self.vs, self.accs, t)
 
     def start_point(self) -> Point:
         return Point(self.xs[..., 0, :].copy())
@@ -207,8 +208,7 @@ class Curve:
         M[..., -1, :] = (W[..., -1, :] - W[..., -2, :]) / du
         if K > 2:
             M[..., 1:-1, :] = (W[..., 2:, :] - W[..., :-2, :]) / (2.0 * du)
-        knots = np.linspace(0.0, 1.0, K)
-        return Curve(ts=knots, xs=W, vs=M, breaks=knots[1:-1].copy())
+        return Curve(xs=W, vs=M, breaks=np.linspace(0.0, 1.0, K)[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def _curves_from_initial(model, kind, X0, V0, cfg) -> Curve:
     xs = np.swapaxes(states[:, :, :n], 0, 1).copy()
     vs = np.swapaxes(states[:, :, n:], 0, 1).copy()
     accs = _geodesic_accel(model, kind, xs.reshape(-1, n), vs.reshape(-1, n))
-    return Curve(ts=ts, xs=xs.reshape(shape), vs=vs.reshape(shape), accs=accs.reshape(shape))
+    return Curve(xs=xs.reshape(shape), vs=vs.reshape(shape), accs=accs.reshape(shape))
 
 
 def integrate_geodesic(

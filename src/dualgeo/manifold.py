@@ -370,8 +370,8 @@ class ManifoldModel:
 
 
 def natural_to_mixture(theta: np.ndarray) -> np.ndarray:
-    """Head probabilities (p_1..p_n) of the categorical natural chart."""
-    return _full_probs_batch(np.atleast_1d(np.asarray(theta, dtype=float)))[:-1]
+    """Head probabilities (p_1..p_n) of categorical natural-chart points (..., n)."""
+    return _full_probs_batch(np.atleast_1d(np.asarray(theta, dtype=float)))[..., :-1]
 
 
 def mixture_to_natural(probs_head: np.ndarray) -> np.ndarray:
@@ -529,9 +529,6 @@ def _make_categorical(n: int) -> ManifoldModel:
     def domain(X):
         return _full_probs_batch(X).min(axis=1) >= _MIN_PROB
 
-    def expectation(X):
-        return _full_probs_batch(X)[:, :n]
-
     def natural(E):
         # off the open simplex a logarithm is NaN or infinite: outside the domain
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -556,7 +553,7 @@ def _make_categorical(n: int) -> ManifoldModel:
         oracle_fn=oracle,
         affine_charts={
             ConnectionKind.PRIMAL: WORKING_CHART,
-            ConnectionKind.DUAL: AffineChart(expectation, natural, metric),
+            ConnectionKind.DUAL: AffineChart(natural_to_mixture, natural, metric),
         },
         coord_converters={
             "mixture": lambda c: mixture_to_natural(c),
@@ -789,11 +786,11 @@ def make_builtin(name: str, params: Sequence[float]) -> ManifoldModel:
             raise InvalidModelSpec(f"dimension must be at most {MAX_DIM}, got {d!r}")
         return int(d)
 
-    if name == "euclidean":
+    if name in ("euclidean", "categorical"):
         n = dim_param()
         if len(params) > 1:
-            raise InvalidModelSpec("euclidean takes a single dimension parameter")
-        return _make_euclidean(n)
+            raise InvalidModelSpec(f"{name} takes a single dimension parameter")
+        return (_make_euclidean if name == "euclidean" else _make_categorical)(n)
 
     if name == "sphere":
         n = dim_param(default=2)
@@ -806,12 +803,6 @@ def make_builtin(name: str, params: Sequence[float]) -> ManifoldModel:
         if len(params) > 2:
             raise InvalidModelSpec("sphere takes (dim, radius)")
         return _make_sphere(radius)
-
-    if name == "categorical":
-        n = dim_param()
-        if len(params) > 1:
-            raise InvalidModelSpec("categorical takes a single dimension parameter")
-        return _make_categorical(n)
 
     if name == "gaussian1d":
         n = dim_param(default=2)

@@ -19,7 +19,7 @@ Which checks a model gets follows from its structure, never from its name:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -45,14 +45,21 @@ __all__ = ["CheckRecord", "VerificationReport", "run_suites", "default_models", 
 # the eguchi and classification suites' memory grows as n^4 and n^5: at n = 16
 # and 10 samples their peaks are 290 MB and 430 MB, at n = 32 several GB
 MAX_RECOVERY_DIM = 16
+MAX_SAMPLES = 1000  # the symmetry probe (and probe-f) pairs its m targets: m(m - 1)/2 pairs
+
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """The worst error of a check over its samples: passed when at most its tolerance."""
+
     check_id: str
     max_error: float
     tolerance: float
-    passed: bool
     samples: int
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_error <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {
@@ -90,8 +97,7 @@ class VerificationReport:
 
 
 def _rec(check_id: str, max_error: float, tol: float, samples: int) -> CheckRecord:
-    err = float(max_error)
-    return CheckRecord(check_id, err, float(tol), bool(err <= tol), int(samples))
+    return CheckRecord(check_id, float(max_error), float(tol), int(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +211,7 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
     P, Q = sample_pairs(model, samples, rng)
     canon = _divergence_many(model, DivergenceKind.CANONICAL, P, Q, cfg)
     ay = _divergence_many(model, DivergenceKind.AY, P, Q, cfg)
-    out = []
-    out.append(
-        _rec(
-            "positivity_off_diagonal",
-            float((canon <= 0.0).sum()),
-            0.0,
-            samples,
-        )
-    )
+    out = [_rec("positivity_off_diagonal", float((canon <= 0.0).sum()), 0.0, samples)]
     diag = _divergence_many(model, DivergenceKind.CANONICAL, P, P, cfg)
     out.append(_rec("zero_on_diagonal", float(np.abs(diag).max()), 1e-10, samples))
     if model.is_self_dual:
@@ -294,9 +292,7 @@ def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
         K = report.plane_curvatures  # a 1-D sphere has no plane
         err = np.abs(K * sphere.radius**2 - 1.0).max(initial=0.0)
         out.append(_rec("sectional_curvature_error", err, 1e-5, len(pts)))
-    out.append(
-        _rec(f"verdict_recorded_{report.verdict}", 0.0, 0.0, len(pts))
-    )
+    out.append(_rec(f"verdict_recorded_{report.verdict}", 0.0, 0.0, len(pts)))
     return out
 
 
@@ -327,10 +323,13 @@ def run_suites(
     seed: int = 0,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> VerificationReport:
-    """Run one named suite (or 'all') over the given models. An unknown suite, a
-    collapse suite without room to double its nodes, and an eguchi or
-    classification suite above MAX_RECOVERY_DIM are InvalidModelSpec, before
-    any work; a symmetry probe past MAX_SKIPPED_FRACTION fails its check."""
+    """Run one named suite (or 'all') over the given models. A sample count
+    outside 1..MAX_SAMPLES, an unknown suite, a collapse suite without room to
+    double its nodes, and an eguchi or classification suite above
+    MAX_RECOVERY_DIM are InvalidModelSpec, before any work; a symmetry probe
+    past MAX_SKIPPED_FRACTION fails its check."""
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise InvalidModelSpec(f"verify needs between 1 and {MAX_SAMPLES} samples")
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
@@ -357,8 +356,6 @@ def run_suites(
                 cid = check.check_id if not multi else f"{model.spec_string}:{check.check_id}"
                 if len(names) > 1:
                     cid = f"{name}:{cid}"
-                report.checks.append(
-                    CheckRecord(cid, check.max_error, check.tolerance, check.passed, check.samples)
-                )
+                report.checks.append(replace(check, check_id=cid))
     report.duration = time.perf_counter() - t0
     return report

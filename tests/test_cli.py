@@ -9,6 +9,7 @@ import pytest
 
 from dualgeo.cli import build_parser, main
 from dualgeo.config import MAX_QUAD_NODES
+from dualgeo.manifold import parse_model_spec
 
 KL_FORWARD = 0.5108256237659907
 
@@ -470,3 +471,17 @@ def test_gaussian1d_domain_ends_before_the_theta2_collar(capsys):
         assert main(["div", "--model", "gaussian1d", "--kind", kind, "-p=1,-40", "-q=-1,-45"]) == 0
         values[kind] = float(capsys.readouterr().out.splitlines()[1].split(",")[-3])
     assert abs(values["canonical"] - values["oracle"]) <= 1e-6 * values["oracle"]
+
+
+@pytest.mark.parametrize("spec", ["sphere:2", "alpha_categorical:2:0.5"])
+@pytest.mark.parametrize("command", ["div", "sweep"])
+def test_oracle_of_a_model_without_one_is_bad_input_before_any_row(capsys, tmp_path, spec, command):
+    # before, sweep wrote nan,False rows and exited 0, and div a nan row and exit 3
+    out = tmp_path / "rows.csv"
+    where = ["-q", "0.4,0.2"] if command == "div" else ["--grid", "0.3:0.4:2,0.2:0.3:2"]
+    argv = [command, "--model", spec, "--kind", "oracle", "-p", "0.3,0.3", *where]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --kind oracle: {parse_model_spec(spec).spec_string} has no closed-form divergence"
+    ]
+    assert not out.exists()

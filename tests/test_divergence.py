@@ -15,6 +15,7 @@ from dualgeo import (
     Point,
     PointOutOfDomain,
     QuadratureFailure,
+    StencilOutOfDomain,
     Tangent,
     ay_divergence,
     builtin_names,
@@ -185,12 +186,7 @@ def test_pi_field_zero_at_base(models, cfg):
 def test_path_functional_constant_path(models, cfg):
     al = models["alpha_categorical"]
     p = al.point([0.3, 0.3])
-    grid = np.linspace(0, 1, 65)
-    const = Curve(
-        ts=grid,
-        xs=np.repeat(p.coords[None, :], 65, axis=0),
-        vs=np.zeros((65, 2)),
-    )
+    const = Curve(xs=np.repeat(p.coords[None, :], 65, axis=0), vs=np.zeros((65, 2)))
     res = path_functional(al, p, const, cfg)
     assert res.primal_integral == 0.0
     assert res.dual_integral == 0.0
@@ -252,6 +248,14 @@ def test_gradient_euclidean(models, cfg):
     eu = make_builtin("euclidean", [2])
     g = divergence_gradient(eu, DivergenceKind.AY, eu.point([0, 0]), eu.point([3, 4]), cfg)
     assert np.abs(g.components - [3, 4]).max() < 1e-8
+
+
+def test_a_gradient_stencil_out_of_domain_is_a_stencil_error(models, cfg):
+    # q lies inside (theta > 0.1), its stencil point q - fd_step e_1 does not
+    sphere = models["sphere"]
+    p, q = sphere.point([1.0, 0.3]), sphere.point([0.10001, 0.3])
+    with pytest.raises(StencilOutOfDomain, match=r"gradient stencil point .*0\.09991"):
+        divergence_gradient(sphere, DivergenceKind.CANONICAL, p, q, cfg)
 
 
 def test_gradient_vanishes_at_diagonal(models, cfg):

@@ -20,6 +20,7 @@ from dualgeo import (
     symmetry_probe,
 )
 from dualgeo import eguchi
+from dualgeo.eguchi import CLASSIFY_THRESHOLD, ClassificationReport
 from dualgeo.verify import run_suites
 
 P_KIND, D_KIND = ConnectionKind.PRIMAL, ConnectionKind.DUAL
@@ -245,6 +246,28 @@ def test_stencil_out_of_domain(models, cfg):
     edge = al.point([0.003, 0.3])  # valid point, but the stencil pokes outside
     with pytest.raises(StencilOutOfDomain):
         recover_structure(al, DivergenceKind.CANONICAL, edge, cfg)
+
+
+def test_a_covariant_derivative_stencil_out_of_domain_is_a_stencil_error(models, cfg):
+    # the curvature stencil at 0.11 stays inside (theta > 0.1), the wider
+    # covariant-derivative stencil of step 2 sqrt(fd_step) reaches 0.09
+    sphere = models["sphere"]
+    with pytest.raises(StencilOutOfDomain, match=r"covariant-derivative stencil point .*0\.09"):
+        classify_manifold(sphere, [Point([0.11, 0.3])], cfg)
+
+
+def test_a_classification_verdict_follows_from_its_residuals():
+    def verdict(self_dual, flat, nabla, probe):
+        return ClassificationReport(self_dual, flat, (nabla, probe), np.zeros((1, 0))).verdict
+
+    thr, nan = CLASSIFY_THRESHOLD, float("nan")
+    assert verdict(thr, 0.0, 0.0, 0.0) == "SelfDual"
+    assert verdict(2 * thr, thr, 0.0, 0.0) == "DuallyFlat"
+    assert verdict(nan, nan, thr, thr) == "Symmetric"
+    assert verdict(1.0, 1.0, thr, 2 * thr) == "General"
+    assert verdict(1.0, 1.0, nan, 0.0) == "General"
+    report = ClassificationReport(0.0, 1.0, (1.0, 1.0), np.zeros((1, 0)))
+    assert report.to_dict()["threshold"] == thr and report.to_dict()["verdict"] == "SelfDual"
 
 
 @pytest.mark.parametrize("fd_step", [1e-12, 1e-8])

@@ -220,14 +220,14 @@ def _latitude_segment(theta, phi0, phi1, grid=129):
     ts = np.linspace(0.0, 1.0, grid)
     xs = np.stack([np.full(grid, theta), phi0 + (phi1 - phi0) * ts], axis=1)
     vs = np.stack([np.zeros(grid), np.full(grid, phi1 - phi0)], axis=1)
-    return Curve(ts=ts, xs=xs, vs=vs)
+    return Curve(xs=xs, vs=vs)
 
 
 def _meridian_segment(phi, th0, th1, grid=129):
     ts = np.linspace(0.0, 1.0, grid)
     xs = np.stack([th0 + (th1 - th0) * ts, np.full(grid, phi)], axis=1)
     vs = np.stack([np.full(grid, th1 - th0), np.zeros(grid)], axis=1)
-    return Curve(ts=ts, xs=xs, vs=vs)
+    return Curve(xs=xs, vs=vs)
 
 
 def test_sphere_holonomy_equals_enclosed_area(models, cfg):
@@ -344,12 +344,26 @@ def test_curve_invariants():
     ts = np.linspace(0, 1, 9)
     xs = np.stack([ts, ts**2], axis=1)
     vs = np.stack([np.ones(9), 2 * ts], axis=1)
-    c = Curve(ts=ts, xs=xs, vs=vs)
+    c = Curve(xs=xs, vs=vs)
     assert c.dim == 2
+    assert np.array_equal(c.ts, ts)
     assert np.abs(c.position(0.0) - xs[0]).max() == 0.0
     assert np.abs(c.position(1.0) - xs[-1]).max() == 0.0
-    with pytest.raises(ValueError):
-        Curve(ts=ts + 0.1, xs=xs, vs=vs)
+    # the grid is the sample count: one sample has no cell
+    with pytest.raises(ValueError, match="at least two samples"):
+        Curve(xs=xs[:1], vs=vs[:1])
+
+
+@pytest.mark.parametrize("K", [2, 5, 257])
+def test_curve_grid_is_its_sample_count(K):
+    # a cubic through its samples is reproduced exactly by the Hermite
+    # interpolant on linspace(0, 1, K), as with the grid given explicitly
+    ts = np.linspace(0.0, 1.0, K)
+    c = Curve(xs=np.stack([ts**3, ts], axis=1), vs=np.stack([3 * ts**2, np.ones(K)], axis=1))
+    assert np.array_equal(c.ts, ts)
+    t = np.array([0.0, 0.1, 0.37, 0.5, 0.99, 1.0])
+    assert np.abs(c.position(t) - np.stack([t**3, t], axis=1)).max() < 1e-14
+    assert np.abs(c.velocity(t) - np.stack([3 * t**2, np.ones_like(t)], axis=1)).max() < 1e-13
 
 
 def test_batched_curves_member_round_trip(models, cfg, rng):
@@ -358,31 +372,23 @@ def test_batched_curves_member_round_trip(models, cfg, rng):
     V, _ = _shoot_many(model, P_KIND, P, Q, cfg)
     batch = _curves_from_initial(model, P_KIND, P, V, cfg)
     assert batch.xs.shape == (4, _CURVE_GRID, 2) and batch.dim == 2
-    single = Curve(ts=batch.ts, xs=batch.xs[2], vs=batch.vs[2], accs=batch.accs[2])
+    single = Curve(xs=batch.xs[2], vs=batch.vs[2], accs=batch.accs[2])
     ts = np.linspace(0, 1, 5)
     assert np.abs(single.position(ts) - np.stack([batch.position(t)[2] for t in ts])).max() < 1e-14
     assert np.array_equal(single.velocity(ts), batch.velocity(ts)[2])
 
 
-def test_curve_rejects_a_non_uniform_grid():
-    # the interpolant reads the grid as uniform; on x = t this grid gave
-    # position(0.5) = [0.1, 0.1]
-    ts = np.array([0.0, 0.1, 1.0])
-    with pytest.raises(ValueError):
-        Curve(ts=ts, xs=np.stack([ts, ts], axis=1), vs=np.ones((3, 2)))
-
-
 @pytest.mark.parametrize("grid", [3, 9])
 def test_curve_rejects_samples_off_its_grid(grid):
-    # five samples of x = t: on a 3-sample grid position(0.5) read 0.25, and
-    # on a 9-sample grid position(0.9) raised an IndexError
-    xs = np.linspace(0.0, 1.0, 5)[:, None]
-    ts = np.linspace(0.0, 1.0, grid)
+    # five samples of x = t against xs on a 3- or a 9-sample grid: read on
+    # the grid of xs, position(0.5) read 0.25 and position(0.9) raised an
+    # IndexError
+    off = np.linspace(0.0, 1.0, 5)[:, None]
     good = np.zeros((grid, 1))
-    for name in ("xs", "vs", "accs"):
-        samples = {"xs": good, "vs": good, "accs": good, name: xs}
-        with pytest.raises(ValueError, match="one row per time of ts"):
-            Curve(ts=ts, **samples)
+    for name in ("vs", "accs"):
+        samples = {"xs": good, "vs": good, "accs": good, name: off}
+        with pytest.raises(ValueError, match=f"{name} needs one row per sample of xs"):
+            Curve(**samples)
 
 
 def test_batched_curves_at_a_vector_of_times_stack_the_single_times(models, cfg, rng):
@@ -390,7 +396,7 @@ def test_batched_curves_at_a_vector_of_times_stack_the_single_times(models, cfg,
     P, Q = sample_pairs(model, 3, rng)
     V, _ = _shoot_many(model, P_KIND, P, Q, cfg)
     integrated = _curves_from_initial(model, P_KIND, P, V, cfg)
-    interpolated = Curve(ts=integrated.ts, xs=integrated.xs, vs=integrated.vs)
+    interpolated = Curve(xs=integrated.xs, vs=integrated.vs)
     ts = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
     for batch in (integrated, interpolated):
         for at in (batch.position, batch.velocity):

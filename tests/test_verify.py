@@ -12,7 +12,7 @@ from dualgeo import run_suites, sample_pairs, verify
 from dualgeo.cli import main
 from dualgeo.config import MAX_QUAD_NODES
 from dualgeo.errors import DomainExit
-from dualgeo.verify import MAX_RECOVERY_DIM
+from dualgeo.verify import MAX_RECOVERY_DIM, MAX_SAMPLES, CheckRecord
 
 
 def checks(model, suite, samples=1, seed=3):
@@ -117,3 +117,32 @@ def test_a_dimension_too_large_to_recover_is_refused_before_any_work(monkeypatch
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: the eguchi and classification suites take dimension at most "
                    f"{MAX_RECOVERY_DIM}, not euclidean:{dim}"]
+
+
+def test_a_check_passes_when_its_error_is_within_its_tolerance():
+    record = CheckRecord("x", 2.0, 1.0, 1)
+    assert record.passed is False
+    assert record.to_dict() == {
+        "check_id": "x", "max_error": 2.0, "tolerance": 1.0, "passed": False, "samples": 1
+    }
+    assert CheckRecord("x", 1.0, 1.0, 1).passed is True
+    assert CheckRecord("x", float("nan"), 1.0, 1).passed is False
+
+
+@pytest.mark.parametrize("samples", [0, -1, MAX_SAMPLES + 1])
+@pytest.mark.parametrize("suite", ["collapse", "all"])
+def test_a_sample_count_out_of_bounds_is_refused_before_any_suite_runs(monkeypatch, suite, samples):
+    # 0 and -1 ended in numpy's errors on an empty and a negative shape
+    def never(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, never))
+    with pytest.raises(InvalidModelSpec, match=f"^verify needs between 1 and {MAX_SAMPLES} samples$"):
+        run_suites([parse_model_spec("euclidean:2")], suite, samples=samples)
+
+
+def test_verify_refuses_zero_samples_with_run_suites_line(capsys):
+    assert main(["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: verify needs between 1 and {MAX_SAMPLES} samples"
+    ]
