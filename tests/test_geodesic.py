@@ -356,8 +356,8 @@ def test_curve_invariants():
 
 @pytest.mark.parametrize("K", [2, 5, 257])
 def test_curve_grid_is_its_sample_count(K):
-    # a cubic through its samples is reproduced exactly by the Hermite
-    # interpolant on linspace(0, 1, K), as with the grid given explicitly
+    # the Hermite interpolant on linspace(0, 1, K) reproduces a cubic from
+    # its values and slopes at the K samples
     ts = np.linspace(0.0, 1.0, K)
     c = Curve(xs=np.stack([ts**3, ts], axis=1), vs=np.stack([3 * ts**2, np.ones(K)], axis=1))
     assert np.array_equal(c.ts, ts)
@@ -380,9 +380,9 @@ def test_batched_curves_member_round_trip(models, cfg, rng):
 
 @pytest.mark.parametrize("grid", [3, 9])
 def test_curve_rejects_samples_off_its_grid(grid):
-    # five samples of x = t against xs on a 3- or a 9-sample grid: read on
-    # the grid of xs, position(0.5) read 0.25 and position(0.9) raised an
-    # IndexError
+    # the interpolant reads the same row of each sample array, so five
+    # samples against xs of 3 would mix times, and against xs of 9 index
+    # past their end
     off = np.linspace(0.0, 1.0, 5)[:, None]
     good = np.zeros((grid, 1))
     for name in ("vs", "accs"):
