@@ -13,6 +13,11 @@ output. CSV output is RFC 4180 (CRLF, minimal quoting) with 17 significant
 digits so doubles round-trip exactly; JSON rows are emitted one per line,
 verification reports as a single JSON document. Wall-clock timing goes to
 stderr, never into report documents.
+
+Each subcommand returns its exit code and its whole document, and `main`
+alone writes that document, to stdout or --output, once it is complete: a
+command refused as bad input (exit 2) or ended by an error leaves an existing
+--output as it was, and a write that fails is exit 1 with an `error:` line.
 """
 
 from __future__ import annotations
@@ -54,23 +59,14 @@ def _csv_line(fields) -> str:
     return ",".join(out) + "\r\n"
 
 
-class _Output:
-    """The --output file, or stdout. Commands open it before they compute, so
-    a path that cannot be opened is bad input, found before any work."""
-
-    def __init__(self, path: Optional[str]):
-        self.path = path
+def _require_output(path: Optional[str]):
+    """An --output that cannot be opened is bad input, found before any work.
+    Opened for append and closed at once: an existing file stays as it was."""
+    if path:
         try:
-            self._fh = open(path, "w", newline="") if path else sys.stdout
+            open(path, "a").close()
         except OSError as exc:
             raise InvalidModelSpec(f"cannot open --output {path!r}: {exc.strerror}") from None
-
-    def write(self, text: str):
-        self._fh.write(text)
-
-    def close(self):
-        if self.path:
-            self._fh.close()
 
 
 def _tolerances(args) -> ToleranceConfig:
@@ -173,21 +169,23 @@ def _add_common(parser):
 # ---------------------------------------------------------------------------
 
 
-def cmd_models(args) -> int:
+def cmd_models(args):
     schemas = builtin_schemas()
     if args.format == "json":
-        print(json.dumps(schemas, indent=2))
-        return 0
+        return 0, json.dumps(schemas, indent=2) + "\n"
+    lines = []
     for name, info in schemas.items():
-        print(f"{name}")
-        print(f"    spec:    {info['params']}")
-        print(f"    chart:   {info['chart']}")
-        print(f"    domain:  {info['domain']}")
-        print(f"    dually flat: {'yes' if info['dually_flat'] else 'no'}")
-    return 0
+        lines += [
+            name,
+            f"    spec:    {info['params']}",
+            f"    chart:   {info['chart']}",
+            f"    domain:  {info['domain']}",
+            f"    dually flat: {'yes' if info['dually_flat'] else 'no'}",
+        ]
+    return 0, "".join(line + "\n" for line in lines)
 
 
-def cmd_div(args) -> int:
+def cmd_div(args):
     model = _load_model(args.model)
     cfg = _tolerances(args)
     kind = _kind(model, args.kind)
@@ -198,52 +196,31 @@ def cmd_div(args) -> int:
     if len(ps) != len(qs):
         raise InvalidModelSpec("-p and -q must be given equally often (or one -p for many -q)")
 
-    out = _Output(args.output)
+    _require_output(args.output)
     values, oks = _pool_map(model, [kind], np.array(ps), np.array(qs), cfg)
-    if args.format == "csv":
-        out.write(_csv_line(["kind", "p", "q", "value", "quad_nodes", "converged"]))
-    for p, q, (val,), ok in zip(ps, qs, values.tolist(), oks.tolist()):
-        if args.format == "csv":
-            out.write(
-                _csv_line(
-                    [
-                        args.kind,
-                        ",".join(_f17(x) for x in p),
-                        ",".join(_f17(x) for x in q),
-                        val,
-                        cfg.quad_nodes,
-                        ok,
-                    ]
-                )
-            )
-        else:
-            out.write(
-                json.dumps(
-                    {
-                        "kind": args.kind,
-                        "p": [float(x) for x in p],
-                        "q": [float(x) for x in q],
-                        "value": None if not ok else float(val),
-                        "quad_nodes": cfg.quad_nodes,
-                        "converged": bool(ok),
-                    }
-                )
-                + "\n"
-            )
-    out.close()
-    return 0 if oks.all() else 3
+    code = 0 if oks.all() else 3
+    rows = list(zip(ps, qs, values[:, 0].tolist(), oks.tolist()))
+    if args.format == "json":
+        return code, "".join(
+            json.dumps({"kind": args.kind, "p": [float(x) for x in p], "q": [float(x) for x in q],
+                        "value": float(val) if ok else None, "quad_nodes": cfg.quad_nodes,
+                        "converged": bool(ok)}) + "\n"
+            for p, q, val, ok in rows
+        )
+    lines = [["kind", "p", "q", "value", "quad_nodes", "converged"]]
+    lines += [[args.kind, ",".join(map(_f17, p)), ",".join(map(_f17, q)), val, cfg.quad_nodes, ok]
+              for p, q, val, ok in rows]
+    return code, "".join(map(_csv_line, lines))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     cfg = _tolerances(args)
     models = [_load_model(args.model)] if args.model else default_models()
-    out = _Output(args.output)
+    _require_output(args.output)
     report = run_suites(models, args.suite, samples=args.samples, seed=args.seed, cfg=cfg)
-    out.write(json.dumps(report.to_dict(), indent=2) + "\n")
-    out.close()
     print(f"suite {args.suite}: {'pass' if report.passed else 'FAIL'} "
           f"in {report.duration:.1f}s", file=sys.stderr)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def _parse_grid(model: ManifoldModel, spec: str) -> np.ndarray:
@@ -270,33 +247,29 @@ def _parse_grid(model: ManifoldModel, spec: str) -> np.ndarray:
     return np.array(list(itertools.product(*(np.linspace(*b) for b in bounds))))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     model = _load_model(args.model)
     cfg = _tolerances(args)
     kinds = [_kind(model, k) for k in args.kind]
     p = _fixed_point(model, args.p, args.coords)
     Q = _parse_grid(model, args.grid)
 
-    out = _Output(args.output)
+    _require_output(args.output)
     values, oks = _pool_map(model, kinds, np.repeat(p[None, :], Q.shape[0], axis=0), Q, cfg)
     rows = list(zip(Q, values.tolist(), oks.tolist()))
     if args.format == "csv":
-        header = [f"q{i+1}" for i in range(model.dim)] + list(args.kind) + ["converged"]
-        out.write(_csv_line(header))
-        for q, vals, ok in rows:
-            out.write(_csv_line([*q, *vals, ok]))
-    else:
-        for q, vals, ok in rows:
-            rec = {"q": [float(x) for x in q], "converged": bool(ok)}
-            rec.update(
-                {k: (None if np.isnan(v) else v) for k, v in zip(args.kind, vals)}
-            )
-            out.write(json.dumps(rec) + "\n")
-    out.close()
-    return 0
+        lines = [[f"q{i+1}" for i in range(model.dim)] + list(args.kind) + ["converged"]]
+        lines += [[*q, *vals, ok] for q, vals, ok in rows]
+        return 0, "".join(map(_csv_line, lines))
+    out = []
+    for q, vals, ok in rows:
+        rec = {"q": [float(x) for x in q], "converged": bool(ok)}
+        rec.update({k: (None if np.isnan(v) else v) for k, v in zip(args.kind, vals)})
+        out.append(json.dumps(rec) + "\n")
+    return 0, "".join(out)
 
 
-def cmd_probe_f(args) -> int:
+def cmd_probe_f(args):
     model = _load_model(args.model)
     cfg = _tolerances(args)
     if not 10 <= args.samples <= MAX_SAMPLES:
@@ -307,31 +280,26 @@ def cmd_probe_f(args) -> int:
     else:
         p = Point(sample_points(model, 1, rng, shrink=0.6)[0])
     qs = [Point(x) for x in sample_points(model, args.samples, rng, shrink=0.85)]
-    out = _Output(args.output)
+    _require_output(args.output)
     res = symmetry_probe(model, p, qs, cfg)
     if args.format == "csv":
-        out.write(_csv_line(["index", "dual_divergence", "reversed_divergence"]))
-        for i, (d, r) in enumerate(res.pairs):
-            out.write(_csv_line([i, d, r]))
+        lines = [["index", "dual_divergence", "reversed_divergence"]]
+        document = "".join(map(_csv_line, lines + [[i, d, r] for i, (d, r) in enumerate(res.pairs)]))
     else:
-        out.write(
-            json.dumps(
-                {
-                    "p": [float(x) for x in p.coords],
-                    "pairs": [[float(d), float(r)] for d, r in res.pairs],
-                    "skipped": [int(i) for i in res.skipped],
-                    "rank_agreement": float(res.rank_agreement),
-                    "max_equality_error": float(res.max_equality_error),
-                }
-            )
-            + "\n"
-        )
-    out.close()
+        document = json.dumps(
+            {
+                "p": [float(x) for x in p.coords],
+                "pairs": [[float(d), float(r)] for d, r in res.pairs],
+                "skipped": [int(i) for i in res.skipped],
+                "rank_agreement": float(res.rank_agreement),
+                "max_equality_error": float(res.max_equality_error),
+            }
+        ) + "\n"
     print(
         f"rank_agreement={res.rank_agreement:.6f} skipped={len(res.skipped)}/{args.samples}",
         file=sys.stderr,
     )
-    return 3 if len(res.skipped) / args.samples > MAX_SKIPPED_FRACTION else 0
+    return (3 if len(res.skipped) / args.samples > MAX_SKIPPED_FRACTION else 0), document
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +382,26 @@ def main(argv=None) -> int:
     try:
         # inside the try: an argument type may reject its value as bad input
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code, document = args.fn(args)
     except InvalidModelSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DualGeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    path = getattr(args, "output", None)
+    try:
+        if path:
+            with open(path, "w", newline="") as fh:
+                fh.write(document)
+        else:
+            sys.stdout.write(document)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write {f'--output {path!r}' if path else 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

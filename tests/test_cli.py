@@ -1,12 +1,14 @@
 """Command line behavior: formats, exit codes, determinism of outputs."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+from dualgeo import DualGeoError, verify
 from dualgeo.cli import build_parser, main
 from dualgeo.config import MAX_QUAD_NODES
 from dualgeo.manifold import parse_model_spec
@@ -485,3 +487,54 @@ def test_oracle_of_a_model_without_one_is_bad_input_before_any_row(capsys, tmp_p
         f"error: --kind oracle: {parse_model_spec(spec).spec_string} has no closed-form divergence"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--model", "euclidean:17", "--suite", "eguchi"],
+         "the eguchi and classification suites take dimension at most 16, not euclidean:17"),
+        (["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "0"],
+         "verify needs between 1 and 1000 samples"),
+        (["div", "--model", "euclidean:2", "-p", "0,0,0", "-q", "1,1"],
+         "point '0,0,0' has 3 coordinates; model needs 2"),
+        (["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "1"],
+         "a suite failed"),
+    ],
+    ids=["verify-refused-dimension", "verify-refused-samples", "div-refused-point", "verify-suite-raises"],
+)
+def test_a_refused_or_failed_command_leaves_its_output_as_it_was(capsys, monkeypatch, tmp_path, argv, message):
+    # verify used to truncate --output before run_suites made its refusals
+    def failing(*args):
+        raise DualGeoError("a suite failed")
+
+    monkeypatch.setitem(verify.SUITES, "collapse", failing)
+    out = tmp_path / "r.json"
+    out.write_bytes(b"keep\r\n")
+    assert main(argv + ["--output", str(out)]) == (1 if message == "a suite failed" else 2)
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert out.read_bytes() == b"keep\r\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["output", "stdout"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "1,1"],
+        ["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "1"],
+    ],
+    ids=["div", "verify"],
+)
+def test_a_write_that_fails_is_exit_1_with_one_error_line(argv, to_stdout):
+    # both ended in a traceback from an OSError: No space left on device
+    with open("/dev/full", "w") as full:
+        r = subprocess.run(
+            [sys.executable, "-m", "dualgeo.cli", *argv, *([] if to_stdout else ["--output", "/dev/full"])],
+            stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    where = "stdout" if to_stdout else "--output '/dev/full'"
+    errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
+    assert r.returncode == 1
+    assert errors == [f"error: cannot write {where}: No space left on device"]
+    assert "Traceback" not in r.stderr
