@@ -96,8 +96,12 @@ __all__ = [
 
 def _hermite_cell(K: int, t):
     """The cell of the uniform grid linspace(0, 1, K) holding each time t, the
-    offset s in [0, 1] within it (with a trailing axis), and the cell width."""
+    offset s in [0, 1] within it (with a trailing axis), and the cell width.
+    A time outside [0, 1], NaN included, is a ValueError: a Curve does not
+    extrapolate."""
     t = np.asarray(t, dtype=float)
+    if not ((t >= 0.0) & (t <= 1.0)).all():
+        raise ValueError("a Curve is read only at times in [0, 1]")
     steps = K - 1
     cell = np.clip((t * steps).astype(int), 0, steps - 1)
     return cell, (t * steps - cell)[..., None], 1.0 / steps

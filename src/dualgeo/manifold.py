@@ -378,7 +378,7 @@ def mixture_to_natural(probs_head: np.ndarray) -> np.ndarray:
     """Exact log-ratio chart map; probs_head are the first n probabilities."""
     p = np.atleast_1d(np.asarray(probs_head, dtype=float))
     tail = 1.0 - p.sum()
-    if tail <= 0 or np.any(p <= 0):
+    if not (tail > 0 and np.all(p > 0)):  # also refuses NaN
         raise InvalidModelSpec("mixture coordinates must be strictly positive with sum < 1")
     return np.log(p) - math.log(tail)
 

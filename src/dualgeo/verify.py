@@ -24,7 +24,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, MAX_QUAD_NODES, ToleranceConfig
+from .config import DEFAULT_CONFIG, MAX_QUAD_NODES, ToleranceConfig, is_integer
 from .divergence import (
     DivergenceKind,
     _divergence_many,
@@ -324,10 +324,15 @@ def run_suites(
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> VerificationReport:
     """Run one named suite (or 'all') over the given models. A sample count
-    outside 1..MAX_SAMPLES, an unknown suite, a collapse suite without room to
+    that is not an integer in 1..MAX_SAMPLES, a seed that is not a
+    non-negative integer, an unknown suite, a collapse suite without room to
     double its nodes, and an eguchi or classification suite above
     MAX_RECOVERY_DIM are InvalidModelSpec, before any work; a symmetry probe
     past MAX_SKIPPED_FRACTION fails its check."""
+    if not is_integer(samples):
+        raise InvalidModelSpec(f"verify's sample count must be an integer, not {samples!r}")
+    if not is_integer(seed) or seed < 0:
+        raise InvalidModelSpec(f"verify's seed must be a non-negative integer, not {seed!r}")
     if not 1 <= samples <= MAX_SAMPLES:
         raise InvalidModelSpec(f"verify needs between 1 and {MAX_SAMPLES} samples")
     if suite == "all":

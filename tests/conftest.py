@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from dualgeo import DEFAULT_CONFIG, make_builtin
-
-MODEL_SPECS = {
-    "euclidean": ("euclidean", [3]),
-    "sphere": ("sphere", [2, 1.0]),
-    "categorical": ("categorical", [2]),
-    "gaussian1d": ("gaussian1d", [2]),
-    "alpha_categorical": ("alpha_categorical", [2, 0.5]),
-}
+from dualgeo import DEFAULT_CONFIG
+from dualgeo.verify import default_models
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +12,7 @@ def cfg():
 
 @pytest.fixture(scope="session")
 def models():
-    return {name: make_builtin(*spec) for name, spec in MODEL_SPECS.items()}
+    return {m.name: m for m in default_models()}
 
 
 @pytest.fixture()

@@ -69,6 +69,16 @@ def test_div_value_round_trips_17_digits(capsys):
     assert float(text_value) == exact
 
 
+@pytest.mark.parametrize("p", ["nan,0.2", "0,0.2"])
+def test_div_refuses_mixture_coordinates_outside_the_open_simplex(capsys, p):
+    # nan,0.2 used to pass as a nan,nan row with exit 3
+    argv = ["div", "--model", "categorical:2", "--coords", "mixture", "-p", p, "-q", "0.2,0.2"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: mixture coordinates must be strictly positive with sum < 1"]
+
+
 def test_div_mixture_coordinates_dual_kind(capsys):
     # dual divergence from the uniform to (0.9, 0.1) equals the classic KL sum
     code = main(

@@ -160,6 +160,15 @@ def test_pi_field_euclidean_is_difference(models, cfg):
     assert np.abs(b.components - x).max() < 1e-10
 
 
+@pytest.mark.parametrize("t", [2.0, -0.5, float("nan")])
+def test_pi_field_refuses_a_time_off_the_curve(cfg, t):
+    # t = 2 returned tangents based at (2, 2), past the path's end
+    eu = make_builtin("euclidean", [2])
+    gamma = Curve.from_waypoints([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"times in \[0, 1\]"):
+        pi_field(eu, eu.point([0.0, 0.0]), gamma, t, cfg)
+
+
 def test_pi_field_self_dual_equals_scaled_velocity(models, cfg):
     # on a self-dual model both transported fields along a geodesic from p
     # reduce to t times the geodesic velocity

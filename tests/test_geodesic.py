@@ -354,6 +354,17 @@ def test_curve_invariants():
         Curve(xs=xs[:1], vs=vs[:1])
 
 
+@pytest.mark.parametrize("t", [np.nan, -0.1, 1.2, -np.inf, np.array([0.5, 1.0 + 1e-12])])
+def test_a_curve_is_read_only_at_times_in_the_unit_interval(t):
+    # nan ended in numpy's "invalid value encountered in cast"; other times extrapolated
+    c = Curve.from_waypoints([[1.2, 0.1], [1.3, 0.2]])
+    integrated = Curve(xs=c.xs, vs=c.vs, accs=np.zeros_like(c.xs))
+    for read in (c.position, c.velocity, integrated.velocity, integrated.velocity_derivative):
+        with pytest.raises(ValueError, match=r"^a Curve is read only at times in \[0, 1\]$"):
+            read(t)
+    assert np.array_equal(c.position(np.array([0.0, 1.0])), c.xs)
+
+
 @pytest.mark.parametrize("K", [2, 5, 257])
 def test_curve_grid_is_its_sample_count(K):
     # the Hermite interpolant on linspace(0, 1, K) reproduces a cubic from

@@ -192,6 +192,13 @@ def test_mixture_natural_round_trip(rng):
         assert np.abs(back - head).max() < 1e-12
 
 
+@pytest.mark.parametrize("head", [[np.nan, 0.2], [0.2, np.nan], [0.0, 0.2], [0.5, 0.5]])
+def test_mixture_coordinates_outside_the_open_simplex_are_refused(head):
+    # NaN passed the old test (tail <= 0 or p <= 0) and became a nan chart point
+    with pytest.raises(InvalidModelSpec, match="^mixture coordinates must be strictly positive with sum < 1$"):
+        mixture_to_natural(head)
+
+
 def test_known_conversion():
     theta = mixture_to_natural([0.9])
     assert abs(theta[0] - np.log(9.0)) < 1e-12

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -139,6 +140,41 @@ def test_a_sample_count_out_of_bounds_is_refused_before_any_suite_runs(monkeypat
     monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, never))
     with pytest.raises(InvalidModelSpec, match=f"^verify needs between 1 and {MAX_SAMPLES} samples$"):
         run_suites([parse_model_spec("euclidean:2")], suite, samples=samples)
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        ({"samples": 2.5}, "verify's sample count must be an integer, not 2.5"),
+        ({"samples": True}, "verify's sample count must be an integer, not True"),
+        ({"seed": -1}, "verify's seed must be a non-negative integer, not -1"),
+        ({"seed": 1.5}, "verify's seed must be a non-negative integer, not 1.5"),
+        ({"seed": False}, "verify's seed must be a non-negative integer, not False"),
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_refused_before_any_suite_runs(monkeypatch, count, message):
+    # 2.5 samples and the seeds -1 and 1.5 ended in raw numpy errors inside a suite
+    def never(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, never))
+    with pytest.raises(InvalidModelSpec, match=f"^{re.escape(message)}$"):
+        run_suites([parse_model_spec("euclidean:2")], "collapse", **{"samples": 2, **count})
+
+
+def test_numpy_integers_are_counts(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "SUITES", {"collapse": lambda *args: ran.append(args[1:3]) or []})
+    run_suites([parse_model_spec("euclidean:2")], "collapse", samples=np.int64(2), seed=np.uint8(3))
+    assert len(ran) == 1 and ran[0][0] == 2
+
+
+@pytest.mark.parametrize("quad_nodes", [3.5, 32.0, True, "32", None])
+def test_a_config_refuses_quad_nodes_that_are_not_an_integer(quad_nodes):
+    # 3.5 was accepted, then every divergence failed in numpy's leggauss; True meant 1 node
+    with pytest.raises(ValueError, match="^quad_nodes must be an integer, not "):
+        ToleranceConfig().with_(quad_nodes=quad_nodes)
+    assert ToleranceConfig(quad_nodes=np.int64(8)).quad_nodes == 8
 
 
 def test_verify_refuses_zero_samples_with_run_suites_line(capsys):
