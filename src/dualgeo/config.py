@@ -49,4 +49,3 @@ class ToleranceConfig:
 
 
 DEFAULT_CONFIG = ToleranceConfig()
-

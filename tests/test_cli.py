@@ -513,17 +513,25 @@ def test_oracle_of_a_model_without_one_is_bad_input_before_any_row(capsys, tmp_p
     ],
     ids=["verify-refused-dimension", "verify-refused-samples", "div-refused-point", "verify-suite-raises"],
 )
-def test_a_refused_or_failed_command_leaves_its_output_as_it_was(capsys, monkeypatch, tmp_path, argv, message):
-    # verify used to truncate --output before run_suites made its refusals
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+def test_a_refused_or_failed_command_leaves_its_output_as_it_was(
+    capsys, monkeypatch, tmp_path, argv, message, existing
+):
+    # verify used to truncate --output before run_suites made its refusals,
+    # and to leave an empty file where there was none
     def failing(*args):
         raise DualGeoError("a suite failed")
 
     monkeypatch.setitem(verify.SUITES, "collapse", failing)
     out = tmp_path / "r.json"
-    out.write_bytes(b"keep\r\n")
+    if existing:
+        out.write_bytes(b"keep\r\n")
     assert main(argv + ["--output", str(out)]) == (1 if message == "a suite failed" else 2)
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert out.read_bytes() == b"keep\r\n"
+    if existing:
+        assert out.read_bytes() == b"keep\r\n"
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
