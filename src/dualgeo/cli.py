@@ -14,10 +14,11 @@ digits so doubles round-trip exactly; JSON rows are emitted one per line,
 verification reports as a single JSON document. Wall-clock timing goes to
 stderr, never into report documents.
 
-Each subcommand returns its exit code and its whole document, and `main`
-alone writes that document, to stdout or --output, once it is complete: a
-command refused as bad input (exit 2) or ended by an error leaves --output as
-it was, and a write that fails is exit 1 with an `error:` line.
+Each subcommand only computes: it returns its exit code, its whole document
+and its stderr summary or None. `main` does all their I/O: it checks --output
+before any computation, writes the document once it is complete, and only then
+prints the summary. A command refused as bad input (exit 2) or ended by an
+error leaves --output as it was; a failed write is exit 1 with one `error:` line.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _add_common(parser):
 def cmd_models(args):
     schemas = builtin_schemas()
     if args.format == "json":
-        return 0, json.dumps(schemas, indent=2) + "\n"
+        return 0, json.dumps(schemas, indent=2) + "\n", None
     lines = []
     for name, info in schemas.items():
         lines += [
@@ -190,7 +191,7 @@ def cmd_models(args):
             f"    domain:  {info['domain']}",
             f"    dually flat: {'yes' if info['dually_flat'] else 'no'}",
         ]
-    return 0, "".join(line + "\n" for line in lines)
+    return 0, "".join(line + "\n" for line in lines), None
 
 
 def cmd_div(args):
@@ -204,7 +205,6 @@ def cmd_div(args):
     if len(ps) != len(qs):
         raise InvalidModelSpec("-p and -q must be given equally often (or one -p for many -q)")
 
-    _require_output(args.output)
     values, oks = _pool_map(model, [kind], np.array(ps), np.array(qs), cfg)
     code = 0 if oks.all() else 3
     rows = list(zip(ps, qs, values[:, 0].tolist(), oks.tolist()))
@@ -214,21 +214,19 @@ def cmd_div(args):
                         "value": float(val) if ok else None, "quad_nodes": cfg.quad_nodes,
                         "converged": bool(ok)}) + "\n"
             for p, q, val, ok in rows
-        )
+        ), None
     lines = [["kind", "p", "q", "value", "quad_nodes", "converged"]]
     lines += [[args.kind, ",".join(map(_f17, p)), ",".join(map(_f17, q)), val, cfg.quad_nodes, ok]
               for p, q, val, ok in rows]
-    return code, "".join(map(_csv_line, lines))
+    return code, "".join(map(_csv_line, lines)), None
 
 
 def cmd_verify(args):
     cfg = _tolerances(args)
     models = [_load_model(args.model)] if args.model else default_models()
-    _require_output(args.output)
     report = run_suites(models, args.suite, samples=args.samples, seed=args.seed, cfg=cfg)
-    print(f"suite {args.suite}: {'pass' if report.passed else 'FAIL'} "
-          f"in {report.duration:.1f}s", file=sys.stderr)
-    return (0 if report.passed else 1), json.dumps(report.to_dict(), indent=2) + "\n"
+    summary = f"suite {args.suite}: {'pass' if report.passed else 'FAIL'} in {report.duration:.1f}s"
+    return (0 if report.passed else 1), json.dumps(report.to_dict(), indent=2) + "\n", summary
 
 
 def _parse_grid(model: ManifoldModel, spec: str) -> np.ndarray:
@@ -262,19 +260,18 @@ def cmd_sweep(args):
     p = _fixed_point(model, args.p, args.coords)
     Q = _parse_grid(model, args.grid)
 
-    _require_output(args.output)
     values, oks = _pool_map(model, kinds, np.repeat(p[None, :], Q.shape[0], axis=0), Q, cfg)
     rows = list(zip(Q, values.tolist(), oks.tolist()))
     if args.format == "csv":
         lines = [[f"q{i+1}" for i in range(model.dim)] + list(args.kind) + ["converged"]]
         lines += [[*q, *vals, ok] for q, vals, ok in rows]
-        return 0, "".join(map(_csv_line, lines))
+        return 0, "".join(map(_csv_line, lines)), None
     out = []
     for q, vals, ok in rows:
         rec = {"q": [float(x) for x in q], "converged": bool(ok)}
         rec.update({k: (None if np.isnan(v) else v) for k, v in zip(args.kind, vals)})
         out.append(json.dumps(rec) + "\n")
-    return 0, "".join(out)
+    return 0, "".join(out), None
 
 
 def cmd_probe_f(args):
@@ -288,7 +285,6 @@ def cmd_probe_f(args):
     else:
         p = Point(sample_points(model, 1, rng, shrink=0.6)[0])
     qs = [Point(x) for x in sample_points(model, args.samples, rng, shrink=0.85)]
-    _require_output(args.output)
     res = symmetry_probe(model, p, qs, cfg)
     if args.format == "csv":
         lines = [["index", "dual_divergence", "reversed_divergence"]]
@@ -303,11 +299,8 @@ def cmd_probe_f(args):
                 "max_equality_error": float(res.max_equality_error),
             }
         ) + "\n"
-    print(
-        f"rank_agreement={res.rank_agreement:.6f} skipped={len(res.skipped)}/{args.samples}",
-        file=sys.stderr,
-    )
-    return (3 if len(res.skipped) / args.samples > MAX_SKIPPED_FRACTION else 0), document
+    summary = f"rank_agreement={res.rank_agreement:.6f} skipped={len(res.skipped)}/{args.samples}"
+    return (3 if len(res.skipped) / args.samples > MAX_SKIPPED_FRACTION else 0), document, summary
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +383,15 @@ def main(argv=None) -> int:
     try:
         # inside the try: an argument type may reject its value as bad input
         args = build_parser().parse_args(argv)
-        code, document = args.fn(args)
+        path = getattr(args, "output", None)
+        _require_output(path)
+        code, document, summary = args.fn(args)
     except InvalidModelSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DualGeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    path = getattr(args, "output", None)
     try:
         if path:
             with open(path, "w", newline="") as fh:
@@ -409,6 +403,8 @@ def main(argv=None) -> int:
         print(f"error: cannot write {f'--output {path!r}' if path else 'stdout'}: {exc.strerror}",
               file=sys.stderr)
         return 1
+    if summary:
+        print(summary, file=sys.stderr)
     return code
 
 
