@@ -273,6 +273,8 @@ def _divergence_many(
     Pairs near the diagonal, and every pair of a doubly flat model, get the
     quadratic form (see the module docstring); the evaluator sees the rest.
     Every value is finite (`_finite`)."""
+    if not isinstance(kind, DivergenceKind):
+        raise ValueError(f"unknown divergence kind {kind!r}; use a DivergenceKind")
     model.require_inside(P, "first argument")
     model.require_inside(Q, "second argument")
     what = f"{kind.value} divergence on {model.spec_string}"
@@ -288,9 +290,7 @@ def _evaluate_many(model, kind, P, Q, cfg) -> np.ndarray:
         DivergenceKind.AY: _ay_many,
         DivergenceKind.CANONICAL: _canonical_many,
         DivergenceKind.PSEUDO_NORM: _pseudo_norm_many,
-    }.get(kind)
-    if evaluate is None:
-        raise ValueError(f"unknown divergence kind {kind!r}")
+    }[kind]
     doubly_flat = model.is_flat(ConnectionKind.PRIMAL) and model.is_flat(ConnectionKind.DUAL)
     exact = doubly_flat | _near_diagonal(P, Q)
     out = np.empty(P.shape[0])

@@ -837,6 +837,8 @@ def parse_model_spec(spec) -> ManifoldModel:
     else:
         raise InvalidModelSpec(f"bad model spec: {spec!r}")
     try:
+        if any(isinstance(tok, (bool, np.bool_)) for tok in raw):
+            raise TypeError  # float(True) is 1.0, but a JSON true or false is no number
         params = [float(tok) for tok in raw]
     except (TypeError, ValueError):
         raise InvalidModelSpec(f"non-numeric parameter in model spec {spec!r}") from None

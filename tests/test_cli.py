@@ -1,7 +1,9 @@
 """Command line behavior: formats, exit codes, determinism of outputs."""
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -238,6 +240,18 @@ def test_div_invalid_model_exit_2(capsys):
         ["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "1001"],
         ["probe-f", "--model", "euclidean:2", "--samples", str(10**11)],
         ["probe-f", "--model", "euclidean:2", "--samples", "1001"],
+        # float(True) is 1.0: a JSON bool used to build a model
+        ["div", "--model", '{"name": "euclidean", "params": [true]}', "-p", "0", "-q", "1"],
+        ["div", "--model", '{"name": "sphere", "params": [2, true]}', "-p", "1,0", "-q", "1,1"],
+        ["div", "--model", '{"name": "alpha_categorical", "params": [2, false]}',
+         "-p", "0.3,0.3", "-q", "0.2,0.4"],
+        ["div", "--model", "euclidean:2", "-p", "0,0", "-p", "1,1", "-p", "2,2",
+         "-q", "1,1", "-q", "2,2"],
+        ["div", "--model", "euclidean:2", "--coords", "mixture", "-p", "0.1,0.2", "-q", "0.2,0.1"],
+        ["div", "--model", "euclidean", "-p", "0", "-q", "1"],
+        ["div", "--model", "euclidean:2:3", "-p", "0,0", "-q", "1,1"],
+        ["div", "--model", "sphere:2:1:4", "-p", "1,0", "-q", "1,1"],
+        ["div", "--model", "alpha_categorical:2:0.5:1", "-p", "0.3,0.3", "-q", "0.2,0.4"],
     ],
     ids=[
         "div-number",
@@ -280,6 +294,15 @@ def test_div_invalid_model_exit_2(capsys):
         "verify-samples-above-bound",
         "probe-f-samples-huge",
         "probe-f-samples-above-bound",
+        "json-param-true-dimension",
+        "json-param-true-radius",
+        "json-param-false-alpha",
+        "div-unequal-p-and-q",
+        "div-mixture-coordinates-without-a-chart",
+        "euclidean-without-dimension",
+        "euclidean-extra-parameter",
+        "sphere-extra-parameter",
+        "alpha-categorical-extra-parameter",
     ],
 )
 def test_malformed_input_exits_2_with_message(capsys, argv):
@@ -541,18 +564,51 @@ def test_a_refused_or_failed_command_leaves_its_output_as_it_was(
     [
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "1,1"],
         ["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "1"],
+        ["probe-f", "--model", "euclidean:2", "--samples", "10"],
     ],
-    ids=["div", "verify"],
+    ids=["div", "verify", "probe-f"],
 )
 def test_a_write_that_fails_is_exit_1_with_one_error_line(argv, to_stdout):
-    # both ended in a traceback from an OSError: No space left on device
+    # each ended in a traceback from an OSError: No space left on device, and
+    # verify and probe-f then printed their success summary before the error
     with open("/dev/full", "w") as full:
         r = subprocess.run(
             [sys.executable, "-m", "dualgeo.cli", *argv, *([] if to_stdout else ["--output", "/dev/full"])],
             stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
     where = "stdout" if to_stdout else "--output '/dev/full'"
-    errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
     assert r.returncode == 1
-    assert errors == [f"error: cannot write {where}: No space left on device"]
-    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == [f"error: cannot write {where}: No space left on device"]
+
+
+def test_verify_prints_its_summary_only_after_its_report_is_written(monkeypatch, tmp_path):
+    out = tmp_path / "report.json"
+    seen = []
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            seen.append(out.read_text() if out.exists() else None)
+            return super().write(text)
+
+    stderr = Stderr()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    argv = ["verify", "--model", "euclidean:2", "--suite", "collapse", "--samples", "1"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert json.loads(out.read_text())["overall_pass"] is True
+    assert re.fullmatch(r"suite collapse: pass in \d+\.\ds\n", stderr.getvalue())
+    assert seen and all(text == out.read_text() for text in seen)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["div", "--model", "nosuch:1", "-p", "0", "-q", "1"],
+        ["div", "--model", "euclidean:2", "-p", "0,x", "-q", "1,1"],
+    ],
+    ids=["unknown-model", "malformed-point"],
+)
+def test_output_is_checked_before_every_other_argument(capsys, argv):
+    assert main(argv + ["--output", "/nonexistent/x.csv"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot open --output '/nonexistent/x.csv': No such file or directory"
+    ]

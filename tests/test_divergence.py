@@ -23,6 +23,7 @@ from dualgeo import (
     classify_manifold,
     curvature_tensor,
     divergence_gradient,
+    divergence_value,
     dual_canonical_divergence,
     integrate_geodesic,
     log_map,
@@ -54,6 +55,14 @@ def bernoulli_points():
     p = model.point(mixture_to_natural([0.5]))
     q = model.point(mixture_to_natural([0.9]))
     return model, p, q
+
+
+@pytest.mark.parametrize("kind", ["ay", None, 0])
+def test_a_kind_that_is_not_a_divergence_kind_is_refused_by_name(kind):
+    # "ay" ended in AttributeError: 'str' object has no attribute 'value'
+    eu = make_builtin("euclidean", [2])
+    with pytest.raises(ValueError, match=f"^unknown divergence kind {re.escape(repr(kind))}; "):
+        divergence_value(eu, kind, eu.point([0.0, 0.0]), eu.point([1.0, 1.0]))
 
 
 def test_ay_euclidean(models, cfg):

@@ -328,6 +328,20 @@ def test_curve_from_waypoints_interpolates(rng):
     assert np.abs(c.position(1 / 3) - [0.4, 0.6]).max() < 1e-12
 
 
+def test_a_waypoint_curve_needs_two_waypoints_and_has_no_acceleration():
+    with pytest.raises(ValueError, match="^need at least two waypoints$"):
+        Curve.from_waypoints([[0.0, 0.0]])
+    with pytest.raises(ValueError, match="^curve carries no acceleration samples$"):
+        Curve.from_waypoints([[0.0, 0.0], [1.0, 1.0]]).velocity_derivative(0.5)
+
+
+def test_transport_requires_a_vector_based_at_the_curve_start(models, cfg):
+    eu = models["euclidean"]
+    path = Curve.from_waypoints([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(BaseMismatch, match="^transported vector must be based at the curve start$"):
+        parallel_transport(eu, P_KIND, path, eu.tangent([1.0, 1.0, 1.0], [1, 0, 0]), cfg)
+
+
 @pytest.mark.parametrize("batch,K", [((3,), 2), ((2, 3), 4), ((5,), 3)])
 def test_curve_from_waypoints_batch_equals_its_single_paths(rng, batch, K):
     W = rng.uniform(-1.0, 1.0, batch + (K, 2))

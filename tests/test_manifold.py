@@ -312,6 +312,24 @@ def test_round_sphere_embedding_is_an_isometry(rng, spec):
     assert np.abs(pulled - g).max() < 1e-6 * np.abs(g).max()
 
 
+def test_a_point_or_tangent_of_the_wrong_dimension_is_refused():
+    eu = make_builtin("euclidean", [2])
+    with pytest.raises(ValueError, match="^expected 2 coordinates, got 3$"):
+        eu.point([0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^tangent components must match the base point dimension$"):
+        eu.tangent([0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "params", [[True], [2, True], [np.True_]], ids=["dimension", "radius", "numpy-bool"]
+)
+def test_a_bool_is_not_a_model_parameter(params):
+    # float(True) is 1.0: these built euclidean:1 and a sphere of radius 1
+    name = "sphere" if len(params) == 2 else "euclidean"
+    with pytest.raises(InvalidModelSpec, match="^non-numeric parameter in model spec "):
+        parse_model_spec({"name": name, "params": params})
+
+
 @pytest.mark.parametrize(
     "spec", [*ALL, "categorical:3", "alpha_categorical:2:0"], ids=[*ALL, "categorical-3", "alpha-0"]
 )

@@ -162,6 +162,11 @@ def test_a_count_that_is_not_an_integer_is_refused_before_any_suite_runs(monkeyp
         run_suites([parse_model_spec("euclidean:2")], "collapse", **{"samples": 2, **count})
 
 
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(InvalidModelSpec, match="^unknown suite 'nosuch'; choose from eguchi, "):
+        run_suites([parse_model_spec("euclidean:2")], "nosuch")
+
+
 def test_numpy_integers_are_counts(monkeypatch):
     ran = []
     monkeypatch.setattr(verify, "SUITES", {"collapse": lambda *args: ran.append(args[1:3]) or []})
