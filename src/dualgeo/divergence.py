@@ -20,20 +20,21 @@ connections:
 
 All quadratures are fixed-order Gauss-Legendre on [0, 1], with the nodes
 batched as stacked systems. The ay and canonical kinds read their nodes on
-the geodesic from p to q off the integrator (`_main_nodes`), so they are
-exact on the affine-chart route. A path-functional node costs two two-point
-solves (both logs); a canonical node costs one, the dual log that tracks
-transport, since its primal log is t V on the primal geodesic from p with
-velocity V. A log vector is transported in its track's own integration.
-Every computation runs batched; each public function is a batch of one, with
-no path of its own: each divergence kind goes through `divergence_value` into
-`_divergence_many`, `pi_field` into `_pi_many`, `path_functional` into
-`_path_functional_many` and `divergence_gradient` into `_gradient_many`.
-The weighted sum over the nodes and each metric pairing are taken row by
-row, so a pair's value never depends on the BLAS kernel. On the closed-form
-routes it depends only on that pair, bit for bit, in any batch; on the ODE
-routes a stacked system shares one adaptive step, so its last bits depend on
-the rest of the batch.
+the geodesic from p to q off the integrator (`_main_nodes`), or off the
+closed form of a plane section, so they are exact on the affine-chart route.
+A path-functional node costs two two-point solves (both logs); a canonical
+node costs one, the dual log that tracks transport, since its primal log is
+t V on the primal geodesic from p with velocity V. A log vector is
+transported in its track's own integration. Every computation runs batched;
+each public function is a batch of one, with no path of its own: each
+divergence kind goes through `divergence_value` into `_divergence_many`,
+`pi_field` into `_pi_many`, `path_functional` into `_path_functional_many`
+and `divergence_gradient` into `_gradient_many`. The weighted sum over the
+nodes and each metric pairing are taken row by row, so a pair's value never
+depends on the BLAS kernel. On the closed-form routes (every kind on an
+affine chart; ay and the pseudo-norm on a curved section) it depends only on
+that pair, bit for bit, in any batch; on the ODE routes a stacked system
+shares one adaptive step, so its last bits depend on the rest of the batch.
 
 `_divergence_many` decides in one place which pairs of a geodesic-integral
 kind are answered by the quadratic form d.g(p).d (halved for every kind but
@@ -47,14 +48,16 @@ the pseudo-norm) instead of by an evaluator:
 
 The quadrature itself is never replaced by the oracle: on the dually flat
 builtins every kind still integrates, but over closed-form pieces, since each
-connection has an affine chart (see `geodesic`). Geodesics and log vectors
-then come without ODE or Newton iteration, and a transported difference
-vector is J(target)^{-1} J(base) V, which needs no track geodesic, so
-`_pi_many` integrates no track, and for a canonical kind, whose primal logs
-it is given, shoots no log. A copy of the model with no charts,
-`dataclasses.replace(model, affine_charts={})`, sends every pair off the
-diagonal down the integration and shooting route. The closed-form oracle
-kind is never guarded.
+connection has a linear plane section, an affine chart (see `geodesic`).
+Geodesics and log vectors then come without ODE or Newton iteration, and a
+transported difference vector is J(target)^{-1} J(base) V, which needs no
+track geodesic, so `_pi_many` integrates no track, and for a canonical kind,
+whose primal logs it is given, shoots no log. On alpha_categorical the
+sections are curved: logs and main geodesics are closed form, and a
+transported vector still rides in its integrated track. A copy of the model
+with no sections, `dataclasses.replace(model, plane_sections={})`, sends every
+pair off the diagonal down the integration and shooting route. The
+closed-form oracle kind is never guarded.
 
 Every value `_divergence_many` or `_path_functional_many` returns is finite
 (`_finite`); a non-finite one, from any route (an overflowing quadratic form
@@ -64,7 +67,6 @@ on huge coordinates, say), raises QuadratureFailure, and the CLI flags its row.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,6 +78,7 @@ from .geodesic import (
     Curve,
     _central_stencil,
     _flat_transport,
+    _gauss_legendre,
     _geodesic_states,
     _shoot_many,
 )
@@ -116,16 +119,6 @@ class PathFunctionalResult:
     @property
     def sum(self) -> float:
         return self.primal_integral + self.dual_integral
-
-
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre(nodes: int):
-    """Gauss-Legendre nodes and weights on [0, 1], computed once per node
-    count; the arrays are shared, so they are read-only."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    t, w = (x + 1.0) / 2.0, w / 2.0
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
 
 
 def _near_diagonal(P, Q) -> np.ndarray:
@@ -169,13 +162,15 @@ def _pi_many(
 
     Each field is its connection's log vector from base to target, carried
     there by that connection's transport. One rule builds both: a connection
-    with an affine chart transports as J(target)^{-1} J(base) V, which needs
-    no track; any other carries V in the integration of its track, the other
-    connection's geodesic, and reads it at t = 1.
+    with a linear plane section (an affine chart) transports as
+    J(target)^{-1} J(base) V, which needs no track; any other carries V in the
+    integration of its track, the other connection's geodesic, and reads it
+    at t = 1.
     Each log is shot at most once, the primal before the dual. Returns (Pi,
     PiStar). A caller that knows the primal logs passes them and gets (Pi,
     None): the dual log is then shot only as the track, and not at all when
-    the primal connection has an affine chart.
+    the primal connection has an affine chart. "Shot" includes the closed-form
+    log of a plane section, which `_shoot_many` returns.
     """
     logs = {ConnectionKind.PRIMAL: primal_logs, ConnectionKind.DUAL: None}
 
@@ -185,9 +180,9 @@ def _pi_many(
         return logs[kind]
 
     def field(kind):
-        V, chart = log(kind), model.affine_charts.get(kind)
-        if chart is not None:
-            return _flat_transport(chart, bases, targets, V)
+        V, section = log(kind), model.plane_sections.get(kind)
+        if section is not None and section.linear:
+            return _flat_transport(section, bases, targets, V)
         states = _geodesic_states(model, kind.dual, bases, log(kind.dual), cfg, [1.0], (kind, V))
         return states[0, :, 2 * bases.shape[1] :]
 

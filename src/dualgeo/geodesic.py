@@ -17,7 +17,7 @@ alone, along a `Curve`'s interpolant (`_transport_many`). `_contract` runs the
 model's closed-form kernel for the connection, `model.contraction_fns[kind]`,
 when it has one, and otherwise the generic reference: the symbols contracted
 by one einsum and solved against the metric. `dualized()` swaps the kernels
-with the symbols, a copy with `affine_charts={}` keeps them, and a copy with
+with the symbols, a copy with `plane_sections={}` keeps them, and a copy with
 `contraction_fns={}` runs the generic reference, which is how the kernels are
 cross-checked. Both ODEs are solved by `_rk45`, an in-tree Dormand-Prince
 5(4) integrator whose arithmetic is that of the solve_ivp(method="RK45") call
@@ -44,28 +44,40 @@ The single-item API is a view of the batched core:
 difference), serves the shooting Jacobian, the divergence gradients, the
 curvature tensors and the duality check.
 
-A connection for which the model supplies an affine chart (the chart where
-it is flat: the working chart for the model's `flat_kinds`, the Legendre chart
-eta = grad psi for the other connection of a dually flat builtin) is handled
-in closed form by one code path, with J = d eta / dx the chart's Jacobian:
+A connection for which the model supplies a `PlaneSection` (a representation
+R in which its geodesics are plane sections through the origin) is handled in
+closed form by one code path, `_section_states`, `_section_log` and
+`_flat_transport`, with W = dR v0 and d = R(q) - R(p):
 
-    geodesic     the straight eta-line eta(x0) + t J(x0) v0, mapped back, with
-                 velocity J(x)^{-1} J(x0) v0
-    log map      J(p)^{-1} (eta(q) - eta(p)), no Newton iteration
-    transport    J(x1)^{-1} J(x0) V0 along any curve, since flat transport
-                 does not depend on the path
+    linear       the affine charts: the working chart for the model's
+                 `flat_kinds`, the Legendre chart eta = grad psi for the other
+                 connection of a dually flat builtin. The geodesic is the
+                 straight R-line R(x0) + t W, the log map pulls d back, and
+                 transport pulls back dR_x0 V0 at x1 along any curve, since
+                 flat transport does not depend on the path
+    curved       R is normalized by N, homogeneous of degree 1 (the
+                 alpha-representation p^beta on alpha_categorical). With
+                 C(s) = R(x0) + s W the geodesic is C(s) / N(C(s)) at time
+                 t(s), the integral of N(C)^-2 from 0 to s (16 Gauss-Legendre
+                 nodes), with velocity N W - C dN[W]; a state at t takes a
+                 scalar Newton solve for s per member and time. The log map
+                 pulls back c (d - dN[d] R(p)), with c = t(1) along
+                 R(p) + s d. Transport is integrated
 
-In the working chart J is the identity and these are straight chart lines
-and component-preserving transport. Geodesic states are still checked against
-the domain on every grid sample, so an eta-line that leaves the domain raises
-DomainExit as the integrated geodesic does. A geodesic that carries a vector
-is integrated even when its connection has a chart. A copy of the model with
-no charts, `dataclasses.replace(model, affine_charts={})`, takes the ODE route
-everywhere, which is how the closed forms are cross-checked.
+In the working chart R and its push-forward are the identity. A geodesic that
+carries a vector is integrated even when its connection has a section. On a
+linear section geodesic states are checked against the domain on every grid
+sample, so an eta-line that leaves the domain raises DomainExit as the
+integrated geodesic does; a curved section's domain meets each geodesic in one
+interval of times, so its state at t = 1 decides. A copy of the model with no
+sections, `dataclasses.replace(model, plane_sections={})`, takes the ODE and
+shooting route everywhere: that one switch turns every closed form off, which
+is how they are cross-checked.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,7 +90,7 @@ from .errors import (
     IntegrationFailure,
     ShootingNoConvergence,
 )
-from .manifold import AffineChart, ConnectionKind, ManifoldModel, Point, Tangent
+from .manifold import ConnectionKind, ManifoldModel, PlaneSection, Point, Tangent
 
 __all__ = [
     "Curve",
@@ -254,24 +266,94 @@ def _solve_spd(g, rhs):
         )[..., 0]
 
 
-def _to_affine_components(chart: AffineChart, X, V) -> np.ndarray:
-    """Components J(X) V, in the affine chart, of tangents V at X."""
-    if chart.jacobian is None:
-        return V
-    return np.einsum("mij,mj->mi", chart.jacobian(X), V)
+def _flat_transport(section: PlaneSection, X0, X1, V0) -> np.ndarray:
+    """Transport of V0 from X0 to X1 by the connection of a linear section: its
+    components in the representation stay fixed along any curve."""
+    return section.pull(X1, section.push(X0, V0)).copy()
 
 
-def _from_affine_components(chart: AffineChart, X, W) -> np.ndarray:
-    """Working-chart components J(X)^{-1} W of affine-chart tangents W at X."""
-    if chart.jacobian is None:
-        return W
-    return np.linalg.solve(chart.jacobian(X), W[..., None])[..., 0]
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per node
+    count; the arrays are shared, so they are read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
-def _flat_transport(chart: AffineChart, X0, X1, V0) -> np.ndarray:
-    """Transport of V0 from X0 to X1 by the connection flat in `chart`: its
-    affine components stay fixed along any curve."""
-    return _from_affine_components(chart, X1, _to_affine_components(chart, X0, V0)).copy()
+_SECTION_NODES = 16  # Gauss-Legendre nodes of a curved section's time integral
+_SECTION_SWEEPS = 30  # Newton steps before a section parameter is given up as NaN
+
+
+def _section_time(section: PlaneSection, R0, W, s) -> np.ndarray:
+    """t(s), the integral of N(R0 + u W)^-2 over u in [0, s], for m sections
+    R0, W (m, k) and parameters s (m,); a sum per row, so a row's value does
+    not depend on the others."""
+    x, w = _gauss_legendre(_SECTION_NODES)
+    C = R0[:, None, :] + (s[:, None] * x)[..., None] * W[:, None, :]
+    return s * (w * section.normalizer(C) ** -2.0).sum(axis=-1)
+
+
+def _section_parameter(section: PlaneSection, R0, W, T) -> np.ndarray:
+    """The parameters s with t(s) = T along m curved sections, (len(T), m), by
+    Newton's method from s = t. Each element stops on its own, so it does not
+    depend on the batch. t(s) is concave for s > 0 (N is convex and least at
+    0), so the iterates rise to the root; one that leaves the section's cone,
+    where the geodesic has left the domain before t, turns NaN."""
+    m = R0.shape[0]
+    t = np.repeat(T, m)
+    member = np.tile(np.arange(m), T.shape[0])
+    s = t.copy()
+    todo = np.arange(s.size)
+    for _ in range(_SECTION_SWEEPS):
+        i, si = member[todo], s[todo]
+        speed = section.normalizer(R0[i] + si[:, None] * W[i]) ** 2
+        step = (_section_time(section, R0[i], W[i], si) - t[todo]) * speed
+        s[todo] = si - step
+        # quadratic convergence: a step below 1e-13 leaves an error far below rounding
+        todo = todo[np.abs(step) > 1e-13 * np.abs(s[todo])]
+        if not todo.size:
+            break
+    s[todo] = np.nan
+    return s.reshape(T.shape[0], m)
+
+
+def _section_states(section: PlaneSection, X0, V0, T) -> np.ndarray:
+    """States (x, v) at the times T of the section's geodesics with initial
+    data X0, V0 (m, n): (len(T), m, 2n). On a linear section C = R(x0) + t W
+    with W = dR v0 is the geodesic itself; on a curved one it is C(s) / N(C(s))
+    at the s with t(s) = t, with velocity N W - C dN[W]."""
+    m, n = X0.shape
+    R0, W = section.to_rep(X0), section.push(X0, V0)
+    k = R0.shape[1]
+    if section.linear:
+        C = R0[None, :, :] + T[:, None, None] * W[None, :, :]
+        X = section.from_rep(C.reshape(-1, k))
+        dR = np.broadcast_to(W[None, :, :], C.shape).reshape(-1, k)
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = _section_parameter(section, R0, W, T)
+            C = R0[None, :, :] + s[..., None] * W[None, :, :]
+            N = section.normalizer(C)[..., None]
+            X = section.from_rep((C / N).reshape(-1, k))
+            Ws = np.broadcast_to(W[None, :, :], C.shape).reshape(-1, k)
+            dN = section.differential(X, Ws).reshape(N.shape)
+            dR = (N * W[None, :, :] - C * dN).reshape(-1, k)
+    V = section.pull(X, dR)
+    return np.concatenate([X, V], axis=1).reshape(T.shape[0], m, 2 * n)
+
+
+def _section_log(section: PlaneSection, P, Q) -> np.ndarray:
+    """The log vectors from P to Q (m, n) along the section's geodesics. On a
+    linear section it is the pullback of d = R(q) - R(p); on a curved one, of
+    c (d - dN[d] R(p)), with c = t(1) along C(s) = R(p) + s d."""
+    Rp = section.to_rep(P)
+    d = section.to_rep(Q) - Rp
+    if section.linear:
+        return section.pull(P, d)
+    c = _section_time(section, Rp, d, np.ones(P.shape[0]))
+    return section.pull(P, c[:, None] * (d - section.differential(P, d)[:, None] * Rp))
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett &
@@ -415,20 +497,14 @@ def _integrate_states(
     carried=None,
 ) -> np.ndarray:
     """Integrate m geodesic initial value problems, in closed form when the
-    connection has an affine chart; returns (len(t_eval), m, 2n). With carried
+    connection has a plane section; returns (len(t_eval), m, 2n). With carried
     = (connection, W0), the same system, then always integrated, transports W0
     (m, n) along the geodesics by that connection; the rows are (x, v, w)."""
     m, n = X0.shape
     T = np.asarray(t_eval, dtype=float)
-    chart = model.affine_charts.get(kind)
-    if chart is not None and carried is None:
-        E0 = chart.to_affine(X0)
-        dE = _to_affine_components(chart, X0, V0)
-        E = E0[None, :, :] + T[:, None, None] * dE[None, :, :]
-        X = chart.from_affine(E.reshape(-1, n))
-        dEs = np.broadcast_to(dE[None, :, :], E.shape).reshape(-1, n)
-        V = _from_affine_components(chart, X, dEs)
-        return np.concatenate([X, V], axis=1).reshape(T.shape[0], m, 2 * n)
+    section = model.plane_sections.get(kind)
+    if section is not None and carried is None:
+        return _section_states(section, X0, V0, T)
 
     y0 = np.concatenate([X0, V0] if carried is None else [X0, V0, carried[1]], axis=1)
     x, v, w, width = slice(0, n), slice(n, 2 * n), slice(2 * n, None), y0.shape[1]
@@ -454,12 +530,19 @@ def _geodesic_states(model, kind, X0, V0, cfg, t, carried=None) -> np.ndarray:
     """States of the m geodesics with initial data X0, V0 of shape (m, n) at
     the increasing times t, shape (len(t), m, 2n) or, `carried` as in
     `_integrate_states`, (len(t), m, 3n), read where the integrator gives
-    them. One integration runs on the grid and t together, so DomainExit is
-    raised when a sample of either lies outside the domain."""
+    them. One integration runs on the checked times and t together, so
+    DomainExit is raised when a state at either lies outside the domain. The
+    checked times are the grid, or t = 1 alone on a curved plane section,
+    whose geodesic meets the domain in one interval of times from t = 0."""
     n = X0.shape[-1]
-    # the sorted union of the grid and t; np.union1d would import numpy.ma
-    # (about 1 MB of resident memory) on its first call
-    ts = np.sort(np.concatenate([np.linspace(0.0, 1.0, _CURVE_GRID), t]))
+    section = model.plane_sections.get(kind)
+    if carried is None and section is not None and not section.linear:
+        checked = np.ones(1)
+    else:
+        checked = np.linspace(0.0, 1.0, _CURVE_GRID)
+    # the sorted union of the checked times and t; np.union1d would import
+    # numpy.ma (about 1 MB of resident memory) on its first call
+    ts = np.sort(np.concatenate([checked, t]))
     ts = ts[np.append(True, ts[1:] > ts[:-1])]
     states = _integrate_states(model, kind, X0, V0, cfg, ts, carried)
     inside = model.contains_batch(states[:, :, :n].reshape(-1, n)).reshape(states.shape[:2])
@@ -582,7 +665,7 @@ def _shoot_many(
     cfg: ToleranceConfig,
 ):
     """Solve m two-point problems exp_{P_i}(v_i) = Q_i by Newton iteration,
-    or in closed form when the connection has an affine chart.
+    or in closed form when the connection has a plane section.
 
     The Jacobian of the endpoint map is taken by central finite differences of
     step cfg.fd_step; each sweep integrates the center shot and all stencil
@@ -602,10 +685,9 @@ def _shoot_many(
     Returns (V, converged_mask).
     """
     m, n = P.shape
-    chart = model.affine_charts.get(kind)
-    if chart is not None:
-        dE = chart.to_affine(Q) - chart.to_affine(P)
-        return _from_affine_components(chart, P, dE), np.ones(m, dtype=bool)
+    section = model.plane_sections.get(kind)
+    if section is not None:
+        return _section_log(section, P, Q), np.ones(m, dtype=bool)
 
     h = cfg.fd_step
     cols = 2 * n + 1
@@ -697,10 +779,10 @@ def _transport_many(
     (..., grid, n)) under the chosen connection; returns V0's shape."""
     n = V0.shape[-1]
     V = V0.reshape(-1, n)
-    chart = model.affine_charts.get(kind)
-    if chart is not None:
+    section = model.plane_sections.get(kind)
+    if section is not None and section.linear:
         X0, X1 = curves.xs[..., 0, :].reshape(V.shape), curves.xs[..., -1, :].reshape(V.shape)
-        return _flat_transport(chart, X0, X1, V).reshape(V0.shape)
+        return _flat_transport(section, X0, X1, V).reshape(V0.shape)
 
     def rhs(t, y):
         x = curves.position(float(t)).reshape(V.shape)

@@ -29,11 +29,12 @@ The model owns the domain rule, `contains_batch`: a row is outside when it is
 not finite, not of width `dim` or fails `domain_fn`. Every entry point checks
 its points with it, through `require_inside`, which names the first row outside.
 
-A model may carry, per connection, an `AffineChart`: coordinates in which that
-connection is flat, so that its geodesics are straight lines there and its
-parallel transport keeps the components fixed. `WORKING_CHART` says the
-connection is flat in the working chart itself (its symbols vanish); the
-connections with that chart are the model's `flat_kinds`. The dually flat
+A model may carry, per connection, a `PlaneSection`: a representation R in
+which that connection's geodesics are plane sections through the origin, so
+that they, the log map and, on a linear section, transport are closed form
+(see `geodesic`). A linear section is an affine chart, where the connection is
+flat. `WORKING_CHART` says it is flat in the working chart itself (its symbols
+vanish); those connections are the model's `flat_kinds`. The dually flat
 builtins also carry the Legendre chart of the other connection, the
 expectation parameters eta = grad psi(theta) (Amari & Nagaoka 2000, ch. 3):
 
@@ -42,9 +43,15 @@ expectation parameters eta = grad psi(theta) (Amari & Nagaoka 2000, ch. 3):
     gaussian1d       eta = (mu, mu^2 + sigma^2); inverse theta =
                      (mu / sigma^2, -1 / (2 sigma^2)), sigma^2 = eta2 - eta1^2
 
-Their Jacobian d eta / d theta is the metric. A copy with no charts,
-`dataclasses.replace(model, affine_charts={})`, takes the ODE route for every
-connection.
+Their Jacobian d eta / d theta is the metric. alpha_categorical(n, a) carries
+a curved section for each connection, the alpha-representation over the full
+probability vector (Amari & Nagaoka 2000, ch. 2-3):
+
+    R = p^beta, N(R) = (sum R^(1/beta))^beta, dN at R: D -> sum p^(1-beta) D,
+    beta = (1 - a)/2 for the primal connection and (1 + a)/2 for the dual
+
+A copy with no sections, `dataclasses.replace(model, plane_sections={})`, takes
+the ODE and shooting route for every connection.
 
 A model may also carry, per connection, a contraction kernel in
 `contraction_fns`: the raised symbol contraction -g^{-1} Gamma(U, W) in closed
@@ -61,7 +68,7 @@ equations on the ODE route. The curved builtins carry one for each connection
 
 Both read the clipped coordinates of the field collars, so they agree with
 `metric_fn` and `christoffel_fns` everywhere. `dualized` swaps the kernels
-with the symbols, an `affine_charts={}` copy keeps them, and a
+with the symbols, a `plane_sections={}` copy keeps them, and a
 `contraction_fns={}` copy runs the generic reference (the symbols contracted
 and solved against the metric).
 
@@ -97,8 +104,8 @@ import numpy as np
 from .errors import BaseMismatch, InvalidModelSpec, PointOutOfDomain
 
 __all__ = [
-    "AffineChart",
     "ConnectionKind",
+    "PlaneSection",
     "RoundSphere",
     "Point",
     "Tangent",
@@ -126,12 +133,15 @@ class ConnectionKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A chart point: a plain coordinate vector."""
+    """A chart point: a plain coordinate vector (a scalar is a vector of one)."""
 
     coords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", np.atleast_1d(np.asarray(self.coords, dtype=float)))
+        coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
+        if coords.ndim != 1:
+            raise ValueError(f"a point is one vector of coordinates, not shape {coords.shape}")
+        object.__setattr__(self, "coords", coords)
 
     @property
     def dim(self) -> int:
@@ -167,22 +177,56 @@ class Tangent:
 
 
 @dataclass(frozen=True)
-class AffineChart:
-    """Coordinates in which one connection is flat.
+class PlaneSection:
+    """A connection whose geodesics are plane sections through the origin in a
+    representation R of the points: each lies in the plane spanned by R at its
+    two ends (Kurose 1990; Nomizu & Sasaki 1994).
 
-    to_affine(X)     (m, n) working-chart points -> (m, n) affine coordinates
-    from_affine(E)   the inverse; off the chart's image it returns coordinates
-                     that no domain contains (non-finite or outside)
-    jacobian(X)      (m, n) -> (m, n, n) d(affine)/d(working); None for the
-                     working chart itself, where it is the identity
+    to_rep(X)            (m, n) working-chart points -> (m, k) representations R
+    from_rep(R)          the inverse on the image; off it, coordinates that no
+                         domain contains (non-finite or outside)
+    push(X, V)           (m, n) tangents at X -> (m, k) components dR_X V
+    pull(X, W)           the inverse of push at X, for W tangent to the image
+    normalizer(C)        positive, homogeneous of degree 1 over the last axis
+                         (..., k) -> (...), equal to 1 on the image; None for a
+                         linear section, whose geodesics are straight R-lines
+                         at constant speed (an affine chart)
+    differential(X, D)   dN[D] at R(X), (m, k) -> (m,); by homogeneity it is
+                         also dN at any positive multiple of R(X)
+
+    The model's domain must meet each geodesic of a curved section in one
+    interval of times, as the simplex does (p_i >= c is concave along a
+    section), so a state at t = 1 decides whether it stayed inside.
     """
 
-    to_affine: Callable[[np.ndarray], np.ndarray]
-    from_affine: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    to_rep: Callable[[np.ndarray], np.ndarray]
+    from_rep: Callable[[np.ndarray], np.ndarray]
+    push: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pull: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    normalizer: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    differential: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+
+    @property
+    def linear(self) -> bool:
+        return self.normalizer is None
 
 
-WORKING_CHART = AffineChart(to_affine=lambda X: X, from_affine=lambda E: E)
+def affine_chart(to_affine, from_affine, jacobian) -> PlaneSection:
+    """The linear section of coordinates in which a connection is flat, with
+    jacobian(X) (m, n) -> (m, n, n) = d(affine)/d(working)."""
+
+    def push(X, V):
+        return np.einsum("mij,mj->mi", jacobian(X), V)
+
+    def pull(X, W):
+        return np.linalg.solve(jacobian(X), W[..., None])[..., 0]
+
+    return PlaneSection(to_affine, from_affine, push, pull)
+
+
+WORKING_CHART = PlaneSection(
+    to_rep=lambda X: X, from_rep=lambda R: R, push=lambda X, V: V, pull=lambda X, W: W
+)
 
 
 @dataclass(frozen=True)
@@ -221,9 +265,9 @@ class ManifoldModel:
                                          symmetric in the first two slots
     domain_fn(X)            (m, n)    -> (m,) bool
     oracle_fn(P, Q)         (..., n) pairs -> (...) closed-form reference, or None
-    affine_charts[kind]     the chart where that connection is flat, if the
-                            model knows one; WORKING_CHART when its symbols
-                            vanish in the working chart
+    plane_sections[kind]    the PlaneSection of that connection, if the model
+                            knows one; WORKING_CHART when its symbols vanish
+                            in the working chart
     contraction_fns[kind]   (X, U, W) (m, n) each -> (m, n), the raised
                             contraction -g^{-1} Gamma(U, W) in closed form,
                             if the model has one
@@ -243,7 +287,7 @@ class ManifoldModel:
     domain_fn: Callable[[np.ndarray], np.ndarray]
     safe_box: np.ndarray
     oracle_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    affine_charts: dict = field(default_factory=dict)
+    plane_sections: dict = field(default_factory=dict)
     contraction_fns: dict = field(default_factory=dict)
     coord_converters: dict = field(default_factory=dict)
     round_sphere: Optional[RoundSphere] = None
@@ -266,7 +310,7 @@ class ManifoldModel:
 
     def require_inside(self, X, what: str = "point", error=PointOutOfDomain):
         """Raise `error` naming the first row of X outside the domain; X is a Point
-        (one row: coords that are not a vector are out), one point or a batch."""
+        (one row), one point or a batch."""
         X = _as_batch(X.coords[None] if isinstance(X, Point) else X)
         inside = self.contains_batch(X)
         if not inside.all():
@@ -303,10 +347,10 @@ class ManifoldModel:
     @property
     def flat_kinds(self) -> frozenset:
         """Connections whose symbols vanish identically in the working chart."""
-        return frozenset(k for k, c in self.affine_charts.items() if c is WORKING_CHART)
+        return frozenset(k for k, c in self.plane_sections.items() if c is WORKING_CHART)
 
     def is_flat(self, kind: ConnectionKind) -> bool:
-        return self.affine_charts.get(kind) is WORKING_CHART
+        return self.plane_sections.get(kind) is WORKING_CHART
 
     @property
     def is_self_dual(self) -> bool:
@@ -329,7 +373,7 @@ class ManifoldModel:
     def dualized(self) -> "ManifoldModel":
         """The same manifold with the two connections swapped.
 
-        Each connection keeps its affine chart and its contraction kernel.
+        Each connection keeps its plane section and its contraction kernel.
         The reference divergence, when present, is reversed accordingly: on a
         dually flat model the canonical divergence of the swapped structure is
         the original one with its arguments exchanged. A self-dual model is returned as it is,
@@ -345,7 +389,7 @@ class ManifoldModel:
             christoffel_fns={k.dual: f for k, f in self.christoffel_fns.items()},
             contraction_fns={k.dual: f for k, f in self.contraction_fns.items()},
             oracle_fn=None if oracle is None else lambda p, q: oracle(q, p),
-            affine_charts={k.dual: c for k, c in self.affine_charts.items()},
+            plane_sections={k.dual: c for k, c in self.plane_sections.items()},
         )
 
     def convert_coords(self, coords, system: str) -> np.ndarray:
@@ -433,7 +477,7 @@ def _make_euclidean(n: int) -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[-1.0, 1.0]] * n),
         oracle_fn=oracle,
-        affine_charts={ConnectionKind.PRIMAL: WORKING_CHART, ConnectionKind.DUAL: WORKING_CHART},
+        plane_sections={ConnectionKind.PRIMAL: WORKING_CHART, ConnectionKind.DUAL: WORKING_CHART},
     )
 
 
@@ -551,9 +595,9 @@ def _make_categorical(n: int) -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[-1.5, 1.5]] * n),
         oracle_fn=oracle,
-        affine_charts={
+        plane_sections={
             ConnectionKind.PRIMAL: WORKING_CHART,
-            ConnectionKind.DUAL: AffineChart(natural_to_mixture, natural, metric),
+            ConnectionKind.DUAL: affine_chart(natural_to_mixture, natural, metric),
         },
         coord_converters={
             "mixture": lambda c: mixture_to_natural(c),
@@ -635,9 +679,9 @@ def _make_gaussian1d() -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[-1.0, 1.0], [-1.0, -0.4]]),
         oracle_fn=oracle,
-        affine_charts={
+        plane_sections={
             ConnectionKind.PRIMAL: WORKING_CHART,
-            ConnectionKind.DUAL: AffineChart(expectation, natural, metric),
+            ConnectionKind.DUAL: affine_chart(expectation, natural, metric),
         },
     )
 
@@ -687,10 +731,40 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
 
         return gamma, contraction
 
+    def section(beta):
+        # the a-representation R = p^beta over the full probability vector, with
+        # beta = (1 -+ a)/2, on N(R) = (sum R^(1/beta))^beta = 1; dN at R is
+        # D -> sum p^(1 - beta) D
+        def to_rep(X):
+            return _mixture_full_probs(X) ** beta
+
+        def from_rep(R):
+            return R[:, :n] ** (1.0 / beta)
+
+        def push(X, V):
+            dp = np.concatenate([V, -V.sum(axis=1, keepdims=True)], axis=1)
+            return beta * _mixture_full_probs(X) ** (beta - 1.0) * dp
+
+        def pull(X, W):
+            return (W[:, :n] * X ** (1.0 - beta)) / beta
+
+        def normalizer(C):
+            # NaN off the open positive cone, so a section that leaves it is outside
+            N = (C ** (1.0 / beta)).sum(axis=-1) ** beta
+            return np.where((C > 0.0).all(axis=-1), N, np.nan)
+
+        def differential(X, D):
+            return (_mixture_full_probs(X) ** (1.0 - beta) * D).sum(axis=-1)
+
+        return PlaneSection(to_rep, from_rep, push, pull, normalizer, differential)
+
     primal, primal_contraction = gamma_factory(+1.0)
+    primal_section = section((1.0 - alpha) / 2.0)
     # a = 0 is the Levi-Civita connection, which is its own dual
-    dual, dual_contraction = (
-        (primal, primal_contraction) if alpha == 0.0 else gamma_factory(-1.0)
+    dual, dual_contraction, dual_section = (
+        (primal, primal_contraction, primal_section)
+        if alpha == 0.0
+        else (*gamma_factory(-1.0), section((1.0 + alpha) / 2.0))
     )
 
     def domain(X):
@@ -711,6 +785,7 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
             ConnectionKind.PRIMAL: primal_contraction,
             ConnectionKind.DUAL: dual_contraction,
         },
+        plane_sections={ConnectionKind.PRIMAL: primal_section, ConnectionKind.DUAL: dual_section},
         domain_fn=domain,
         safe_box=np.array([[0.3 / n, 0.9 / n]] * n),
         coord_converters={

@@ -121,7 +121,7 @@ def test_canonical_matches_oracle_gaussian(models, cfg):
 def test_flat_route_matches_forced_ode(cfg):
     model, p, q = bernoulli_points()
     fast = canonical_divergence(model, p, q, cfg)
-    slow = canonical_divergence(dataclasses.replace(model, affine_charts={}), p, q, cfg)
+    slow = canonical_divergence(dataclasses.replace(model, plane_sections={}), p, q, cfg)
     assert abs(fast - slow) < 1e-9
 
 
@@ -376,7 +376,7 @@ def test_doubly_flat_kinds_are_the_exact_quadratic_form(models, cfg, rng):
         fast = _divergence_many(eu, kind, P, Q, cfg)
         assert np.array_equal(fast, exact), kind
         # the quadrature and shooting route stays reachable and agrees
-        slow = _divergence_many(dataclasses.replace(eu, affine_charts={}), kind, P, Q, cfg)
+        slow = _divergence_many(dataclasses.replace(eu, plane_sections={}), kind, P, Q, cfg)
         assert np.abs(slow - exact).max() < 1e-12, kind
 
 
@@ -437,7 +437,7 @@ _WRONG_WIDTH_ENTRIES = {
 _WRONG_WIDTHS = {
     "short": lambda c: c[:-1],
     "long": lambda c: np.append(c, 0.1),
-    "row": lambda c: c[None],  # a Point is one vector, not a one-row batch
+    "row": lambda c: c[None],  # a Point is one vector: a one-row batch never gets in
 }
 # these take x only as curve waypoints, where a row is a batch of curves
 _CURVE_ENTRIES = {"pi_field", "path_functional", "parallel_transport"}
@@ -451,11 +451,15 @@ _CURVE_ENTRIES = {"pi_field", "path_functional", "parallel_transport"}
 @pytest.mark.parametrize("name", builtin_names())
 def test_point_of_the_wrong_width_is_out_of_domain(models, name, entry, width):
     # a point whose dimension is not the model's lies outside every domain,
-    # whether the entry checks it alone or in a batch
+    # whether the entry checks it alone or in a batch; a one-row batch is
+    # refused by Point itself, before any entry sees it
     model = models[name]
-    x = Point(_WRONG_WIDTHS[width](_good(model).coords))
-    with pytest.raises(PointOutOfDomain, match=f"outside the domain of {re.escape(model.spec_string)}"):
-        _WRONG_WIDTH_ENTRIES[entry](model, x)
+    if width == "row":
+        error, match = ValueError, "a point is one vector"
+    else:
+        error, match = PointOutOfDomain, f"outside the domain of {re.escape(model.spec_string)}"
+    with pytest.raises(error, match=match):
+        _WRONG_WIDTH_ENTRIES[entry](model, Point(_WRONG_WIDTHS[width](_good(model).coords)))
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])
@@ -463,7 +467,7 @@ def test_point_of_the_wrong_width_is_out_of_domain(models, name, entry, width):
 def test_legendre_chart_values_match_ode_route(cfg, spec, dual):
     model = parse_model_spec(spec)
     model = model.dualized() if dual else model
-    ode = dataclasses.replace(model, affine_charts={})
+    ode = dataclasses.replace(model, plane_sections={})
     P, Q = sample_pairs(model, 2, np.random.default_rng(5), shrink=0.8)
     for kind in (DivergenceKind.CANONICAL_DUAL, DivergenceKind.PSEUDO_NORM):
         chart = _divergence_many(model, kind, P, Q, cfg)
@@ -476,7 +480,7 @@ def test_dual_pair_whose_legendre_line_leaves_the_domain(models, cfg):
     ga = models["gaussian1d"]
     P = np.array([[-2.0 / 19.0, -1.0 / 38.0]])
     Q = np.array([[2.0 / 19.0, -1.0 / 38.0]])
-    for model in (ga, dataclasses.replace(ga, affine_charts={})):
+    for model in (ga, dataclasses.replace(ga, plane_sections={})):
         with pytest.raises(DomainExit):
             _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
 
@@ -488,13 +492,13 @@ def test_a_track_that_leaves_the_domain_raises_through_the_joint_integration(mod
     ga = models["gaussian1d"]
     P = np.array([[-2.0 / 19.0, -1.0 / 38.0]])
     Q = np.array([[2.0 / 19.0, -1.0 / 38.0]])
-    for model in (ga, dataclasses.replace(ga, affine_charts={})):
+    for model in (ga, dataclasses.replace(ga, plane_sections={})):
         V, ok = _shoot_many(model, ConnectionKind.DUAL, P, Q, cfg)
         assert ok.all()
         with pytest.raises(DomainExit):
             _geodesic_states(model, ConnectionKind.DUAL, P, V, cfg, [1.0], (ConnectionKind.PRIMAL, V))
     with pytest.raises(DomainExit):
-        _pi_many(dataclasses.replace(ga, affine_charts={}), P, Q, cfg)
+        _pi_many(dataclasses.replace(ga, plane_sections={}), P, Q, cfg)
 
 
 def _tighter(cfg, factor):
@@ -511,11 +515,22 @@ def test_reversal_asymmetry_off_a_dually_flat_structure(cfg, tighter):
     # 2.76e-8 (relative size 2e-7) that stays put when the ODE and shooting
     # tolerances tighten, so an integrator or kernel that moves accuracy by
     # more than about 1e-9 fails here
-    model = parse_model_spec("alpha_categorical:2:0.5")
+    residual = _reversal_residual(parse_model_spec("alpha_categorical:2:0.5"), _tighter(cfg, tighter))
+    assert 2.7e-8 <= residual <= 2.8e-8, residual
+
+
+def _reversal_residual(model, cfg):
+    """D*(p, q) - D(q, p) on the canary's pair of alpha_categorical:2:0.5."""
     P, Q = sample_pairs(model, 6, np.random.default_rng(3), shrink=0.85)
     p, q = Point(P[4]), Point(Q[4])
-    cfg = _tighter(cfg, tighter)
-    residual = dual_canonical_divergence(model, p, q, cfg) - canonical_divergence(model, q, p, cfg)
+    return dual_canonical_divergence(model, p, q, cfg) - canonical_divergence(model, q, p, cfg)
+
+
+@pytest.mark.parametrize("tighter", [1.0, 100.0], ids=["default-tolerances", "100x-tighter"])
+def test_reversal_asymmetry_off_a_dually_flat_structure_on_the_ode_route(cfg, tighter):
+    # the canary's twin on the generic route: shooting and `_rk45` everywhere
+    model = dataclasses.replace(parse_model_spec("alpha_categorical:2:0.5"), plane_sections={})
+    residual = _reversal_residual(model, _tighter(cfg, tighter))
     assert 2.7e-8 <= residual <= 2.8e-8, residual
 
 
@@ -526,15 +541,31 @@ def test_reversal_asymmetry_off_a_dually_flat_structure(cfg, tighter):
 )
 @pytest.mark.parametrize("spec", ["sphere:2", "alpha_categorical:2:0.5"])
 def test_accuracy_ledger_against_100x_tighter_tolerances(cfg, spec, kind):
-    # the accuracy ledger: on the two 2-D models of the ODE route, each kind
+    # the accuracy ledger: on the two curved 2-D builtins, each kind
     # stays within 1e-9 relative of its value at 100x tighter ODE and shooting
     # tolerances (worst entry about 3e-11), so a change that loses a digit
     # anywhere in the pipeline fails here long before verify's 1e-6 does
-    model = parse_model_spec(spec)
+    gap = _ledger_gap(parse_model_spec(spec), kind, cfg)
+    assert gap.max() <= 1e-9, gap
+
+
+def _ledger_gap(model, kind, cfg):
+    """Relative gaps of a kind's values at cfg from those at 100x tighter tolerances."""
     P, Q = sample_pairs(model, 4, np.random.default_rng(1))
     default = _divergence_many(model, kind, P, Q, cfg)
     reference = _divergence_many(model, kind, P, Q, _tighter(cfg, 100.0))
-    gap = np.abs(default - reference) / np.abs(reference)
+    return np.abs(default - reference) / np.abs(reference)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [DivergenceKind.AY, DivergenceKind.CANONICAL, DivergenceKind.CANONICAL_DUAL, DivergenceKind.PSEUDO_NORM],
+    ids=lambda kind: kind.value,
+)
+def test_accuracy_ledger_against_100x_tighter_tolerances_on_the_ode_route(cfg, kind):
+    # the ledger's twin on the generic route of alpha_categorical:2:0.5
+    model = dataclasses.replace(parse_model_spec("alpha_categorical:2:0.5"), plane_sections={})
+    gap = _ledger_gap(model, kind, cfg)
     assert gap.max() <= 1e-9, gap
 
 
@@ -607,6 +638,6 @@ def test_dual_geodesic_that_leaves_the_domain_between_nodes_still_raises(models,
     Q = np.array([[2.0 / var, -0.5 / var]])
     t, _ = _gauss_legendre(cfg.quad_nodes)
     assert np.abs(t - 0.5).min() > 0.018
-    for model in (ga, dataclasses.replace(ga, affine_charts={})):
+    for model in (ga, dataclasses.replace(ga, plane_sections={})):
         with pytest.raises(DomainExit):
             _divergence_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)

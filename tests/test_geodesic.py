@@ -33,7 +33,9 @@ from dualgeo.geodesic import (
     _curves_from_initial,
     _endpoints_resilient,
     _geodesic_accel,
+    _gauss_legendre,
     _geodesic_states,
+    _integrate_states,
     _rk45,
     _shoot_many,
     _transport_many,
@@ -59,12 +61,12 @@ def test_flat_route_matches_ode_route(models, cfg):
     p = cat.point([0.2, -0.3])
     v = cat.tangent(p, [0.5, 0.4])
     flat = integrate_geodesic(cat, P_KIND, p, v, cfg)
-    ode = integrate_geodesic(dataclasses.replace(cat, affine_charts={}), P_KIND, p, v, cfg)
+    ode = integrate_geodesic(dataclasses.replace(cat, plane_sections={}), P_KIND, p, v, cfg)
     ts = np.linspace(0, 1, 7)
     assert np.abs(flat.position(ts) - ode.position(ts)).max() < 1e-9
     q = cat.point([0.7, 0.2])
     v_flat = log_map(cat, P_KIND, p, q, cfg)
-    cat_ode = dataclasses.replace(cat, affine_charts={})
+    cat_ode = dataclasses.replace(cat, plane_sections={})
     V_ode, ok = _shoot_many(cat_ode, P_KIND, p.coords[None], q.coords[None], cfg)
     assert ok.all()
     assert np.abs(v_flat.components - V_ode[0]).max() < 1e-8
@@ -171,7 +173,7 @@ def test_dual_transports_preserve_pairing(models, cfg, rng, name):
 CARRIED_MODELS = {
     "sphere:2": parse_model_spec("sphere:2"),
     "alpha_categorical:2:0.5": parse_model_spec("alpha_categorical:2:0.5"),
-    "categorical:2-no-charts": dataclasses.replace(parse_model_spec("categorical:2"), affine_charts={}),
+    "categorical:2-no-charts": dataclasses.replace(parse_model_spec("categorical:2"), plane_sections={}),
 }
 
 
@@ -438,9 +440,9 @@ def test_legendre_chart_route_matches_ode_route(cfg, spec, dual):
     # the expectation chart; the ODE route of a chart-free copy must agree
     model = parse_model_spec(spec)
     model = model.dualized() if dual else model
-    ode = dataclasses.replace(model, affine_charts={})
+    ode = dataclasses.replace(model, plane_sections={})
     kind = D_KIND if not dual else P_KIND
-    assert not model.is_flat(kind) and model.affine_charts.get(kind) is not None
+    assert not model.is_flat(kind) and model.plane_sections.get(kind) is not None
     P, Q = sample_pairs(model, 3, np.random.default_rng(11), shrink=0.8)
     p, q = Point(P[0]), Point(Q[0])
 
@@ -469,6 +471,41 @@ def test_legendre_chart_route_matches_ode_route(cfg, spec, dual):
     moved_ode = parallel_transport(ode, kind, path, u, tight)
     assert np.abs(moved_chart.components - moved_ode.components).max() <= 1e-9
 
+
+
+SECTION_SPECS = ["alpha_categorical:2:0.5", "alpha_categorical:4:-0.4", "alpha_categorical:3:0"]
+
+
+def _relative_gap(got, want):
+    """The largest row-norm gap between got and want, relative to want's row norm."""
+    return (np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)).max()
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])
+@pytest.mark.parametrize("spec", SECTION_SPECS)
+def test_plane_section_logs_and_node_states_match_shooting_and_the_integrator(cfg, spec, dual):
+    # the curved sections' closed forms against the generic route of the copy
+    # without sections: Newton shooting for the logs, `_rk45` for the states
+    model = parse_model_spec(spec)
+    model = model.dualized() if dual else model
+    ode = dataclasses.replace(model, plane_sections={})
+    P, Q = sample_pairs(model, 8, np.random.default_rng(2))
+    n = model.dim
+    t, _ = _gauss_legendre(8)
+    for kind in KINDS:
+        assert not model.plane_sections[kind].linear
+        V, ok = _shoot_many(model, kind, P, Q, cfg)
+        assert ok.all()
+        assert _relative_gap(V, _shoot_many(ode, kind, P, Q, cfg)[0]) <= 1e-9
+        states = _integrate_states(model, kind, P, V, cfg, t)
+        assert _relative_gap(states, _integrate_states(ode, kind, P, V, cfg, t)) <= 1e-9
+        # exp(log) gives back q
+        end = _geodesic_states(model, kind, P, V, cfg, [1.0])[0, :, :n]
+        assert np.abs(end - Q).max() <= 1e-12
+        # a log row in a batch is the same row alone, bit for bit
+        rows = [_shoot_many(model, kind, P[i : i + 1], Q[i : i + 1], cfg)[0] for i in range(len(P))]
+        alone = np.concatenate(rows)
+        assert V.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
 
 
 # -- contraction kernels and the integrator --------------------------------
@@ -508,7 +545,7 @@ def test_contraction_kernel_matches_the_generic_reference(spec, dual, collar):
     model = parse_model_spec(spec)
     model = model.dualized() if dual else model
     generic = dataclasses.replace(model, contraction_fns={})
-    assert dataclasses.replace(model, affine_charts={}).contraction_fns == model.contraction_fns
+    assert dataclasses.replace(model, plane_sections={}).contraction_fns == model.contraction_fns
     rng = np.random.default_rng(5)
     X = _kernel_points(model, rng, 400, collar)
     assert model.contains_batch(X).all() != collar
@@ -654,8 +691,10 @@ def _count_sweeps(monkeypatch, rows):
 
 def test_an_out_of_basin_pair_is_given_up_early_with_its_residual(cfg, monkeypatch):
     # the chart segment between these corners of the simplex hugs the boundary;
-    # once seven trials in a row fail to cut the best error the member is hopeless
-    model = parse_model_spec("alpha_categorical:2:0.9")
+    # once seven trials in a row fail to cut the best error the member is hopeless.
+    # The builtin's plane section solves this pair in closed form; its copy
+    # without sections shoots it
+    model = dataclasses.replace(parse_model_spec("alpha_categorical:2:0.9"), plane_sections={})
     sweeps = _count_sweeps(monkeypatch, 5)  # one member, center shot and 4 columns
     with pytest.raises(ShootingNoConvergence, match=r"failed for 1/1 members \[0\]") as info:
         log_map(model, P_KIND, model.point([0.0015, 0.9]), model.point([0.9, 0.0015]), cfg)

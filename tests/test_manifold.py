@@ -122,10 +122,20 @@ def test_batch_of_the_wrong_width_is_outside(models, name, extra):
     assert not model.contains(wrong[0]) and not model.contains(Point(wrong[0]))
     with pytest.raises(PointOutOfDomain, match=r"first offender: array\(\[ *-?\d"):
         model.require_inside(wrong)
-    # a Point is one vector: coordinates of another shape are out
-    assert not model.contains(Point(X[:1])) and not model.contains(X[:1])
-    with pytest.raises(PointOutOfDomain, match=r"first offender: array\(\[\["):
-        model.require_inside(Point(X[:1]))
+    # a Point is one vector: a one-row batch is refused as a Point and out as an array
+    assert not model.contains(X[:1])
+    with pytest.raises(ValueError, match="a point is one vector"):
+        Point(X[:1])
+
+
+@pytest.mark.parametrize("spec", ["euclidean:2", "sphere:2"])
+def test_a_batch_of_points_is_not_a_point(spec):
+    model = parse_model_spec(spec)
+    with pytest.raises(ValueError, match=r"a point is one vector of coordinates, not shape \(2, 2\)"):
+        model.point([[0, 0], [1, 1]])
+    with pytest.raises(ValueError, match="not shape"):
+        model.tangent([[1.5, 0.0]], [0.1, 0.2])
+    assert Point(0.5).coords.tolist() == [0.5]
 
 
 def test_require_inside_names_the_first_offender_and_raises_the_asked_error(models):
@@ -262,28 +272,29 @@ def test_dualized_sphere_pairs_keep_the_angle_filter(models):
 
 
 @pytest.mark.parametrize("spec", [*ALL, "categorical:3"])
-def test_dualized_twice_keeps_the_affine_charts(models, spec):
+def test_dualized_twice_keeps_the_plane_sections(models, spec):
     model = models.get(spec) or parse_model_spec(spec)
     dual = model.dualized()
     for kind in ConnectionKind:
-        assert dual.affine_charts.get(kind.dual) is model.affine_charts.get(kind)
-    assert model.dualized().dualized().affine_charts == model.affine_charts
+        assert dual.plane_sections.get(kind.dual) is model.plane_sections.get(kind)
+    assert model.dualized().dualized().plane_sections == model.plane_sections
 
 
 @pytest.mark.parametrize("spec", ["categorical:2", "categorical:3", "gaussian1d"])
 def test_legendre_chart_inverts_and_its_jacobian_is_the_metric(rng, spec):
     model = parse_model_spec(spec)
-    chart = model.affine_charts[ConnectionKind.DUAL]
-    assert not model.is_flat(ConnectionKind.DUAL)
+    chart = model.plane_sections[ConnectionKind.DUAL]
+    assert chart.linear and not model.is_flat(ConnectionKind.DUAL)
     X = sample_points(model, 6, rng)
-    assert np.abs(chart.from_affine(chart.to_affine(X)) - X).max() < 1e-12
-    assert np.array_equal(chart.jacobian(X), model.metric_batch(X))
+    assert np.abs(chart.from_rep(chart.to_rep(X)) - X).max() < 1e-12
+    g = model.metric_batch(X)
     h = 1e-6
     for j in range(model.dim):
         e = np.zeros(model.dim)
-        e[j] = h
-        column = (chart.to_affine(X + e) - chart.to_affine(X - e)) / (2.0 * h)
-        assert np.abs(column - chart.jacobian(X)[:, :, j]).max() < 1e-8
+        e[j] = 1.0
+        assert np.array_equal(chart.push(X, np.tile(e, (len(X), 1))), g[:, :, j])
+        column = (chart.to_rep(X + h * e) - chart.to_rep(X - h * e)) / (2.0 * h)
+        assert np.abs(column - g[:, :, j]).max() < 1e-8
 
 
 def test_legendre_chart_maps_eta_off_the_image_outside_the_domain():
@@ -293,7 +304,7 @@ def test_legendre_chart_maps_eta_off_the_image_outside_the_domain():
     ):
         model = parse_model_spec(spec)
         with np.errstate(all="raise"):
-            theta = model.affine_charts[ConnectionKind.DUAL].from_affine(np.array(eta))
+            theta = model.plane_sections[ConnectionKind.DUAL].from_rep(np.array(eta))
         assert not model.contains_batch(theta).any(), spec
 
 

@@ -81,16 +81,24 @@ MODEL = st.one_of(
     ),
     st.text(max_size=12),
 )
-# models whose every kind is closed form: euclidean answers all kinds exactly;
-# on the dually flat families one connection is flat in the working chart and
-# the other in the expectation chart
+
+
 def closed_form_kinds(model):
-    """The kinds a model answers without shooting or integrating: every
-    geodesic-integral kind when both connections have affine charts, and the
-    oracle when the model carries one."""
-    charted = len(model.affine_charts) == len(ConnectionKind)
-    oracle = model.oracle_fn is not None
-    return [k for k in DivergenceKind if (oracle if k is DivergenceKind.ORACLE_KL else charted)]
+    """The kinds a model answers without shooting or integrating: ay and the
+    pseudo-norm when both connections have plane sections (logs and geodesic
+    states are closed form there), the canonical kinds when both sections are
+    linear (transport is closed form only there), and the oracle when the
+    model carries one. Emptying `plane_sections` leaves only the oracle."""
+    sections = [model.plane_sections.get(kind) for kind in ConnectionKind]
+    curves = all(s is not None for s in sections)
+    routes = {
+        DivergenceKind.AY: curves,
+        DivergenceKind.PSEUDO_NORM: curves,
+        DivergenceKind.CANONICAL: curves and all(s.linear for s in sections),
+        DivergenceKind.ORACLE_KL: model.oracle_fn is not None,
+    }
+    routes[DivergenceKind.CANONICAL_DUAL] = routes[DivergenceKind.CANONICAL]
+    return [k for k in DivergenceKind if routes[k]]
 
 
 BUILTIN_SPECS = ["euclidean:1", "euclidean:3", "sphere:2", "categorical:2", "categorical:5",
