@@ -508,6 +508,21 @@ def test_plane_section_logs_and_node_states_match_shooting_and_the_integrator(cf
         assert V.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sections", [True, False], ids=["section", "no-sections"])
+def test_a_geodesic_that_crosses_the_simplex_boundary_raises_though_it_would_fold_back(cfg, sections):
+    # R = sqrt(p) on alpha_categorical:2:0: from p = (0.3, 0.3) this geodesic's
+    # tail component of R crosses 0 near t = 0.57 and reads -0.49 at t = 1,
+    # whose square, p = (0.379, 0.379, 0.243), lies inside. The section's
+    # normalizer is NaN off the positive cone, so its one check, at t = 1,
+    # sees the exit; the ODE route sees it on the grid
+    model = parse_model_spec("alpha_categorical:2:0")
+    model = model if sections else dataclasses.replace(model, plane_sections={})
+    P, V = np.array([[0.3, 0.3]]), np.array([[0.588, 0.588]])
+    with pytest.raises(DomainExit):
+        _geodesic_states(model, P_KIND, P, V, cfg, [0.5])
+
+
 # -- contraction kernels and the integrator --------------------------------
 
 
