@@ -7,16 +7,14 @@ diagonal and the two connections through mixed third derivatives:
     Gamma_ijk  = -d_i d_j d'_k Div |_diag
     Gamma*_ijk = -d'_i d'_j d_k Div |_diag
 
-`recover_structure` estimates all three numerically and reports how well the
-diagonal identities hold (vanishing first derivatives; agreement of the three
-equivalent second-derivative expressions). It describes each estimate once,
-in one table: output array, indices, sign, and central-difference stencil per
-step level (`_stencil`). Every stencil evaluation is requested from the table,
-order by order and level by level, and computed in one batch, so the
-integrator's error is highly correlated across the stencil and largely cancels
-in the differences; the outputs are then filled from the same table. On the ODE
-routes batch-mates share one adaptive step, so the batch's make-up and order
-are part of the result.
+`recover_structure` estimates all three numerically, as one linear map of the
+divergence at stencil pairs built once per dimension and step, and reports how
+well the diagonal identities hold (vanishing first derivatives; agreement of
+the three equivalent second-derivative expressions). The pairs are computed in
+one batch in a fixed order, so the integrator's error is highly correlated
+across the stencil and largely cancels in the differences; on the ODE routes
+batch-mates share one adaptive step, so the batch's make-up and order are part
+of the result.
 
 Derivative steps grow with the derivative order to balance truncation against
 cancellation noise; second and third derivatives use Richardson extrapolation
@@ -29,15 +27,16 @@ sample points, the covariant derivative of the curvature included.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
-from .divergence import NEAR_DIAGONAL, DivergenceKind, _divergence_many
-from .divergence import _near_diagonal
+from .divergence import NEAR_DIAGONAL, DivergenceKind, _divergence_many, _near_diagonal
 from .errors import DualGeoError, InvalidModelSpec, StencilOutOfDomain
 from .geodesic import _central_stencil
 from .manifold import ConnectionKind, ManifoldModel, Point
@@ -127,43 +126,27 @@ class SymmetryProbeResult:
 
 
 class _StencilEvaluator:
-    """Collects divergence evaluations at offsets of (p, p), computes them in
-    one batch, then serves them to the finite-difference assembly."""
+    """The divergences at a recovery's offset pairs (K, 2, n) from (p, p), in one batch."""
 
-    def __init__(self, model, which, p, cfg):
+    def __init__(self, model, which, p, cfg, offsets):
         self.model = model
         self.which = which
         self.p = np.asarray(p, dtype=float)
         self.cfg = cfg
-        self._requests = {}
-        self._values = None
+        self._requests = offsets
 
-    def _key(self, da, db):
-        # every offset coordinate is exactly +-h or 0, so the offsets key
-        # themselves: rounding would merge points at a tiny step and move them
-        return (tuple(da.tolist()), tuple(db.tolist()))
-
-    def request(self, da, db):
-        key = self._key(da, db)
-        if key not in self._requests:
-            self._requests[key] = len(self._requests)
-
-    def compute(self):
-        keys = list(self._requests)
-        A = np.array([self.p + np.asarray(k[0]) for k in keys])
-        B = np.array([self.p + np.asarray(k[1]) for k in keys])
+    def compute(self) -> np.ndarray:
+        A, B = self.p + self._requests[:, 0], self.p + self._requests[:, 1]
         self.model.require_inside(np.concatenate([A, B]), "stencil point", StencilOutOfDomain)
-        # there the quadratic form answers, which holds the metric exactly
-        if ((A != B).any(axis=1) & _near_diagonal(A, B)).any():
+        # there the quadratic form answers, which holds the metric exactly; a
+        # step too small to move p puts a pair on the diagonal itself
+        apart = (self._requests[:, 0] != self._requests[:, 1]).any(axis=1)
+        if (apart & _near_diagonal(A, B)).any():
             raise InvalidModelSpec(
                 f"finite-difference step {self.cfg.fd_step!r} puts stencil pairs closer than "
                 f"{NEAR_DIAGONAL!r}, where the divergence is replaced by its quadratic form"
             )
-        vals = _divergence_many(self.model, self.which, A, B, self.cfg)
-        self._values = {k: v for k, v in zip(keys, vals)}
-
-    def value(self, da, db) -> float:
-        return self._values[self._key(da, db)]
+        return _divergence_many(self.model, self.which, A, B, self.cfg)
 
 
 def _stencil(n, h, a, b):
@@ -173,25 +156,73 @@ def _stencil(n, h, a, b):
     tensor product of one-dimensional central differences of step h, with the
     slot that has fewer directions outermost (the first slot on a tie); a
     direction named twice in one slot takes the second difference. Returns the
-    terms ((x, y), weight) in summation order and the denominator.
+    offset pairs (x, y) of shape (T, 2, n), weights in summation order, denominator.
     """
-
-    def slot(dirs):
-        terms, denom = [], 1.0
+    offsets, weights, widths = np.zeros((1, 2, n)), np.ones(1), [1.0, 1.0]
+    for s, dirs in ((1, b), (0, a)) if len(b) < len(a) else ((0, a), (1, b)):
         for d in dict.fromkeys(dirs):
-            e = h * np.eye(n)[d]
-            if dirs.count(d) == 2:
-                diff, width = [(e, 1.0), (np.zeros(n), -2.0), (-e, 1.0)], h * h
-            else:
-                diff, width = [(e, 1.0), (-e, -1.0)], 2.0 * h
-            terms = [(x + dx, w * dw) for x, w in terms for dx, dw in diff] if terms else diff
-            denom *= width
-        return terms or [(np.zeros(n), 1.0)], denom
+            second = dirs.count(d) == 2
+            multiples, w = ((1, 0, -1), (1.0, -2.0, 1.0)) if second else ((1, -1), (1.0, -1.0))
+            step = np.zeros((len(w), 2, n))
+            step[:, s, d] = np.multiply(multiples, h)
+            offsets = (offsets[:, None] + step).reshape(-1, 2, n)
+            weights = np.outer(weights, w).ravel()
+            widths[s] *= h * h if second else 2.0 * h
+    return offsets, weights, widths[0] * widths[1]
 
-    (xs, da), (ys, db) = slot(a), slot(b)
-    if len(b) < len(a):
-        return [((x, y), wy * wx) for y, wy in ys for x, wx in xs], da * db
-    return [((x, y), wx * wy) for x, wx in xs for y, wy in ys], da * db
+
+@functools.lru_cache(maxsize=8)
+def _recovery_map(n, fd_step):
+    """Structure recovery at dimension n and step fd_step as one linear map,
+    built on first use and shared, so its arrays are read-only: the distinct
+    offset pairs (K, 2, n) in request order (order, step level, estimate,
+    term); (row, column, weight) triples, each row's in summation order; row
+    denominators; estimate signs; and per output the estimate of each entry.
+    The E estimates open with the 2n first derivatives; estimate e has row e
+    at step h and, above the first order, row E - 2n + e at h/2."""
+    # the step ladder per derivative order (calibrated on the builtin catalog)
+    h2, h3 = math.sqrt(fd_step), 0.25 * fd_step ** (1.0 / 3.0)
+    steps = {1: (fd_step,), 2: (h2, h2 / 2.0), 3: (h3, h3 / 2.0)}
+    outputs = [np.zeros((n,) * rank, dtype=np.intp) for rank in (2, 2, 2, 3, 3)]
+    metric, second_q, mixed, gamma, gamma_star = outputs
+    # (first-slot, second-slot directions), the first derivatives filling no output
+    estimates = [dirs for i in range(n) for dirs in (((i,), ()), ((), (i,)))]
+
+    def estimate(out, idx, a, b):
+        for ix in idx:
+            out[ix] = len(estimates)
+        estimates.append((a, b))
+
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        estimate(metric, [(i, j), (j, i)], (i, j), ())
+        estimate(second_q, [(i, j), (j, i)], (), (i, j))
+        for r, c in dict.fromkeys([(i, j), (j, i)]):
+            estimate(mixed, [(r, c)], (r,), (c,))
+    for k in range(n):
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            estimate(gamma, [(i, j, k), (j, i, k)], (i, j), (k,))
+            estimate(gamma_star, [(i, j, k), (j, i, k)], (k,), (i, j))
+
+    E = len(estimates)
+    pairs, rows, weights, denoms = [], [], [], np.empty(2 * E - 2 * n)
+    for order in (1, 2, 3):
+        for level, h in enumerate(steps[order]):
+            for e, (a, b) in enumerate(estimates):
+                if len(a) + len(b) == order:
+                    row = e + level * (E - 2 * n)
+                    offsets, w, denoms[row] = _stencil(n, h, a, b)
+                    pairs.append(offsets)
+                    rows += [row] * len(w)
+                    weights.append(w)
+    pairs = np.concatenate(pairs)
+    index = {}  # the distinct pairs, numbered in order of first appearance
+    cols = np.array([index.setdefault(pair.tobytes(), len(index)) for pair in pairs])
+    offsets = pairs[np.unique(cols, return_index=True)[1]]
+    signs = np.array([-1.0 if len(a) + len(b) == 3 else 1.0 for a, b in estimates])
+    out = (offsets, np.array(rows), cols, np.concatenate(weights), denoms, signs, *outputs)
+    for array in out:
+        array.flags.writeable = False
+    return out[:6], out[6:]
 
 
 def recover_structure(
@@ -202,67 +233,27 @@ def recover_structure(
 ) -> RecoveredStructure:
     """Metric and both connection symbol fields from diagonal derivatives of a divergence.
 
-    Stencil evaluations clamp the quadrature order to 8 nodes: the finite
-    differences are insensitive to the smooth quadrature bias, and every node
-    costs a pair of two-point solves.
+    One batch of divergences at the stencil pairs, in a fixed order, goes through
+    the linear map of the dimension and step (`_recovery_map`). Its quadrature
+    clamps to 8 nodes: the finite differences are insensitive to the smooth
+    quadrature bias, and every node costs a pair of two-point solves.
     """
     model.require_inside(p)
     n = model.dim
+    (offsets, rows, cols, weights, denoms, signs), outputs = _recovery_map(n, cfg.fd_step)
     stencil_cfg = cfg.with_(quad_nodes=min(cfg.quad_nodes, 8))
-    ev = _StencilEvaluator(model, which, p.coords, stencil_cfg)
-
-    # The step ladder per derivative order (calibrated on the builtin catalog),
-    # with the Richardson pair (h, h/2) above the first order.
-    h2, h3 = np.sqrt(cfg.fd_step), 0.25 * cfg.fd_step ** (1.0 / 3.0)
-    steps = {1: (cfg.fd_step,), 2: (h2, h2 / 2.0), 3: (h3, h3 / 2.0)}
-    # The table of estimates, one group per derivative order: (output, the
-    # indices it fills, sign, its stencil at each step level).
-    groups = {1: [], 2: [], 3: []}
-
-    def estimate(order, out, idx, sign, a, b):
-        groups[order].append((out, idx, sign, [_stencil(n, h, a, b) for h in steps[order]]))
-
-    first = np.zeros((n, 2))
-    metric, second_q, mixed = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
-    gamma, gamma_star = np.zeros((n, n, n)), np.zeros((n, n, n))
-    for i in range(n):
-        estimate(1, first, [(i, 0)], 1.0, (i,), ())
-        estimate(1, first, [(i, 1)], 1.0, (), (i,))
-    for i, j in itertools.combinations_with_replacement(range(n), 2):
-        estimate(2, metric, [(i, j), (j, i)], 1.0, (i, j), ())
-        estimate(2, second_q, [(i, j), (j, i)], 1.0, (), (i, j))
-        for r, c in dict.fromkeys([(i, j), (j, i)]):
-            estimate(2, mixed, [(r, c)], 1.0, (r,), (c,))
-    for k in range(n):
-        for i, j in itertools.combinations_with_replacement(range(n), 2):
-            estimate(3, gamma, [(i, j, k), (j, i, k)], -1.0, (i, j), (k,))
-            estimate(3, gamma_star, [(i, j, k), (j, i, k)], -1.0, (k,), (i, j))
-
-    # request level by level within each order, then assemble from the same table
-    for order, group in groups.items():
-        for level in range(len(steps[order])):
-            for *_, stencils in group:
-                for (x, y), _w in stencils[level][0]:
-                    ev.request(x, y)
-    ev.compute()
-
-    def apply(terms, denom):
-        return sum(w * ev.value(x, y) for (x, y), w in terms) / denom
-
-    for group in groups.values():
-        for out, idx, sign, stencils in group:
-            est = [apply(*s) for s in stencils]
-            # Richardson extrapolation over the step pair (h, h/2)
-            val = est[0] if len(est) == 1 else (4.0 * est[1] - est[0]) / 3.0
-            for ix in idx:
-                out[ix] = sign * val
-
+    values = _StencilEvaluator(model, which, p.coords, stencil_cfg, offsets).compute()
+    est = np.bincount(rows, weights * values[cols]) / denoms  # each row's terms in input order
+    # Richardson extrapolation over the step pair (h, h/2) above the first order
+    E = signs.shape[0]
+    val = signs * np.concatenate([est[: 2 * n], (4.0 * est[E:] - est[2 * n : E]) / 3.0])
+    metric, second_q, mixed, gamma, gamma_star = (val[ix] for ix in outputs)
     mixed_res = max(np.abs(metric + mixed).max(), np.abs(metric - second_q).max())
     return RecoveredStructure(
         metric=metric,
         gamma=gamma,
         gamma_star=gamma_star,
-        first_derivative_residual=float(np.abs(first).max()),
+        first_derivative_residual=float(np.abs(val[: 2 * n]).max()),
         mixed_identity_residual=float(mixed_res),
     )
 

@@ -228,6 +228,9 @@ def test_div_invalid_model_exit_2(capsys):
         ["verify", "--output", "/nonexistent/x.json"],
         ["verify", "--model", "categorical:2", "--suite", "eguchi", "--samples", "1",
          "--fd-step", "1e-12"],
+        # p + h == p: each first-order pair collapses onto the diagonal
+        ["verify", "--model", "categorical:2", "--suite", "eguchi", "--samples", "1",
+         "--fd-step", "1e-300"],
         # counts over their bounds, all rejected before anything is allocated
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", str(10**11)],
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", "1025"],
@@ -285,6 +288,7 @@ def test_div_invalid_model_exit_2(capsys):
         "probe-f-output-is-a-directory",
         "verify-output-missing-directory",
         "verify-fd-step-below-near-diagonal",
+        "verify-fd-step-collapses-the-stencil",
         "div-quad-nodes-huge",
         "div-quad-nodes-above-bound",
         "verify-quad-nodes-huge",

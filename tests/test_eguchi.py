@@ -15,11 +15,13 @@ from dualgeo import (
     curvature_tensor,
     dual_canonical_divergence,
     make_builtin,
+    parse_model_spec,
     recover_structure,
     sample_points,
     symmetry_probe,
 )
 from dualgeo import eguchi
+from dualgeo.divergence import _divergence_many
 from dualgeo.eguchi import CLASSIFY_THRESHOLD, ClassificationReport
 from dualgeo.verify import run_suites
 
@@ -34,6 +36,51 @@ def test_recover_euclidean_identity(models, cfg):
     assert np.abs(rec.gamma_star).max() < 1e-4
     assert rec.first_derivative_residual < 1e-6
     assert rec.mixed_identity_residual < 1e-4
+
+
+def _term_by_term_recovery(model, which, x, cfg):
+    # the assembly the linear map replaced, kept as its reference: each
+    # estimate a Python sum over its stencil's terms, each stencil its own
+    # batch (on the closed-form routes a pair's value does not depend on its batch)
+    n = model.dim
+    h2, h3 = np.sqrt(cfg.fd_step), 0.25 * cfg.fd_step ** (1.0 / 3.0)
+    steps = {1: (cfg.fd_step,), 2: (h2, h2 / 2.0), 3: (h3, h3 / 2.0)}
+    stencil_cfg = cfg.with_(quad_nodes=min(cfg.quad_nodes, 8))
+
+    def estimate(a, b):
+        order, est = len(a) + len(b), []
+        for h in steps[order]:
+            offsets, weights, denom = eguchi._stencil(n, h, a, b)
+            vals = _divergence_many(model, which, x + offsets[:, 0], x + offsets[:, 1], stencil_cfg)
+            est.append(sum(w * v for w, v in zip(weights, vals)) / denom)
+        val = est[0] if order == 1 else (4.0 * est[1] - est[0]) / 3.0
+        return -val if order == 3 else val
+
+    def grid(f, rank):  # an estimate per entry, its repeated first-slot pair sorted
+        return np.array([f(*ix) for ix in np.ndindex((n,) * rank)]).reshape((n,) * rank)
+
+    metric = grid(lambda i, j: estimate(tuple(sorted((i, j))), ()), 2)
+    second_q = grid(lambda i, j: estimate((), tuple(sorted((i, j)))), 2)
+    mixed = grid(lambda i, j: estimate((i,), (j,)), 2)
+    gamma = grid(lambda i, j, k: estimate(tuple(sorted((i, j))), (k,)), 3)
+    gamma_star = grid(lambda i, j, k: estimate((k,), tuple(sorted((i, j)))), 3)
+    first = [estimate(*dirs) for i in range(n) for dirs in (((i,), ()), ((), (i,)))]
+    mixed_res = max(np.abs(metric + mixed).max(), np.abs(metric - second_q).max())
+    return metric, gamma, gamma_star, float(np.abs(first).max()), float(mixed_res)
+
+
+@pytest.mark.parametrize(
+    "spec,kind",
+    [("categorical:2", "canonical"), ("euclidean:3", "ay"), ("gaussian1d", "dual")],
+)
+def test_recovery_equals_the_term_by_term_assembly_bit_for_bit(cfg, spec, kind):
+    model = parse_model_spec(spec)
+    for x in sample_points(model, 2, np.random.default_rng(3), shrink=0.7):
+        rec = recover_structure(model, DivergenceKind(kind), Point(x), cfg)
+        ref = _term_by_term_recovery(model, DivergenceKind(kind), x, cfg)
+        got = (rec.metric, rec.gamma, rec.gamma_star)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref[:3]]
+        assert (rec.first_derivative_residual, rec.mixed_identity_residual) == ref[3:]
 
 
 def test_recover_bernoulli_metric(cfg):
@@ -270,10 +317,11 @@ def test_a_classification_verdict_follows_from_its_residuals():
     assert report.to_dict()["threshold"] == thr and report.to_dict()["verdict"] == "SelfDual"
 
 
-@pytest.mark.parametrize("fd_step", [1e-12, 1e-8])
+@pytest.mark.parametrize("fd_step", [1e-12, 1e-8, 1e-300])
 def test_recovery_refuses_a_stencil_inside_the_near_diagonal_form(models, cfg, fd_step):
     # first-order pairs fd_step apart would be answered by the quadratic form,
-    # which holds the metric exactly whatever the divergence
+    # which holds the metric exactly whatever the divergence; at 1e-300,
+    # p + fd_step == p puts them on the diagonal itself
     cat = models["categorical"]
     with pytest.raises(InvalidModelSpec, match="closer than"):
         recover_structure(cat, DivergenceKind.CANONICAL, cat.point([0.1, 0.2]), cfg.with_(fd_step=fd_step))
@@ -290,32 +338,35 @@ class _Captured(Exception):
         ("categorical", 2, DivergenceKind.CANONICAL, 185, None),
         ("euclidean", 3, DivergenceKind.AY, 541, None),
         ("categorical", 1, DivergenceKind.CANONICAL, 37, 1e-15),
+        ("euclidean", 8, DivergenceKind.CANONICAL, 8801, None),
     ],
     ids=[
         "categorical-1-DivergenceKind.CANONICAL-37",
         "categorical-2-DivergenceKind.CANONICAL-185",
         "euclidean-3-DivergenceKind.AY-541",
         "categorical-1-DivergenceKind.CANONICAL-37-fd_step-1e-15",
+        "euclidean-8-DivergenceKind.CANONICAL-8801",
     ],
 )
 def test_stencil_batch_make_up(monkeypatch, cfg, name, dim, kind, pairs, fd_step):
     # On the ODE routes batch-mates share one adaptive step, so the batch's
-    # distinct pairs and their order are part of every recovered value. Keys
-    # are the exact offsets: a step of 1e-15 keeps all its points apart.
+    # distinct pairs and their order are part of every recovered value. Pairs
+    # are told apart by their exact offsets: a step of 1e-15 keeps them all.
     if fd_step is not None:
         cfg = cfg.with_(fd_step=fd_step)
     batches = []
 
     def capture(self):
-        batches.append(list(self._requests))
+        batches.append(self._requests)
         raise _Captured
 
     monkeypatch.setattr(eguchi._StencilEvaluator, "compute", capture)
     model = make_builtin(name, [dim])
     with pytest.raises(_Captured):
         recover_structure(model, kind, Point(np.full(dim, 0.1)), cfg)
-    (keys,) = batches
-    assert len(keys) == pairs
+    (offsets,) = batches
+    assert offsets.shape == (pairs, 2, dim)
+    assert len(np.unique(offsets.reshape(pairs, -1), axis=0)) == pairs
     # it opens with the first derivatives at fd_step: +e_i, -e_i in the first
     # slot, then +e_i, -e_i in the second, direction by direction
     z = np.zeros(dim)
@@ -324,4 +375,27 @@ def test_stencil_batch_make_up(monkeypatch, cfg, name, dim, kind, pairs, fd_step
         e = np.zeros(dim)
         e[i] = cfg.fd_step
         expected += [(e, z), (-e, z), (z, e), (z, -e)]
-    assert keys[: 4 * dim] == [(tuple(x), tuple(y)) for x, y in expected]
+    assert np.array_equal(offsets[: 4 * dim], expected)
+
+
+def test_a_recovery_does_not_depend_on_the_recoveries_before_it(cfg):
+    # the map of each dimension and step is built once and shared: points of
+    # two dimensions and two steps, interleaved, recover bit for bit what a
+    # cold call recovers after the cache is cleared
+    calls = [
+        (make_builtin("categorical", [dim]), x, cfg.with_(fd_step=step))
+        for x in (0.1, 0.2)
+        for dim in (1, 2)
+        for step in (1e-4, 2e-4)
+    ]
+    def recover(m, x, c):
+        return recover_structure(m, DivergenceKind.CANONICAL, m.point([x] * m.dim), c)
+
+    warm = [recover(*call) for call in calls]
+    for call, before in zip(calls, warm):
+        eguchi._recovery_map.cache_clear()
+        cold = recover(*call)
+        for field in ("metric", "gamma", "gamma_star"):
+            assert getattr(cold, field).tobytes() == getattr(before, field).tobytes()
+        assert cold.first_derivative_residual == before.first_derivative_residual
+        assert cold.mixed_identity_residual == before.mixed_identity_residual
