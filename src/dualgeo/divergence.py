@@ -197,9 +197,9 @@ def pi_field(
     t: float,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ):
-    """The pair of transported difference vectors at gamma(t), based there."""
+    """The pair of transported difference vectors at gamma(t) of one curve, based there."""
     model.require_inside(p)
-    x = np.atleast_1d(gamma.position(float(t)))
+    x = np.atleast_1d(gamma._one("pi_field").position(float(t)))
     model.require_inside(x, "curve point")
     Pi, PiStar = _pi_many(model, p.coords[None, :], x[None, :], cfg)
     at = Point(x)
@@ -386,13 +386,13 @@ def path_functional(
     gamma: Curve,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> PathFunctionalResult:
-    """Both line integrals of the transported-difference fields along gamma.
+    """Both line integrals of the transported-difference fields along one curve gamma.
 
     Their sum depends only on the endpoints and equals the pseudo-norm of
     (p, gamma(1)); the integrals are taken against gamma's own velocity.
     """
     model.require_inside(p)
-    primal, dual = _path_functional_many(model, p.coords, gamma, cfg)
+    primal, dual = _path_functional_many(model, p.coords, gamma._one("path_functional"), cfg)
     return PathFunctionalResult(primal_integral=float(primal), dual_integral=float(dual))
 
 

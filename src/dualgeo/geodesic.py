@@ -163,7 +163,9 @@ class Curve:
     where the stored accelerations come from the geodesic equation).
 
     `breaks` lists interior parameters where the path loses smoothness
-    (waypoint knots); quadratures over the curve split there.
+    (waypoint knots); quadratures over the curve split there. `start_point`,
+    `end_point`, `parallel_transport`, `pi_field` and `path_functional` take
+    one path, and refuse a batch with a ValueError.
     """
 
     xs: np.ndarray
@@ -202,11 +204,16 @@ class Curve:
             raise ValueError("curve carries no acceleration samples")
         return _hermite_slope(self.vs, self.accs, t)
 
+    def _one(self, what: str) -> "Curve":
+        if self.xs.ndim != 2:
+            raise ValueError(f"{what} takes one curve, not a batch of shape {self.xs.shape[:-2]}")
+        return self
+
     def start_point(self) -> Point:
-        return Point(self.xs[..., 0, :].copy())
+        return Point(self._one("start_point").xs[0].copy())
 
     def end_point(self) -> Point:
-        return Point(self.xs[..., -1, :].copy())
+        return Point(self._one("end_point").xs[-1].copy())
 
     @staticmethod
     def from_waypoints(waypoints) -> "Curve":
@@ -799,8 +806,8 @@ def parallel_transport(
     v: Tangent,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> Tangent:
-    """Solution at t = 1 of the transport equation for v along the curve."""
-    model.require_inside(curve.xs.reshape(-1, curve.dim), "curve sample")
+    """Solution at t = 1 of the transport equation for v along one curve."""
+    model.require_inside(curve._one("parallel_transport").xs, "curve sample")
     if not np.allclose(v.base.coords, curve.xs[0], rtol=0.0, atol=1e-12):
         raise BaseMismatch("transported vector must be based at the curve start")
     out = _transport_many(model, kind, curve, v.components, cfg)

@@ -439,15 +439,9 @@ _WRONG_WIDTHS = {
     "long": lambda c: np.append(c, 0.1),
     "row": lambda c: c[None],  # a Point is one vector: a one-row batch never gets in
 }
-# these take x only as curve waypoints, where a row is a batch of curves
-_CURVE_ENTRIES = {"pi_field", "path_functional", "parallel_transport"}
 
 
-@pytest.mark.parametrize(
-    "entry,width",
-    [(e, w) for e in _WRONG_WIDTH_ENTRIES for w in _WRONG_WIDTHS
-     if w != "row" or e not in _CURVE_ENTRIES],
-)
+@pytest.mark.parametrize("entry,width", [(e, w) for e in _WRONG_WIDTH_ENTRIES for w in _WRONG_WIDTHS])
 @pytest.mark.parametrize("name", builtin_names())
 def test_point_of_the_wrong_width_is_out_of_domain(models, name, entry, width):
     # a point whose dimension is not the model's lies outside every domain,
@@ -460,6 +454,27 @@ def test_point_of_the_wrong_width_is_out_of_domain(models, name, entry, width):
         error, match = PointOutOfDomain, f"outside the domain of {re.escape(model.spec_string)}"
     with pytest.raises(error, match=match):
         _WRONG_WIDTH_ENTRIES[entry](model, Point(_WRONG_WIDTHS[width](_good(model).coords)))
+
+
+_ONE_CURVE_ENTRIES = {
+    "start_point": lambda m, c: c.start_point(),
+    "end_point": lambda m, c: c.end_point(),
+    "path_functional": lambda m, c: path_functional(m, m.point([0.1, 0.2]), c),
+    "pi_field": lambda m, c: pi_field(m, m.point([0.1, 0.2]), c, 0.5),
+    "parallel_transport": lambda m, c: parallel_transport(
+        m, ConnectionKind.PRIMAL, c, m.tangent([0.1, 0.2], [1.0, 0.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _ONE_CURVE_ENTRIES)
+def test_a_batch_of_curves_is_refused_where_one_curve_is_taken(entry):
+    # two copies of one path: each entry would take it alone, but not the batch
+    cat = make_builtin("categorical", [2])
+    batch = Curve.from_waypoints(np.tile([[0.1, 0.2], [0.2, 0.1]], (2, 1, 1)))
+    with pytest.raises(ValueError, match=rf"^{entry} takes one curve, not a batch of shape \(2,\)$"):
+        _ONE_CURVE_ENTRIES[entry](cat, batch)
+    _ONE_CURVE_ENTRIES[entry](cat, Curve.from_waypoints(batch.xs[0]))
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["model", "dualized"])
