@@ -243,7 +243,7 @@ def recover_structure(
     (offsets, rows, cols, weights, denoms, signs), outputs = _recovery_map(n, cfg.fd_step)
     stencil_cfg = cfg.with_(quad_nodes=min(cfg.quad_nodes, 8))
     values = _StencilEvaluator(model, which, p.coords, stencil_cfg, offsets).compute()
-    est = np.bincount(rows, weights * values[cols]) / denoms  # each row's terms in input order
+    est = np.bincount(rows, weights * values[cols]) / denoms  # sums each row in its terms' order
     # Richardson extrapolation over the step pair (h, h/2) above the first order
     E = signs.shape[0]
     val = signs * np.concatenate([est[: 2 * n], (4.0 * est[E:] - est[2 * n : E]) / 3.0])

@@ -56,7 +56,7 @@ def _term_by_term_recovery(model, which, x, cfg):
         val = est[0] if order == 1 else (4.0 * est[1] - est[0]) / 3.0
         return -val if order == 3 else val
 
-    def grid(f, rank):  # an estimate per entry, its repeated first-slot pair sorted
+    def grid(f, rank):  # an estimate per entry; a symmetric pair (i, j) is taken sorted
         return np.array([f(*ix) for ix in np.ndindex((n,) * rank)]).reshape((n,) * rank)
 
     metric = grid(lambda i, j: estimate(tuple(sorted((i, j))), ()), 2)
@@ -388,6 +388,7 @@ def test_a_recovery_does_not_depend_on_the_recoveries_before_it(cfg):
         for dim in (1, 2)
         for step in (1e-4, 2e-4)
     ]
+
     def recover(m, x, c):
         return recover_structure(m, DivergenceKind.CANONICAL, m.point([x] * m.dim), c)
 
