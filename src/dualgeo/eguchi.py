@@ -171,13 +171,14 @@ def _stencil(n, h, a, b):
     return offsets, weights, widths[0] * widths[1]
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)  # verify's default models need two: one step, dims 3 and 2
 def _recovery_map(n, fd_step):
     """Structure recovery at dimension n and step fd_step as one linear map,
-    built on first use and shared, so its arrays are read-only: the distinct
-    offset pairs (K, 2, n) in request order (order, step level, estimate,
-    term); (row, column, weight) triples, each row's in summation order; row
-    denominators; estimate signs; and per output the estimate of each entry.
+    built on first use and kept (about 20 MB at n = 16), so its arrays are
+    read-only: the distinct offset pairs (K, 2, n) in request order (order,
+    step level, estimate, term); (row, column, weight) triples, each row's in
+    summation order; row denominators; estimate signs; and per output the
+    estimate of each entry.
     The E estimates open with the 2n first derivatives; estimate e has row e
     at step h and, above the first order, row E - 2n + e at h/2."""
     # the step ladder per derivative order (calibrated on the builtin catalog)
@@ -243,7 +244,7 @@ def recover_structure(
     (offsets, rows, cols, weights, denoms, signs), outputs = _recovery_map(n, cfg.fd_step)
     stencil_cfg = cfg.with_(quad_nodes=min(cfg.quad_nodes, 8))
     values = _StencilEvaluator(model, which, p.coords, stencil_cfg, offsets).compute()
-    est = np.bincount(rows, weights * values[cols]) / denoms  # sums each row in its terms' order
+    est = np.bincount(rows, weights * values[cols]) / denoms  # plain sums, in term order
     # Richardson extrapolation over the step pair (h, h/2) above the first order
     E = signs.shape[0]
     val = signs * np.concatenate([est[: 2 * n], (4.0 * est[E:] - est[2 * n : E]) / 3.0])

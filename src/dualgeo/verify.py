@@ -43,7 +43,8 @@ from .sampling import sample_pairs, sample_points
 __all__ = ["CheckRecord", "VerificationReport", "run_suites", "default_models", "SUITES"]
 
 # the eguchi and classification suites' memory grows as n^4 and n^5: at n = 16
-# and 10 samples their peaks are 210 MB and 430 MB, at n = 32 several GB
+# and 10 samples their peaks are 210 MB and 430 MB, at n = 32 several GB; of
+# the eguchi suite's, a cached recovery map (two at most) keeps 20 MB at n = 16
 MAX_RECOVERY_DIM = 16
 MAX_SAMPLES = 1000  # the symmetry probe (and probe-f) pairs its m targets: m(m - 1)/2 pairs
 

@@ -52,7 +52,10 @@ def _term_by_term_recovery(model, which, x, cfg):
         for h in steps[order]:
             offsets, weights, denom = eguchi._stencil(n, h, a, b)
             vals = _divergence_many(model, which, x + offsets[:, 0], x + offsets[:, 1], stencil_cfg)
-            est.append(sum(w * v for w, v in zip(weights, vals)) / denom)
+            acc = 0.0  # a plain in-order sum: Python's sum() compensates from 3.12
+            for w, v in zip(weights, vals):
+                acc += w * v
+            est.append(acc / denom)
         val = est[0] if order == 1 else (4.0 * est[1] - est[0]) / 3.0
         return -val if order == 3 else val
 
