@@ -5,8 +5,10 @@ The two transported-difference fields based at p can be integrated against the
 velocity of any path from p to q. Each integral alone depends on the path; the
 sum does not, and it always equals the metric pairing of the two log vectors
 at p. The alpha-connection simplex is the most general builtin (curved and not
-self-dual), so agreement here exercises everything at once: two shooting
-solves and two transport solves per quadrature node.
+self-dual), so agreement here exercises everything at once. Its two log
+vectors per quadrature node are closed form (each connection's geodesics are
+plane sections of a cone), and each field is transported in the integration
+of the other connection's geodesic.
 """
 
 import numpy as np

@@ -24,10 +24,12 @@ the geodesic from p to q off the integrator (`_main_nodes`), or off the
 closed form of a plane section, so they are exact on the affine-chart route.
 A path-functional node costs two two-point solves (both logs); a canonical
 node costs one, the dual log that tracks transport, since its primal log is
-t V on the primal geodesic from p with velocity V. A log vector is
-transported in its track's own integration. Every computation runs batched;
-each public function is a batch of one, with no path of its own: each
-divergence kind goes through `divergence_value` into `_divergence_many`,
+t V on the primal geodesic from p with velocity V. On a self-dual model the
+dual log is the primal one, so a canonical node costs no solve and a
+path-functional node one, and Pi* is Pi. A log vector is transported in its
+track's own integration. Every computation runs batched; each public
+function is a batch of one, with no path of its own: each divergence kind
+goes through `divergence_value` into `_divergence_many`,
 `pi_field` into `_pi_many`, `path_functional` into `_path_functional_many`
 and `divergence_gradient` into `_gradient_many`. The weighted sum over the
 nodes and each metric pairing are taken row by row, so a pair's value never
@@ -76,10 +78,10 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import OracleUnavailable, QuadratureFailure, StencilOutOfDomain
 from .geodesic import (
     Curve,
-    _central_stencil,
     _flat_transport,
     _gauss_legendre,
     _geodesic_states,
+    _moving_stencil,
     _shoot_many,
 )
 from .manifold import ConnectionKind, ManifoldModel, Point, Tangent
@@ -166,15 +168,20 @@ def _pi_many(
     J(target)^{-1} J(base) V, which needs no track; any other carries V in the
     integration of its track, the other connection's geodesic, and reads it
     at t = 1.
-    Each log is shot at most once, the primal before the dual. Returns (Pi,
+    Each log is shot at most once, the primal before the dual; on a self-dual
+    model, whose two connections are one, the dual log is the primal log, so
+    its track is the geodesic of V itself, and PiStar is Pi. Returns (Pi,
     PiStar). A caller that knows the primal logs passes them and gets (Pi,
     None): the dual log is then shot only as the track, and not at all when
-    the primal connection has an affine chart. "Shot" includes the closed-form
-    log of a plane section, which `_shoot_many` returns.
+    the primal connection has an affine chart or the model is self-dual.
+    "Shot" includes the closed-form log of a plane section, which
+    `_shoot_many` returns.
     """
+    self_dual = model.is_self_dual
     logs = {ConnectionKind.PRIMAL: primal_logs, ConnectionKind.DUAL: None}
 
     def log(kind):
+        kind = ConnectionKind.PRIMAL if self_dual else kind
         if logs[kind] is None:
             logs[kind], _ = _shoot_many(model, kind, bases, targets, cfg)
         return logs[kind]
@@ -187,7 +194,9 @@ def _pi_many(
         return states[0, :, 2 * bases.shape[1] :]
 
     Pi = field(ConnectionKind.PRIMAL)
-    return Pi, None if primal_logs is not None else field(ConnectionKind.DUAL)
+    if primal_logs is not None:
+        return Pi, None
+    return Pi, Pi if self_dual else field(ConnectionKind.DUAL)
 
 
 def pi_field(
@@ -246,7 +255,7 @@ def _canonical_many(model, P, Q, cfg) -> np.ndarray:
 
 def _pseudo_norm_many(model, P, Q, cfg) -> np.ndarray:
     Vp, _ = _shoot_many(model, ConnectionKind.PRIMAL, P, Q, cfg)
-    Vd, _ = _shoot_many(model, ConnectionKind.DUAL, P, Q, cfg)
+    Vd = Vp if model.is_self_dual else _shoot_many(model, ConnectionKind.DUAL, P, Q, cfg)[0]
     return _metric_pairing(model, P, Vp, Vd)
 
 
@@ -405,7 +414,7 @@ def _gradient_many(
 ) -> np.ndarray:
     """Riemannian gradients in the second slot for m pairs, one batched call."""
     m, n = Q.shape
-    stencil, difference = _central_stencil(Q, cfg.fd_step)
+    stencil, difference = _moving_stencil(Q, cfg.fd_step, "gradient stencil")
     stencil = stencil.reshape(-1, n)
     model.require_inside(stencil, "gradient stencil point", StencilOutOfDomain)
     vals = _divergence_many(model, which, np.repeat(P, 2 * n, axis=0), stencil, cfg)

@@ -38,7 +38,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .divergence import NEAR_DIAGONAL, DivergenceKind, _divergence_many, _near_diagonal
 from .errors import DualGeoError, InvalidModelSpec, StencilOutOfDomain
-from .geodesic import _central_stencil
+from .geodesic import _moving_stencil
 from .manifold import ConnectionKind, ManifoldModel, Point
 
 __all__ = [
@@ -277,7 +277,7 @@ def _curvature_many(model, kind, X, h) -> np.ndarray:
     at the points and their central-difference stencil of step h."""
     model.require_inside(X, "curvature point")
     m, n = X.shape
-    stencil, difference = _central_stencil(X, h)
+    stencil, difference = _moving_stencil(X, h, "curvature stencil")
     model.require_inside(stencil.reshape(-1, n), "curvature stencil point", StencilOutOfDomain)
     raised = _raised_gamma(model, np.concatenate([stencil.reshape(-1, n), X]), kind)
     dG = difference(raised[:-m].reshape(m, n, 2, n, n, n))  # [m, i, l, j, k] = d_i Gamma^l_{jk}
@@ -320,7 +320,7 @@ def _nabla_curvature(model, kind, X, cfg, h, R0):
     (x, m, l, i, j, k), with the derivative terms by central differences of
     step h on the curvature."""
     m, n = X.shape
-    stencil, difference = _central_stencil(X, h)
+    stencil, difference = _moving_stencil(X, h, "covariant-derivative stencil")
     stencil = stencil.reshape(-1, n)
     model.require_inside(stencil, "covariant-derivative stencil point", StencilOutOfDomain)
     R = _curvature_many(model, kind, stencil, cfg.fd_step)

@@ -42,7 +42,9 @@ The single-item API is a view of the batched core:
 `log_map` solves a batch of one. One central-difference stencil,
 `_central_stencil` (the points X +- h e_i laid out (..., i, +-, n), and their
 difference), serves the shooting Jacobian, the divergence gradients, the
-curvature tensors and the duality check.
+curvature tensors and the duality check; where the step is a caller's
+`fd_step` (gradients, curvature), `_moving_stencil` refuses one that does not
+move the point.
 
 A connection for which the model supplies a `PlaneSection` (a representation
 R in which its geodesics are plane sections through the origin) is handled in
@@ -88,6 +90,7 @@ from .errors import (
     BaseMismatch,
     DomainExit,
     IntegrationFailure,
+    InvalidModelSpec,
     ShootingNoConvergence,
 )
 from .manifold import ConnectionKind, ManifoldModel, PlaneSection, Point, Tangent
@@ -622,6 +625,19 @@ def _central_stencil(X: np.ndarray, h: float):
     def difference(F):
         return (np.take(F, 0, axis=X.ndim) - np.take(F, 1, axis=X.ndim)) / (2.0 * h)
 
+    return pts, difference
+
+
+def _moving_stencil(X: np.ndarray, h: float, what: str):
+    """`_central_stencil` for a finite-difference step the caller chose, refused
+    (InvalidModelSpec) when it is too small to move some coordinate of X:
+    there both stencil points equal X and the difference reads 0."""
+    pts, difference = _central_stencil(X, h)
+    if (pts == X[..., None, None, :]).all(axis=-1).any():
+        raise InvalidModelSpec(
+            f"finite-difference step {h!r} puts {what} points closer than one rounding "
+            "step to their centre, onto the centre itself"
+        )
     return pts, difference
 
 

@@ -187,8 +187,11 @@ def suite_gradient(model, samples, rng, cfg) -> List[CheckRecord]:
     den = np.maximum(_norms(model, Q, Pi) * _norms(model, Q, sig_dot), 1e-30)
     orth_p_err = float((num / den).max())
 
-    sig_star_dot = _main_nodes(model, ConnectionKind.DUAL, P, Q, end, cfg)[2][:, 0]
-    grad_Dstar = _gradient_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
+    if model.is_self_dual:  # the dual half is the primal half: dualized() is the model
+        sig_star_dot, grad_Dstar = sig_dot, grad_D
+    else:
+        sig_star_dot = _main_nodes(model, ConnectionKind.DUAL, P, Q, end, cfg)[2][:, 0]
+        grad_Dstar = _gradient_many(model, DivergenceKind.CANONICAL_DUAL, P, Q, cfg)
     num = np.abs(_metric_pairing(model, Q, PiStar - grad_Dstar, sig_star_dot))
     den = np.maximum(_norms(model, Q, PiStar) * _norms(model, Q, sig_star_dot), 1e-30)
     orth_d_err = float((num / den).max())

@@ -231,6 +231,11 @@ def test_div_invalid_model_exit_2(capsys):
         # p + h == p: each first-order pair collapses onto the diagonal
         ["verify", "--model", "categorical:2", "--suite", "eguchi", "--samples", "1",
          "--fd-step", "1e-300"],
+        # q + h == q: a gradient's or a curvature's central difference would read 0
+        ["verify", "--model", "categorical:2", "--suite", "gradient", "--samples", "1",
+         "--fd-step", "1e-40"],
+        ["verify", "--model", "sphere:2", "--suite", "classification", "--samples", "1",
+         "--fd-step", "1e-300"],
         # counts over their bounds, all rejected before anything is allocated
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", str(10**11)],
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", "1025"],
@@ -289,6 +294,8 @@ def test_div_invalid_model_exit_2(capsys):
         "verify-output-missing-directory",
         "verify-fd-step-below-near-diagonal",
         "verify-fd-step-collapses-the-stencil",
+        "verify-gradient-fd-step-does-not-move-the-point",
+        "verify-curvature-fd-step-does-not-move-the-point",
         "div-quad-nodes-huge",
         "div-quad-nodes-above-bound",
         "verify-quad-nodes-huge",

@@ -11,6 +11,7 @@ from dualgeo import (
     Curve,
     DivergenceKind,
     DomainExit,
+    InvalidModelSpec,
     OracleUnavailable,
     Point,
     PointOutOfDomain,
@@ -253,6 +254,39 @@ def test_path_functional_many_equals_per_path(models, cfg, rng, name, tol):
         assert abs(dual[i, j] - res.dual_integral) <= tol
 
 
+def test_a_self_dual_path_functional_has_equal_integrals_bit_for_bit(models, cfg):
+    # one connection, one transported field: the dual integral is the primal one
+    sp = models["sphere"]
+    p = sp.point([1.2, -0.2])
+    gamma = Curve.from_waypoints([p.coords, (1.35, 0.1), (1.5, 0.3)])
+    res = path_functional(sp, p, gamma, cfg)
+    assert res.primal_integral != 0.0
+    assert res.dual_integral == res.primal_integral
+
+
+@pytest.mark.parametrize(
+    "spec, kinds",
+    [
+        ("sphere:2", [ConnectionKind.PRIMAL]),
+        ("alpha_categorical:2:0", [ConnectionKind.PRIMAL]),
+        ("alpha_categorical:2:0.5", [ConnectionKind.PRIMAL, ConnectionKind.DUAL]),
+    ],
+)
+def test_the_pseudo_norm_shoots_once_on_a_self_dual_model(cfg, monkeypatch, spec, kinds):
+    model = parse_model_spec(spec)
+    P, Q = sample_pairs(model, 2, np.random.default_rng(1))
+    asked = []
+    shoot = divergence_module._shoot_many
+
+    def counting(model, kind, P, Q, *args, **kwargs):
+        asked.append(kind)
+        return shoot(model, kind, P, Q, *args, **kwargs)
+
+    monkeypatch.setattr(divergence_module, "_shoot_many", counting)
+    _divergence_many(model, DivergenceKind.PSEUDO_NORM, P, Q, cfg)
+    assert asked == kinds
+
+
 def test_path_functional_overflow_is_a_quadrature_failure(cfg):
     # the pseudo-norm of the same endpoints raises; so does its line integral
     eu = make_builtin("euclidean", [2])
@@ -274,6 +308,14 @@ def test_a_gradient_stencil_out_of_domain_is_a_stencil_error(models, cfg):
     p, q = sphere.point([1.0, 0.3]), sphere.point([0.10001, 0.3])
     with pytest.raises(StencilOutOfDomain, match=r"gradient stencil point .*0\.09991"):
         divergence_gradient(sphere, DivergenceKind.CANONICAL, p, q, cfg)
+
+
+def test_a_gradient_step_that_does_not_move_the_point_is_refused(cfg):
+    # 0.3 + 1e-40 == 0.3: both stencil points are q, and the gradient would read 0
+    cat = make_builtin("categorical", [2])
+    p, q = cat.point([0.1, 0.2]), cat.point([0.3, 0.25])
+    with pytest.raises(InvalidModelSpec, match="step 1e-40 puts gradient stencil points closer than"):
+        divergence_gradient(cat, DivergenceKind.CANONICAL, p, q, cfg.with_(fd_step=1e-40))
 
 
 def test_gradient_vanishes_at_diagonal(models, cfg):
@@ -586,12 +628,20 @@ def test_accuracy_ledger_against_100x_tighter_tolerances_on_the_ode_route(cfg, k
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "spec, dual_track", [("alpha_categorical:2:0.5", True), ("categorical:2", False)]
+    "spec, dual_track",
+    [
+        ("alpha_categorical:2:0.5", True),
+        ("categorical:2", False),
+        ("sphere:2", False),
+        ("alpha_categorical:2:0", False),
+    ],
 )
 def test_canonical_quadrature_shoots_no_primal_log_at_its_nodes(cfg, monkeypatch, spec, dual_track):
     # one primal shot per pair for the main curve; at the nodes only the dual
     # log that tracks the transport, and none when the primal connection has
-    # an affine chart (categorical:2), since flat transport needs no track
+    # an affine chart (categorical:2), since flat transport needs no track, or
+    # when the model is self-dual (sphere:2, alpha 0), whose dual log at a
+    # node is the primal one, t V
     model = parse_model_spec(spec)
     P, Q = sample_pairs(model, 2, np.random.default_rng(1))
     asked = []

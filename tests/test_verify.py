@@ -120,6 +120,36 @@ def test_a_dimension_too_large_to_recover_is_refused_before_any_work(monkeypatch
                    f"{MAX_RECOVERY_DIM}, not euclidean:{dim}"]
 
 
+@pytest.mark.parametrize(
+    "spec, gradient_kinds, main_kinds",
+    [
+        ("sphere:2", ["pseudonorm", "canonical"], ["PRIMAL"]),
+        ("alpha_categorical:2:0.5", ["pseudonorm", "canonical", "dual"], ["PRIMAL", "DUAL"]),
+    ],
+)
+def test_the_gradient_suite_takes_a_self_dual_models_dual_half_from_its_primal_half(
+    monkeypatch, spec, gradient_kinds, main_kinds
+):
+    # dualized() returns a self-dual model itself: its dual canonical gradient
+    # and dual end velocities are the primal ones, and are not computed again
+    gradients, mains = [], []
+    gradient_many, main_nodes = verify._gradient_many, verify._main_nodes
+
+    def counting_gradient(model, which, *args):
+        gradients.append(which.value)
+        return gradient_many(model, which, *args)
+
+    def counting_main(model, kind, *args):
+        mains.append(kind.name)
+        return main_nodes(model, kind, *args)
+
+    monkeypatch.setattr(verify, "_gradient_many", counting_gradient)
+    monkeypatch.setattr(verify, "_main_nodes", counting_main)
+    assert all(c.passed for c in checks(parse_model_spec(spec), "gradient").values())
+    assert gradients == gradient_kinds
+    assert mains == main_kinds
+
+
 def test_a_check_passes_when_its_error_is_within_its_tolerance():
     record = CheckRecord("x", 2.0, 1.0, 1)
     assert record.passed is False
