@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Report schema (single JSON document): {suite, models, seed, samples, "
             "checks: [{check_id, max_error, tolerance, passed, samples}], "
             "overall_pass}. Classification residuals appear as checks named "
-            "verdict_*, flatness_residual and sectional_curvature_error. "
+            "verdict_* and constant_curvature_residual. "
             "Wall-clock timing is printed to stderr, never into the document."
         ),
     )

@@ -30,8 +30,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -74,15 +74,15 @@ class ClassificationReport:
 
     The verdict thresholds the residuals at CLASSIFY_THRESHOLD in the order
     SelfDual, DuallyFlat, Symmetric, General; a NaN residual fails its test.
-    `plane_curvatures[x, p]` is the primal sectional curvature at sample point
-    x on coordinate plane p, the planes (i, j) with i < j in np.triu_indices
-    order; `to_dict` leaves it out.
+    `curvature_residual` is max |R^l_ijk - K (delta^l_i g_jk - delta^l_j g_ik)|
+    over both connections and the points when the model carries a constant
+    curvature K, else None (at K = 0, the flatness residual); not in `to_dict`.
     """
 
     self_dual_residual: float
     flatness_residual: float
     symmetry_residuals: tuple
-    plane_curvatures: np.ndarray = field(compare=False)
+    curvature_residual: Optional[float] = None
 
     @property
     def verdict(self) -> str:
@@ -308,8 +308,8 @@ def curvature_tensor(
 
 def _scaled_curvature(g, R):
     """g/s, the lowered curvature R_{ijkl} = g_{lm} R^m_{ijk} over s, and s: a
-    power of four at most max|g|, shape (..., 1, 1). Dividing by it is exact and
-    keeps pairings and determinants inside the float range at any radius."""
+    power of four at most max|g|, shape (..., 1, 1). Scaling by it is exact and
+    keeps pairings and K g, as (K s)(g/s), inside the float range at any radius."""
     e = np.frexp(np.abs(g).max(axis=(-2, -1)))[1] - 1
     s = np.ldexp(1.0, e - e % 2)[..., None, None]
     return g / s, np.einsum("...lm,...mijk->...ijkl", g / s, R), s
@@ -366,16 +366,15 @@ def classify_manifold(
     Y, Xt = (V / np.sqrt(V[..., None, :] @ gs[:, None] @ V[..., None])[..., 0] for V in (Y, Xt))
     vals = np.einsum("xijkl,xpi,xpj,xpk,xpl->xp", low, Y, Xt, Xt, Xt) / s[..., 0]
     probe_res = float(np.abs(vals).max())
-    # K = R_ijji / det g|ij on every coordinate plane, taken on g/s and low/s
-    i, j = np.triu_indices(n, 1)
-    plane = np.stack([i, j], axis=1)
-    det = np.linalg.det(gs[:, plane[:, :, None], plane[:, None, :]])
-    plane_curvatures = low[:, i, j, j, i] / det / s[..., 0]
+    curvature = None
+    if model.constant_curvature is not None:  # K g as (K s)(g/s), the same at any radius
+        A = np.einsum("li,xjk->xlijk", np.eye(n), model.constant_curvature * s * gs)
+        curvature = float(np.abs(np.stack([R, Rstar]) - (A - np.swapaxes(A, 2, 3))).max())
     return ClassificationReport(
         self_dual_residual=self_dual,
         flatness_residual=flatness,
         symmetry_residuals=(nabla_res, probe_res),
-        plane_curvatures=plane_curvatures,
+        curvature_residual=curvature,
     )
 
 

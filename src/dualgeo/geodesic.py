@@ -43,8 +43,8 @@ The single-item API is a view of the batched core:
 `_central_stencil` (the points X +- h e_i laid out (..., i, +-, n), and their
 difference), serves the shooting Jacobian, the divergence gradients, the
 curvature tensors and the duality check; where the step is a caller's
-`fd_step` (gradients, curvature), `_moving_stencil` refuses one that does not
-move the point.
+`fd_step` (gradients, curvature), `_moving_stencil` refuses one whose
+realized span (X + h) - (X - h) is off 2h by more than 1%.
 
 A connection for which the model supplies a `PlaneSection` (a representation
 R in which its geodesics are plane sections through the origin) is handled in
@@ -629,14 +629,14 @@ def _central_stencil(X: np.ndarray, h: float):
 
 
 def _moving_stencil(X: np.ndarray, h: float, what: str):
-    """`_central_stencil` for a finite-difference step the caller chose, refused
-    (InvalidModelSpec) when it is too small to move some coordinate of X:
-    there both stencil points equal X and the difference reads 0."""
+    """`_central_stencil` for a step the caller chose, refused (InvalidModelSpec)
+    when the floats do not realize it: when in some coordinate the span
+    (X + h) - (X - h), 0 where h does not move X, is off 2h by more than 1%."""
     pts, difference = _central_stencil(X, h)
-    if (pts == X[..., None, None, :]).all(axis=-1).any():
+    if (np.abs((X + h) - (X - h) - 2.0 * h) > 0.02 * h).any():  # the stencil's spans
         raise InvalidModelSpec(
-            f"finite-difference step {h!r} puts {what} points closer than one rounding "
-            "step to their centre, onto the centre itself"
+            f"finite-difference step {h!r} puts {what} points closer than a few rounding "
+            "steps to their centre, where the floats span 2h off by more than 1%"
         )
     return pts, difference
 

@@ -72,13 +72,16 @@ with the symbols, a `plane_sections={}` copy keeps them, and a
 `contraction_fns={}` copy runs the generic reference (the symbols contracted
 and solved against the metric).
 
-A self-dual model may carry a `RoundSphere`: an isometry onto a piece of a
-round sphere, through which its geodesics are great circles, its distance is
-radius * central angle, its canonical divergence is half the squared distance
-and its sectional curvature is 1 / radius^2. The sphere carries its spherical
-embedding; alpha_categorical(n, 0), the simplex with the Fisher metric, carries
-p -> sqrt(p) over the full probability vector with radius 2 (Amari & Nagaoka
-2000, ch. 2).
+A model may carry the constant curvature K of both connections,
+R(X, Y)Z = K (g(Y, Z) X - g(X, Z) Y), as `constant_curvature`. Each builtin
+does (Amari & Nagaoka 2000, ch. 2-3): K = 0 on the dually flat euclidean,
+categorical and gaussian1d, 1 / r^2 on sphere(2, r) and (1 - a^2) / 4 on
+alpha_categorical(n, a). A self-dual model may carry a `RoundSphere`: an
+isometry onto a piece of the round sphere of radius K^(-1/2), through which
+its geodesics are great circles, its distance is radius * central angle and
+its canonical divergence is half the squared distance. The sphere carries its
+spherical embedding; alpha_categorical(n, 0), the simplex with the Fisher
+metric, carries p -> sqrt(p) over the full probability vector with radius 2.
 
 For the dually flat builtins (euclidean, categorical, gaussian1d) the model
 carries a closed-form reference divergence. Its orientation is fixed so that
@@ -273,6 +276,8 @@ class ManifoldModel:
                             if the model has one
     round_sphere            RoundSphere of a self-dual model of constant
                             positive curvature, or None
+    constant_curvature      K of both connections, R(X, Y)Z = K (g(Y, Z) X
+                            - g(X, Z) Y), when it is constant, or None
     safe_box                (n, 2) per-coordinate sampling box comfortably
                             inside the domain, used for seeded sampling
     """
@@ -291,6 +296,7 @@ class ManifoldModel:
     contraction_fns: dict = field(default_factory=dict)
     coord_converters: dict = field(default_factory=dict)
     round_sphere: Optional[RoundSphere] = None
+    constant_curvature: Optional[float] = None
 
     # -- domain ---------------------------------------------------------
 
@@ -478,6 +484,7 @@ def _make_euclidean(n: int) -> ManifoldModel:
         safe_box=np.array([[-1.0, 1.0]] * n),
         oracle_fn=oracle,
         plane_sections={ConnectionKind.PRIMAL: WORKING_CHART, ConnectionKind.DUAL: WORKING_CHART},
+        constant_curvature=0.0,
     )
 
 
@@ -543,6 +550,7 @@ def _make_sphere(radius: float) -> ManifoldModel:
         domain_fn=domain,
         safe_box=np.array([[math.pi / 2 - 0.55, math.pi / 2 + 0.55], [-0.55, 0.55]]),
         round_sphere=RoundSphere(radius, spherical_to_unit),
+        constant_curvature=1.0 / r2,
     )
 
 
@@ -603,6 +611,7 @@ def _make_categorical(n: int) -> ManifoldModel:
             "mixture": lambda c: mixture_to_natural(c),
             "natural": lambda c: np.asarray(c, dtype=float),
         },
+        constant_curvature=0.0,
     )
 
 
@@ -683,6 +692,7 @@ def _make_gaussian1d() -> ManifoldModel:
             ConnectionKind.PRIMAL: WORKING_CHART,
             ConnectionKind.DUAL: affine_chart(expectation, natural, metric),
         },
+        constant_curvature=0.0,
     )
 
 
@@ -794,6 +804,7 @@ def _make_alpha_categorical(n: int, alpha: float) -> ManifoldModel:
         },
         # p -> 2 sqrt(p) carries the Fisher metric onto the sphere of radius 2
         round_sphere=RoundSphere(2.0, sqrt_probs) if alpha == 0.0 else None,
+        constant_curvature=(1.0 - alpha * alpha) / 4.0,
     )
 
 

@@ -12,8 +12,8 @@ Which checks a model gets follows from its structure, never from its name:
     doubly flat                 both equal the quadratic form 1/2 d.g.d
     a flat connection           dually flat: reversal equals the dual divergence
     a closed-form oracle        canonical equals the oracle
-    a round-sphere embedding    canonical equals 1/2 (radius * angle)^2, and
-                                every coordinate plane has curvature 1/radius^2
+    a round-sphere embedding    canonical equals 1/2 (radius * angle)^2
+    a constant curvature K      both curvature tensors equal K (g(Y, Z) X - g(X, Z) Y)
 """
 
 from __future__ import annotations
@@ -219,14 +219,8 @@ def suite_collapse(model, samples, rng, cfg) -> List[CheckRecord]:
     diag = _divergence_many(model, DivergenceKind.CANONICAL, P, P, cfg)
     out.append(_rec("zero_on_diagonal", float(np.abs(diag).max()), 1e-10, samples))
     if model.is_self_dual:
-        out.append(
-            _rec(
-                "self_dual_collapse_rel",
-                float(np.abs(canon - ay).max() / (1.0 + np.abs(ay).max())),
-                1e-6,
-                samples,
-            )
-        )
+        rel = float(np.abs(canon - ay).max() / (1.0 + np.abs(ay).max()))
+        out.append(_rec("self_dual_collapse_rel", rel, 1e-6, samples))
     if all(map(model.is_flat, ConnectionKind)):
         # the metric is constant; at q it is not the form _divergence_many takes at p
         closed = 0.5 * _metric_pairing(model, Q, Q - P, Q - P)
@@ -273,11 +267,11 @@ def suite_symmetry(model, samples, rng, cfg) -> List[CheckRecord]:
 
 
 def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
-    """Verdicts expected from the model's structure plus curvature spot checks.
+    """Verdicts expected from the model's structure plus a curvature check.
 
     A self-dual model must classify as SelfDual; otherwise a model with a flat
-    connection is dually flat (the dual of a flat connection is flat too). On
-    a round sphere of radius r each coordinate plane has curvature 1/r^2.
+    connection is dually flat (the dual of a flat connection is flat too). Both
+    curvature tensors must equal K (g(Y, Z) X - g(X, Z) Y) if the model has K.
     """
     X = sample_points(model, min(samples, 5), rng, shrink=0.7)
     pts = [Point(x) for x in X]
@@ -285,17 +279,9 @@ def suite_classification(model, samples, rng, cfg) -> List[CheckRecord]:
     out = []
     expected = "SelfDual" if model.is_self_dual else "DuallyFlat" if model.flat_kinds else None
     if expected is not None:
-        out.append(
-            _rec(f"verdict_is_{expected}", 0.0 if report.verdict == expected else 1.0, 0.0, len(pts))
-        )
-    if model.flat_kinds:
-        out.append(_rec("flatness_residual", report.flatness_residual, 1e-5, len(pts)))
-    sphere = model.round_sphere
-    if sphere is not None:
-        # relative to 1 / r^2, so that the check reads the same at any radius
-        K = report.plane_curvatures  # a 1-D sphere has no plane
-        err = np.abs(K * sphere.radius**2 - 1.0).max(initial=0.0)
-        out.append(_rec("sectional_curvature_error", err, 1e-5, len(pts)))
+        out.append(_rec(f"verdict_is_{expected}", float(report.verdict != expected), 0.0, len(pts)))
+    if report.curvature_residual is not None:
+        out.append(_rec("constant_curvature_residual", report.curvature_residual, 5e-6, len(pts)))
     out.append(_rec(f"verdict_recorded_{report.verdict}", 0.0, 0.0, len(pts)))
     return out
 

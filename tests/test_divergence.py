@@ -310,12 +310,15 @@ def test_a_gradient_stencil_out_of_domain_is_a_stencil_error(models, cfg):
         divergence_gradient(sphere, DivergenceKind.CANONICAL, p, q, cfg)
 
 
-def test_a_gradient_step_that_does_not_move_the_point_is_refused(cfg):
-    # 0.3 + 1e-40 == 0.3: both stencil points are q, and the gradient would read 0
+@pytest.mark.parametrize("fd_step", [1e-40, 4e-17, 2e-16])
+def test_a_gradient_step_that_does_not_move_the_point_is_refused(cfg, fd_step):
+    # 0.3 + 1e-40 == 0.3: both stencil points are q, and the gradient would read 0;
+    # at 4e-17 and 2e-16 the floats span 1.39x and 1.11x of 2h in the first
+    # coordinate, and the gradient would read [0.284, 0.092] and [0.233, 0.067]
     cat = make_builtin("categorical", [2])
     p, q = cat.point([0.1, 0.2]), cat.point([0.3, 0.25])
-    with pytest.raises(InvalidModelSpec, match="step 1e-40 puts gradient stencil points closer than"):
-        divergence_gradient(cat, DivergenceKind.CANONICAL, p, q, cfg.with_(fd_step=1e-40))
+    with pytest.raises(InvalidModelSpec, match=f"step {fd_step!r} puts gradient stencil points closer than"):
+        divergence_gradient(cat, DivergenceKind.CANONICAL, p, q, cfg.with_(fd_step=fd_step))
 
 
 def test_gradient_vanishes_at_diagonal(models, cfg):

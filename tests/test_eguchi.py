@@ -181,9 +181,11 @@ def test_classification_verdicts(models, cfg, rng):
     }
 
 
-@pytest.mark.parametrize("name", ["euclidean", "sphere", "categorical", "gaussian1d"])
+@pytest.mark.parametrize(
+    "name", ["euclidean", "sphere", "categorical", "gaussian1d", "alpha_categorical"]
+)
 def test_dualized_model_keeps_its_classification_checks(models, name):
-    # the expected verdict and the flatness check follow the structure, which
+    # the expected verdict and the curvature check follow the structure, which
     # swapping the connections preserves; they must not hang on the model name
     model = models[name]
     plain = run_suites([model], "classification", seed=5)
@@ -308,7 +310,7 @@ def test_a_covariant_derivative_stencil_out_of_domain_is_a_stencil_error(models,
 
 def test_a_classification_verdict_follows_from_its_residuals():
     def verdict(self_dual, flat, nabla, probe):
-        return ClassificationReport(self_dual, flat, (nabla, probe), np.zeros((1, 0))).verdict
+        return ClassificationReport(self_dual, flat, (nabla, probe)).verdict
 
     thr, nan = CLASSIFY_THRESHOLD, float("nan")
     assert verdict(thr, 0.0, 0.0, 0.0) == "SelfDual"
@@ -316,7 +318,7 @@ def test_a_classification_verdict_follows_from_its_residuals():
     assert verdict(nan, nan, thr, thr) == "Symmetric"
     assert verdict(1.0, 1.0, thr, 2 * thr) == "General"
     assert verdict(1.0, 1.0, nan, 0.0) == "General"
-    report = ClassificationReport(0.0, 1.0, (1.0, 1.0), np.zeros((1, 0)))
+    report = ClassificationReport(0.0, 1.0, (1.0, 1.0))
     assert report.to_dict()["threshold"] == thr and report.to_dict()["verdict"] == "SelfDual"
 
 

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dualgeo import DivergenceKind, InvalidModelSpec, ToleranceConfig, eguchi, parse_model_spec
-from dualgeo import run_suites, sample_pairs, verify
+from dualgeo import ConnectionKind, DivergenceKind, InvalidModelSpec, ToleranceConfig, eguchi
+from dualgeo import parse_model_spec, run_suites, sample_pairs, verify
 from dualgeo.cli import main
 from dualgeo.config import MAX_QUAD_NODES
 from dualgeo.errors import DomainExit
@@ -27,7 +27,7 @@ def test_a_renamed_sphere_keeps_its_checks_and_its_samples():
         want = run_suites([sphere], suite, samples=1, seed=3).to_dict()
         assert run_suites([globe], suite, samples=1, seed=3).to_dict() == want
     assert checks(globe, "collapse")["great_circle_oracle"].passed
-    assert checks(globe, "classification")["sectional_curvature_error"].passed
+    assert checks(globe, "classification")["constant_curvature_residual"].passed
     # 200 pairs of the safe box include some wider than the angle filter allows
     for got, want in zip(
         sample_pairs(globe, 200, np.random.default_rng(0)),
@@ -51,14 +51,72 @@ def test_the_fisher_simplex_gets_the_round_sphere_checks(spec):
     model = parse_model_spec(spec)
     assert model.round_sphere.radius == 2.0
     great_circle = checks(model, "collapse")["great_circle_oracle"]
-    curvature = checks(model, "classification", samples=3)["sectional_curvature_error"]
+    curvature = checks(model, "classification", samples=3)["constant_curvature_residual"]
     assert great_circle.passed and curvature.passed, (great_circle, curvature)
 
 
 def test_other_alphas_have_no_round_sphere():
     model = parse_model_spec("alpha_categorical:2:0.5")
     assert model.round_sphere is None
-    assert "sectional_curvature_error" not in checks(model, "classification")
+    assert "great_circle_oracle" not in checks(model, "collapse")
+    assert checks(model, "classification")["constant_curvature_residual"].passed
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [m.spec_string for m in verify.default_models()]
+    + ["sphere:2:3", "alpha_categorical:3:-0.6", "alpha_categorical:4:0.8",
+       "alpha_categorical:2:-0.9", "alpha_categorical:2:0"],
+)
+def test_every_builtin_has_the_constant_curvature_it_carries(spec):
+    # both alpha-connections on the simplex have K = (1 - a^2)/4, the sphere 1/r^2
+    found = checks(parse_model_spec(spec), "classification", samples=3)
+    assert found["constant_curvature_residual"].passed, found["constant_curvature_residual"]
+
+
+@pytest.mark.parametrize("spec", ["euclidean:3", "categorical:2", "gaussian1d:2"])
+def test_the_curvature_check_of_a_flat_model_is_its_flatness_residual(monkeypatch, spec):
+    reports, inner = [], verify.classify_manifold
+
+    def recorded(*args):
+        reports.append(inner(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "classify_manifold", recorded)
+    model = parse_model_spec(spec)
+    assert model.constant_curvature == 0.0
+    found = checks(model, "classification", samples=3)["constant_curvature_residual"]
+    assert found.max_error == reports[0].flatness_residual
+
+
+def _with_scaled_dual_symbols(model):
+    fns = dict(model.christoffel_fns)
+    dual = fns[ConnectionKind.DUAL]
+    fns[ConnectionKind.DUAL] = lambda X: (1.0 + 1e-5) * dual(X)
+    return dataclasses.replace(model, christoffel_fns=fns)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        _with_scaled_dual_symbols,
+        lambda m: dataclasses.replace(m, constant_curvature=m.constant_curvature * (1.0 + 1e-5)),
+    ],
+    ids=["dual-symbols-1e-5-off", "curvature-1e-5-off"],
+)
+def test_the_curvature_check_catches_a_slightly_wrong_structure(defect):
+    model = parse_model_spec("alpha_categorical:2:0.5")
+    assert checks(model, "classification", samples=3)["constant_curvature_residual"].passed
+    found = checks(defect(model), "classification", samples=3)["constant_curvature_residual"]
+    assert not found.passed and found.max_error < 1e-4, found
+
+
+@pytest.mark.parametrize(
+    "spec", ["sphere:2", "sphere:2:3", "sphere:2:1e-150", "sphere:2:1e154", "alpha_categorical:3:0"]
+)
+def test_a_round_sphere_carries_the_curvature_of_its_radius(spec):
+    model = parse_model_spec(spec)
+    assert model.constant_curvature == 1.0 / model.round_sphere.radius**2
 
 
 @pytest.mark.parametrize(
@@ -69,10 +127,10 @@ def test_classification_of_an_extreme_sphere_stays_in_the_float_range(radius, pa
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         found = checks(parse_model_spec(f"sphere:2:{radius}"), "classification")
-    assert np.isfinite(found["sectional_curvature_error"].max_error)
+    assert np.isfinite(found["constant_curvature_residual"].max_error)
     assert found["verdict_is_SelfDual"].passed
     if passes:
-        assert found["sectional_curvature_error"].passed, found["sectional_curvature_error"]
+        assert found["constant_curvature_residual"].passed, found["constant_curvature_residual"]
 
 
 @pytest.mark.parametrize("suite", ["collapse", "all"])
