@@ -124,8 +124,10 @@ def _pool_map(model: ManifoldModel, kinds, P: np.ndarray, Q: np.ndarray, cfg: To
     """Every kind on every pair (P[i], Q[i]), each pair evaluated alone, in order.
 
     Returns values of shape (m, len(kinds)) and one ok flag per row; a failed
-    (row, kind) reads NaN and clears its row's flag. The rows run inline: for
-    the few pairs a command carries, a thread pool costs more than it saves.
+    (row, kind) reads NaN and clears its row's flag. Bad input
+    (InvalidModelSpec, such as a --fd-step the floats do not realize) is no
+    row's failure: it refuses the command. The rows run inline: for the few
+    pairs a command carries, a thread pool costs more than it saves.
     The name is kept because perfbench's tracer patches `cli._pool_map` as its
     `cli.pool` layer, the parent of each row's divergence spans.
     """
@@ -135,6 +137,8 @@ def _pool_map(model: ManifoldModel, kinds, P: np.ndarray, Q: np.ndarray, cfg: To
         for j, kind in enumerate(kinds):
             try:
                 values[i, j] = _divergence_many(model, kind, P[i : i + 1], Q[i : i + 1], cfg)[0]
+            except InvalidModelSpec:
+                raise
             except DualGeoError:
                 ok[i] = False
     return values, ok

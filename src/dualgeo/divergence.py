@@ -27,16 +27,18 @@ node costs one, the dual log that tracks transport, since its primal log is
 t V on the primal geodesic from p with velocity V. On a self-dual model the
 dual log is the primal one, so a canonical node costs no solve and a
 path-functional node one, and Pi* is Pi. A log vector is transported in its
-track's own integration. Every computation runs batched; each public
-function is a batch of one, with no path of its own: each divergence kind
-goes through `divergence_value` into `_divergence_many`,
-`pi_field` into `_pi_many`, `path_functional` into `_path_functional_many`
-and `divergence_gradient` into `_gradient_many`. The weighted sum over the
-nodes and each metric pairing are taken row by row, so a pair's value never
+track's own integration, unless a closed form transports it (below), which
+needs no track and so no dual log. Every computation runs batched; each
+public function is a batch of one, with no path of its own: each divergence
+kind goes through `divergence_value` into `_divergence_many`, `pi_field` into
+`_pi_many`, `path_functional` into `_path_functional_many` and
+`divergence_gradient` into `_gradient_many`. The weighted sum over the nodes
+and each metric pairing are taken row by row, so a pair's value never
 depends on the BLAS kernel. On the closed-form routes (every kind on an
-affine chart; ay and the pseudo-norm on a curved section) it depends only on
-that pair, bit for bit, in any batch; on the ODE routes a stacked system
-shares one adaptive step, so its last bits depend on the rest of the batch.
+affine chart or on a dual pair of curved sections; ay and the pseudo-norm on
+any curved section) it depends only on that pair, bit for bit, in any batch;
+on the ODE routes a stacked system shares one adaptive step, so its last
+bits depend on the rest of the batch.
 
 `_divergence_many` decides in one place which pairs of a geodesic-integral
 kind are answered by the quadratic form d.g(p).d (halved for every kind but
@@ -55,11 +57,14 @@ Geodesics and log vectors then come without ODE or Newton iteration, and a
 transported difference vector is J(target)^{-1} J(base) V, which needs no
 track geodesic, so `_pi_many` integrates no track, and for a canonical kind,
 whose primal logs it is given, shoots no log. On alpha_categorical the
-sections are curved: logs and main geodesics are closed form, and a
-transported vector still rides in its integrated track. A copy of the model
-with no sections, `dataclasses.replace(model, plane_sections={})`, sends every
-pair off the diagonal down the integration and shooting route. The
-closed-form oracle kind is never guarded.
+sections are curved and form a dual pair, R* = p^(1 - beta) the conormal of
+R = p^beta: logs, main geodesics and transport are all closed form, the
+transport one Gauss-Legendre sum per row (`_section_transport`), so no
+alpha divergence integrates, and a canonical kind shoots no log at its
+nodes. A copy of the model with no sections,
+`dataclasses.replace(model, plane_sections={})`, sends every pair off the
+diagonal down the integration and shooting route. The closed-form oracle
+kind is never guarded.
 
 Every value `_divergence_many` or `_path_functional_many` returns is finite
 (`_finite`); a non-finite one, from any route (an overflowing quadratic form
@@ -78,10 +83,12 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import OracleUnavailable, QuadratureFailure, StencilOutOfDomain
 from .geodesic import (
     Curve,
+    _dual_pair,
     _flat_transport,
     _gauss_legendre,
     _geodesic_states,
     _moving_stencil,
+    _section_transport,
     _shoot_many,
 )
 from .manifold import ConnectionKind, ManifoldModel, Point, Tangent
@@ -163,21 +170,26 @@ def _pi_many(
     """Batched transported difference vectors at the targets.
 
     Each field is its connection's log vector from base to target, carried
-    there by that connection's transport. One rule builds both: a connection
+    there by that connection's transport along the other connection's
+    geodesic, its track. One rule builds both, in this order: a connection
     with a linear plane section (an affine chart) transports as
-    J(target)^{-1} J(base) V, which needs no track; any other carries V in the
-    integration of its track, the other connection's geodesic, and reads it
-    at t = 1.
+    J(target)^{-1} J(base) V along any curve; when both connections carry
+    curved sections that form a dual pair (`_dual_pair`, decided from the
+    model alone, so the route never depends on the batch), transport is one
+    Gauss-Legendre sum along the track's closed form (`_section_transport`);
+    neither needs the track's log. Any other connection carries V in the
+    integration of its track, shot from the dual log, and reads it at t = 1.
     Each log is shot at most once, the primal before the dual; on a self-dual
     model, whose two connections are one, the dual log is the primal log, so
     its track is the geodesic of V itself, and PiStar is Pi. Returns (Pi,
     PiStar). A caller that knows the primal logs passes them and gets (Pi,
     None): the dual log is then shot only as the track, and not at all when
-    the primal connection has an affine chart or the model is self-dual.
+    the primal connection is transported in closed form or the model is
+    self-dual.
     "Shot" includes the closed-form log of a plane section, which
     `_shoot_many` returns.
     """
-    self_dual = model.is_self_dual
+    self_dual, dual_pair = model.is_self_dual, _dual_pair(model)
     logs = {ConnectionKind.PRIMAL: primal_logs, ConnectionKind.DUAL: None}
 
     def log(kind):
@@ -190,6 +202,8 @@ def _pi_many(
         V, section = log(kind), model.plane_sections.get(kind)
         if section is not None and section.linear:
             return _flat_transport(section, bases, targets, V)
+        if dual_pair:
+            return _section_transport(section, model.plane_sections[kind.dual], bases, targets, V)
         states = _geodesic_states(model, kind.dual, bases, log(kind.dual), cfg, [1.0], (kind, V))
         return states[0, :, 2 * bases.shape[1] :]
 

@@ -43,13 +43,14 @@ The single-item API is a view of the batched core:
 `_central_stencil` (the points X +- h e_i laid out (..., i, +-, n), and their
 difference), serves the shooting Jacobian, the divergence gradients, the
 curvature tensors and the duality check; where the step is a caller's
-`fd_step` (gradients, curvature), `_moving_stencil` refuses one whose
-realized span (X + h) - (X - h) is off 2h by more than 1%.
+`fd_step` (shooting, gradients, curvature), `_moving_stencil` refuses one
+whose realized span (X + h) - (X - h) is off 2h by more than 1%.
 
 A connection for which the model supplies a `PlaneSection` (a representation
 R in which its geodesics are plane sections through the origin) is handled in
-closed form by one code path, `_section_states`, `_section_log` and
-`_flat_transport`, with W = dR v0 and d = R(q) - R(p):
+closed form by one code path, `_section_states`, `_section_log`,
+`_flat_transport` and `_section_transport`, with W = dR v0 and
+d = R(q) - R(p):
 
     linear       the affine charts: the working chart for the model's
                  `flat_kinds`, the Legendre chart eta = grad psi for the other
@@ -64,17 +65,24 @@ closed form by one code path, `_section_states`, `_section_log` and
                  nodes), with velocity N W - C dN[W]; a state at t takes a
                  scalar Newton solve for s per member and time. The log map
                  pulls back c (d - dN[d] R(p)), with c = t(1) along
-                 R(p) + s d. Transport is integrated
+                 R(p) + s d. When the two connections' sections are a dual
+                 pair, <R*, R> = 1, transport along the other connection's
+                 geodesic is one sum: the track is C*(s) / N*(C*(s)) with
+                 C*(s) = R*(x0) + s B, B = R*(x1) - R*(x0), and Y = dR V
+                 arrives as Y0 - <B, Y0> times the integral of
+                 R / N*(C*)^2 over it (64 Gauss-Legendre nodes)
 
-In the working chart R and its push-forward are the identity. A geodesic that
-carries a vector is integrated even when its connection has a section. On a
-linear section geodesic states are checked against the domain on every grid
-sample, so an eta-line that leaves the domain raises DomainExit as the
-integrated geodesic does; a curved section's domain meets each geodesic in one
-interval of times, so its state at t = 1 decides. A copy of the model with no
-sections, `dataclasses.replace(model, plane_sections={})`, takes the ODE and
-shooting route everywhere: that one switch turns every closed form off, which
-is how they are cross-checked.
+In the working chart R and its push-forward are the identity. A geodesic
+carries a vector only where no closed form transports it (the sphere, curved
+sections that are not a dual pair, a `plane_sections={}` copy), and is then
+integrated even when its connection has a section. On a linear section
+geodesic states are checked against the domain on every grid sample, so an
+eta-line that leaves the domain raises DomainExit as the integrated geodesic
+does; a curved section's domain meets each geodesic in one interval of
+times, so its state at t = 1 decides. A copy of the model with no sections,
+`dataclasses.replace(model, plane_sections={})`, takes the ODE and shooting
+route everywhere: that one switch turns every closed form off, which is how
+they are cross-checked.
 """
 
 from __future__ import annotations
@@ -294,6 +302,44 @@ def _gauss_legendre(nodes: int):
 
 _SECTION_NODES = 16  # Gauss-Legendre nodes of a curved section's time integral
 _SECTION_SWEEPS = 30  # Newton steps before a section parameter is given up as NaN
+# Gauss-Legendre nodes of a dual-pair transport's sum: near the domain floor
+# (probabilities ~1e-3) 32 nodes leave ~1e-7 relative, 64 at most ~5e-10
+_TRANSPORT_NODES = 64
+
+
+def _dual_pair(model: ManifoldModel) -> bool:
+    """True when both connections carry curved sections and they form a dual
+    pair, <R*(x), R(x)> = 1, R* the conormal of R; decided at the centre of the
+    model's safe box, so it depends on the model alone."""
+    R, Rs = (model.plane_sections.get(kind) for kind in ConnectionKind)
+    if R is None or Rs is None or R.linear or Rs.linear:
+        return False
+    centre = model.safe_box.mean(axis=1)[None, :]
+    return abs((R.to_rep(centre) * Rs.to_rep(centre)).sum() - 1.0) <= 1e-12
+
+
+def _section_transport(section: PlaneSection, track: PlaneSection, X0, X1, V0) -> np.ndarray:
+    """Transport of V0 from X0 to X1 (m, n) by the connection of a curved section
+    R along the geodesic of `track`, its dual pair R*. The track is C*(s) /
+    N*(C*(s)) with C*(s) = A + s B, A = R*(x0) and B = R*(x1) - A; the
+    transported Y in R-components solves Y' = -<dR*/ds, Y> R, and since dN* at
+    R*(x) is <R(x), .>, b = <B, Y> is b0 / N*(C*(s)), so
+
+        Y(1) = Y0 - b0 * integral over [0, 1] of R(x(s)) / N*(C*(s))^2 ds,
+
+    one Gauss-Legendre sum per row, taken along the row's own contiguous nodes,
+    so a row's value does not depend on the others. It needs no log of the
+    track and lands on X1 exactly."""
+    x, w = _gauss_legendre(_TRANSPORT_NODES)
+    A = track.to_rep(X0)
+    B = track.to_rep(X1) - A
+    C = A[:, None, :] + x[:, None] * B[:, None, :]
+    N = track.normalizer(C)
+    R = section.to_rep(track.from_rep((C / N[..., None]).reshape(-1, C.shape[-1])))
+    weighted = R.reshape(C.shape) * (w / N**2)[..., None]
+    integral = np.ascontiguousarray(np.swapaxes(weighted, 1, 2)).sum(axis=-1)
+    Y0 = section.push(X0, V0)
+    return section.pull(X1, Y0 - (B * Y0).sum(axis=1, keepdims=True) * integral)
 
 
 def _section_time(section: PlaneSection, R0, W, s) -> np.ndarray:
@@ -691,8 +737,9 @@ def _shoot_many(
     or in closed form when the connection has a plane section.
 
     The Jacobian of the endpoint map is taken by central finite differences of
-    step cfg.fd_step; each sweep integrates the center shot and all stencil
-    columns as one stacked system. One rule globalizes the iteration: each
+    step cfg.fd_step, refused (InvalidModelSpec) where the floats do not
+    realize it around a shot (`_moving_stencil`); each sweep integrates the
+    center shot and all stencil columns as one stacked system. One rule globalizes the iteration: each
     member keeps its best shot b, that shot's endpoint error e_b and Newton
     step d_b, and its next trial is b - lam d_b inside a trust region. A trial
     that integrates and cuts e_b by at least 3% becomes the new best with
@@ -730,7 +777,7 @@ def _shoot_many(
     Xs = np.repeat(P, cols, axis=0)
     for sweeps in range(1, _MAX_SWEEPS + 1):
         # the center shot first, then the Jacobian columns' stencil
-        stencil, difference = _central_stencil(v, h)
+        stencil, difference = _moving_stencil(v, h, "shooting stencil")
         Vs = np.concatenate([v[:, None, :], stencil.reshape(m, 2 * n, n)], axis=1)
         E, okE = _endpoints_resilient(model, kind, Xs, Vs.reshape(m * cols, n), cfg)
         E = E[:, :n].reshape(m, cols, n)

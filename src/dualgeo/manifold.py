@@ -50,6 +50,9 @@ probability vector (Amari & Nagaoka 2000, ch. 2-3):
     R = p^beta, N(R) = (sum R^(1/beta))^beta, dN at R: D -> sum p^(1-beta) D,
     beta = (1 - a)/2 for the primal connection and (1 + a)/2 for the dual
 
+The two betas sum to 1, so the two sections are a dual pair: p^(1 - beta) is
+the conormal of p^beta (Kurose 1990), since sum p = 1.
+
 A copy with no sections, `dataclasses.replace(model, plane_sections={})`, takes
 the ODE and shooting route for every connection.
 
@@ -200,6 +203,15 @@ class PlaneSection:
     The model's domain must meet each geodesic of a curved section in one
     interval of times, as the simplex does (p_i >= c is concave along a
     section), so a state at t = 1 decides whether it stayed inside.
+
+    The curved sections R, R* of a model's two connections form a dual pair
+    when R* is the conormal of R: <R*(x), R(x)> = 1 and <R*(x), dR_x V> = 0,
+    so that dN* at R*(x) is <R(x), .> and dN at R(x) is <R*(x), .>. The
+    alpha-representations p^beta and p^(1 - beta) do, as does p^(1/2) with
+    itself. Each connection's transport along the other's geodesic is then
+    one quadrature (`geodesic._section_transport`); the pair is recognized
+    by <R*, R> = 1 at the centre of the model's safe box, and any other
+    pair of curved sections carries transport in an integrated track.
     """
 
     to_rep: Callable[[np.ndarray], np.ndarray]

@@ -236,6 +236,12 @@ def test_div_invalid_model_exit_2(capsys):
          "--fd-step", "1e-40"],
         ["verify", "--model", "sphere:2", "--suite", "classification", "--samples", "1",
          "--fd-step", "1e-300"],
+        # v + h == v, and a step the floats span 2h off: a shooting Jacobian would
+        # read 0 or a wrong column, where the row used to read NaN (exit 3)
+        ["div", "--model", "sphere:2", "--kind", "canonical", "-p", "1.2,0.1", "-q", "1.6,0.5",
+         "--fd-step", "1e-40"],
+        ["div", "--model", "sphere:2", "--kind", "canonical", "-p", "1.2,0.1", "-q", "1.6,0.5",
+         "--fd-step", "4e-17"],
         # counts over their bounds, all rejected before anything is allocated
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", str(10**11)],
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", "1025"],
@@ -296,6 +302,8 @@ def test_div_invalid_model_exit_2(capsys):
         "verify-fd-step-collapses-the-stencil",
         "verify-gradient-fd-step-does-not-move-the-point",
         "verify-curvature-fd-step-does-not-move-the-point",
+        "div-shooting-fd-step-does-not-move-the-shot",
+        "div-shooting-fd-step-spans-2h-off",
         "div-quad-nodes-huge",
         "div-quad-nodes-above-bound",
         "verify-quad-nodes-huge",

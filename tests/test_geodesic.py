@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dualgeo import (
+    DEFAULT_CONFIG,
     BaseMismatch,
     ConnectionKind,
     Curve,
@@ -31,12 +32,14 @@ from dualgeo.geodesic import (
     _CURVE_GRID,
     _contract,
     _curves_from_initial,
+    _dual_pair,
     _endpoints_resilient,
     _geodesic_accel,
     _gauss_legendre,
     _geodesic_states,
     _integrate_states,
     _rk45,
+    _section_transport,
     _shoot_many,
     _transport_many,
 )
@@ -191,6 +194,89 @@ def test_carried_transport_equals_transport_along_the_dense_track(cfg, rng, name
     carried = _geodesic_states(model, kind.dual, P, V, cfg, [1.0], (kind, W0))[0, :, 2 * n :]
     track = _curves_from_initial(model, kind.dual, P, V, cfg)
     assert np.abs(carried - _transport_many(model, kind, track, W0, cfg)).max() <= 1e-9
+
+
+def _carried_and_section_transport(model, kind, P, Q, W0, cfg):
+    """The carried transport of W0 along the track shot from P to Q at cfg, with
+    the track's end, and the dual-pair transport to that same end."""
+    n = model.dim
+    V, ok = _shoot_many(model, kind.dual, P, Q, cfg)
+    assert ok.all()
+    states = _geodesic_states(model, kind.dual, P, V, cfg, [1.0], (kind, W0))[0]
+    end, carried = states[:, :n], states[:, 2 * n :]
+    sections = model.plane_sections
+    return carried, _section_transport(sections[kind], sections[kind.dual], P, end, W0)
+
+
+def _relative_gap(a, b):
+    return (np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)).max()
+
+
+TIGHT = dataclasses.replace(DEFAULT_CONFIG, ode_rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+@pytest.mark.parametrize(
+    "spec",
+    ["alpha_categorical:2:0.5", "alpha_categorical:4:-0.4", "alpha_categorical:3:0.8",
+     "alpha_categorical:2:-0.9"],
+)
+def test_section_transport_equals_the_tight_carried_transport(rng, spec, kind):
+    # the one-sum transport of a dual pair is the transport ODE's solution:
+    # at most about 2e-13 relative from it at a 1e-13 integrator tolerance
+    model = parse_model_spec(spec)
+    assert _dual_pair(model)
+    P, Q = sample_pairs(model, 16, rng)
+    W0 = rng.standard_normal(P.shape)
+    carried, section = _carried_and_section_transport(model, kind, P, Q, W0, TIGHT)
+    assert _relative_gap(section, carried) <= 1e-12
+
+
+def _dirichlet_pairs(model, count, rng):
+    """count pairs of Dirichlet(1/2) points, every probability at least 1.1e-3:
+    near the domain floor (1e-3), where the sections' powers bend most."""
+    points = []
+    while len(points) < 2 * count:
+        p = rng.dirichlet(np.full(model.dim + 1, 0.5))
+        if p.min() >= 1.1e-3:
+            points.append(p[: model.dim])
+    points = np.array(points)
+    return points[:count], points[count:]
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.6, -0.9, 0.8, 0.95])
+def test_section_transport_near_the_domain_floor_is_no_worse_than_the_default_carried_one(
+    cfg, rng, alpha
+):
+    # against the carried transport at a 1e-13 tolerance, to the same end, the
+    # one sum's 64 nodes stay within 1e-9 relative (at worst about 4.5e-10, at
+    # alpha 0.95; 32 nodes leave up to 1.5e-7) and within what the carried
+    # transport at the default tolerance reaches
+    model = make_builtin("alpha_categorical", (2, alpha))
+    P, Q = _dirichlet_pairs(model, 48, rng)
+    for kind in KINDS:
+        W0 = rng.standard_normal(P.shape)
+        tight, section = _carried_and_section_transport(model, kind, P, Q, W0, TIGHT)
+        default, _ = _carried_and_section_transport(model, kind, P, Q, W0, cfg)
+        gap = _relative_gap(section, tight)
+        assert gap <= 1e-9, (kind, gap)
+        assert gap <= _relative_gap(default, tight), (kind, gap)
+
+
+@pytest.mark.parametrize("spec", ["alpha_categorical:2:0.5", "alpha_categorical:3:-0.6",
+                                  "alpha_categorical:2:0"])
+def test_the_alpha_sections_are_a_dual_pair(rng, spec):
+    # <R*, R> = 1, and each section's differential is the pairing with the
+    # other's representation: dN* at R*(x) is <R(x), .>
+    model = parse_model_spec(spec)
+    assert _dual_pair(model) and _dual_pair(model.dualized())
+    X, _ = sample_pairs(model, 32, rng)
+    D = rng.standard_normal((32, model.dim + 1))
+    for kind in KINDS:
+        R, track = model.plane_sections[kind], model.plane_sections[kind.dual]
+        assert np.abs((R.to_rep(X) * track.to_rep(X)).sum(axis=1) - 1.0).max() <= 1e-14
+        pairing = (R.to_rep(X) * D).sum(axis=1)
+        assert np.abs(track.differential(X, D) - pairing).max() <= 1e-14 * np.abs(D).sum(axis=1).max()
 
 
 def test_transport_identity_on_euclidean(models, cfg):
