@@ -7,8 +7,8 @@ sum does not, and it always equals the metric pairing of the two log vectors
 at p. The alpha-connection simplex is the most general builtin (curved and not
 self-dual), so agreement here exercises everything at once. Its two log
 vectors per quadrature node are closed form (each connection's geodesics are
-plane sections of a cone), and each field is transported in the integration
-of the other connection's geodesic.
+plane sections of a cone), and so is each field's transport along the other
+connection's geodesic: the two cones are a dual pair, so it is one quadrature.
 """
 
 import numpy as np

@@ -394,8 +394,9 @@ def symmetry_probe(
     A strictly monotone relation between the two implies identical rankings of
     the sampled targets; rank agreement is the fraction of concordant target
     pairs. Every target must lie in the domain. A target whose own evaluation
-    raises any DualGeoError is skipped and listed, never raised; how many skips
-    are too many is its callers' rule (MAX_SKIPPED_FRACTION).
+    raises any other DualGeoError than InvalidModelSpec (bad input, such as a
+    step the floats do not realize, which is raised) is skipped and listed;
+    how many skips are too many is its callers' rule (MAX_SKIPPED_FRACTION).
     """
     for x in (p, *sample_qs):
         model.require_inside(x)
@@ -411,11 +412,15 @@ def symmetry_probe(
     skipped = []
     try:
         pairs = scatter(slice(None))
+    except InvalidModelSpec:
+        raise
     except DualGeoError:  # then each target alone
         pairs = np.full((m, 2), np.nan)
         for i in range(m):
             try:
                 pairs[i] = scatter(slice(i, i + 1))[0]
+            except InvalidModelSpec:
+                raise
             except DualGeoError:
                 skipped.append(i)
     keep = np.setdiff1d(np.arange(m), np.array(skipped, dtype=int))

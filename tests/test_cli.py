@@ -242,6 +242,8 @@ def test_div_invalid_model_exit_2(capsys):
          "--fd-step", "1e-40"],
         ["div", "--model", "sphere:2", "--kind", "canonical", "-p", "1.2,0.1", "-q", "1.6,0.5",
          "--fd-step", "4e-17"],
+        # the symmetry probe skips a target that fails, but not bad input
+        ["verify", "--model", "sphere:2", "--suite", "symmetry", "--seed", "7", "--fd-step", "1e-40"],
         # counts over their bounds, all rejected before anything is allocated
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", str(10**11)],
         ["div", "--model", "euclidean:2", "-p", "0,0", "-q", "3,4", "--quad-nodes", "1025"],
@@ -304,6 +306,7 @@ def test_div_invalid_model_exit_2(capsys):
         "verify-curvature-fd-step-does-not-move-the-point",
         "div-shooting-fd-step-does-not-move-the-shot",
         "div-shooting-fd-step-spans-2h-off",
+        "verify-symmetry-shooting-fd-step-does-not-move-the-shot",
         "div-quad-nodes-huge",
         "div-quad-nodes-above-bound",
         "verify-quad-nodes-huge",
